@@ -337,13 +337,39 @@ def _thermal_tail(q: float, n: int) -> float:
     return q ** (n + 1)
 
 
+def _thin(weights: list, eta: float) -> list:
+    """sum_N w[N] Binomial(N, eta) as a vector over survivors: the generating
+    function sum_N w[N] (1-eta + eta*z)^N in Horner form.  Every step is a
+    positive combination of positive floats, so nothing cancels or
+    overflows and no binomial coefficient is formed."""
+    lose = 1.0 - eta
+    poly = [weights[-1]]
+    for w in reversed(weights[:-1]):
+        poly = [lose * a + eta * b for a, b in zip(poly + [0.0], [0.0] + poly)]
+        poly[0] += w
+    return poly
+
+
+def _cut(probs: list, keep_tol: float, reserve: float) -> Pmf:
+    """Oracle pmf cut where the remaining mass first drops to keep_tol; the
+    tail bound is the summed deficit plus reserve."""
+    cum = 0.0
+    for n, p in enumerate(probs):
+        cum += p
+        if 1.0 - cum <= keep_tol:
+            probs = probs[: n + 1]
+            break
+    return Pmf(tuple(probs), max(1.0 - math.fsum(probs), 0.0) + reserve)
+
+
 def conditional_pmf_series(
     stat: PairStatistics, params: SourceParams, tol: float = DEFAULT_TOL
 ) -> Pmf:
     """Signal-count pmf conditioned on a herald, by direct summation.
 
     Evaluates numerator(n) = sum_{N>=n} C(N,n) P_in(N) H(N) eta_s^n
-    (1-eta_s)^(N-n) and normalizes by sum_N P_in(N) H(N), truncating the
+    (1-eta_s)^(N-n) by Horner thinning of the herald-weighted pair law
+    (:func:`_thin`) and normalizes by sum_N P_in(N) H(N), truncating the
     pair sum once the remaining input mass cannot move any term by more
     than tol/10.  This is the oracle route: it never touches the closed
     forms.
@@ -373,24 +399,8 @@ def conditional_pmf_series(
                 f"pair sum failed to converge within 100000 terms (mu={mu!r})",
                 order=N,
             )
-    n_max = len(weights) - 1
 
-    numer = [0.0] * (n_max + 1)
-    for N, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        for n in range(N + 1):
-            numer[n] += w * math.comb(N, n) * eta_s**n * (1.0 - eta_s) ** (N - n)
-    probs = [x / denom for x in numer]
-
-    cum = 0.0
-    for n, p in enumerate(probs):
-        cum += p
-        if 1.0 - cum <= 0.9 * tol:
-            deficit = max(1.0 - math.fsum(probs[: n + 1]), 0.0)
-            return Pmf(tuple(probs[: n + 1]), deficit + 0.1 * tol)
-    deficit = max(1.0 - math.fsum(probs), 0.0)
-    return Pmf(tuple(probs), deficit + 0.1 * tol)
+    return _cut([x / denom for x in _thin(weights, eta_s)], 0.9 * tol, 0.1 * tol)
 
 
 def _poisson_pmf(a: float, n: int) -> float:
@@ -507,9 +517,10 @@ def herald_filter_convolution_oracle(
     The kept mode is thermal with mean mu*f and alone drives the herald
     (extraneous heralding photons are filtered out before the detector);
     the extraneous signal photons are Poisson with mean mu*(1-f).  Both
-    populations are thinned by eta_s via explicit binomial sums, convolved,
-    and normalized by the summed herald probability.  Entirely independent
-    of the closed-form correcting factors.
+    populations are thinned by eta_s through their binomial sums in Horner
+    form (:func:`_thin`), convolved, and normalized by the summed herald
+    probability.  Entirely independent of the closed-form correcting
+    factors.
     """
     if not tol >= MIN_TOL:
         raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
@@ -536,7 +547,6 @@ def herald_filter_convolution_oracle(
         N += 1
         if N > 100_000:
             raise SeriesOverflowError("kept-mode sum failed to converge", order=N)
-    n1_max = len(kept_w) - 1
 
     ex_w = []
     N = 0
@@ -547,37 +557,17 @@ def herald_filter_convolution_oracle(
         N += 1
         if N > 100_000:
             raise SeriesOverflowError("extraneous sum failed to converge", order=N)
-    n2_max = len(ex_w) - 1
 
-    def thinned(ws):
-        out = [0.0] * len(ws)
-        for N, w in enumerate(ws):
-            if w == 0.0:
-                continue
-            for k in range(N + 1):
-                out[k] += w * math.comb(N, k) * eta_s**k * (1.0 - eta_s) ** (N - k)
-        return out
+    p1 = _thin(kept_w, eta_s)     # unnormalized: includes the herald weight
+    p2 = _thin(ex_w, eta_s)
 
-    p1 = thinned(kept_w)          # unnormalized: includes the herald weight
-    p2 = thinned(ex_w)
-
-    n_out = n1_max + n2_max
-    probs = [0.0] * (n_out + 1)
+    probs = [0.0] * (len(p1) + len(p2) - 1)
     for k, a in enumerate(p1):
         if a == 0.0:
             continue
         for j, b in enumerate(p2):
             probs[k + j] += a * b
-    probs = [x / p_h for x in probs]
-
-    cum = 0.0
-    for n, p in enumerate(probs):
-        cum += p
-        if 1.0 - cum <= 0.7 * tol:
-            deficit = max(1.0 - math.fsum(probs[: n + 1]), 0.0)
-            return Pmf(tuple(probs[: n + 1]), deficit + 0.3 * tol)
-    deficit = max(1.0 - math.fsum(probs), 0.0)
-    return Pmf(tuple(probs), deficit + 0.3 * tol)
+    return _cut([x / p_h for x in probs], 0.7 * tol, 0.3 * tol)
 
 
 def moments_closed_form(params: SourceParams) -> MomentSummary:

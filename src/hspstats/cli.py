@@ -178,7 +178,11 @@ def _settings(args: argparse.Namespace) -> dict:
         for key, value in _read_config(config_path).items():
             if key not in DEFAULTS:
                 raise UsageError(f"unknown config key {key!r}")
-            merged[key] = _coerce(key, value)
+            try:
+                merged[key] = _coerce(key, value)
+            except ValueError:
+                raise UsageError(
+                    f"{config_path}: bad value for {key!r}: {value!r}") from None
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
@@ -273,8 +277,11 @@ def _parse_grid(s: dict) -> tuple:
         if not grid:
             raise UsageError("--grid must contain at least one value")
         return grid
-    start, stop, points = s["logspace"]
-    start, stop, points = float(start), float(stop), int(points)
+    try:
+        start, stop, points = s["logspace"]
+        start, stop, points = float(start), float(stop), int(points)
+    except ValueError as exc:
+        raise UsageError(f"bad --logspace: {exc}") from None
     if start <= 0 or stop <= start or points < 2:
         raise UsageError("--logspace needs 0 < START < STOP and POINTS >= 2")
     ratio = (stop / start) ** (1.0 / (points - 1))
@@ -358,8 +365,11 @@ def cmd_verify(s: dict) -> tuple[records.OutputRecord, bool]:
 def _emit(record: records.OutputRecord, s: dict):
     text = records.render(record, s["format"])
     if s["out"]:
-        with open(s["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(s["out"], "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {s['out']}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

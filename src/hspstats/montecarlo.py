@@ -42,8 +42,8 @@ class McConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.n_cap < 8:
             raise ValidationError(f"n_cap must be >= 8, got {self.n_cap}")
-        if not -(2**63) <= int(self.seed) < 2**64:
-            raise ValidationError(f"seed must fit in 64 bits, got {self.seed!r}")
+        if not 0 <= int(self.seed) < 2**64:
+            raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if self.filt.branch is not FilterBranch.NONE and self.stat is not PairStatistics.POISSON:
             raise ValidationError("a mode filter requires Poisson pair statistics")
 

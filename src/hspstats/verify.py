@@ -208,6 +208,8 @@ def run_verification(
     """
     if matrix not in MATRIX_SIZES:
         raise ValidationError(f"matrix must be one of {sorted(MATRIX_SIZES)}, got {matrix!r}")
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed!r}")
     n_configs, mc_trials = MATRIX_SIZES[matrix]
     if trials is not None:
         if trials < 1:

@@ -43,6 +43,8 @@ from hspstats import (
     xi_kind_for,
     xi_limit,
 )
+from hspstats.analytic import _thin
+from hspstats.verify import SERIES_TOL
 
 REF = SourceParams(0.01, 0.5, 0.5, 1e-4)
 POISSON = PairStatistics.POISSON
@@ -325,6 +327,31 @@ class TestConvolutionOracle:
     def test_no_herald(self):
         with pytest.raises(NoHeraldError):
             herald_filter_convolution_oracle(SourceParams(0.0, 0.5, 0.5, 0.0), 0.5)
+
+
+class TestThinning:
+    def test_matches_binomial_definition(self):
+        weights = [0.0, 0.4, 0.0, 0.0, 1.5, 0.25, 0.0, 2.0e-3, 0.7, 0.0]
+        for eta in (0.3, 1.0):
+            expected = [0.0] * len(weights)
+            for N, w in enumerate(weights):
+                for n in range(N + 1):
+                    expected[n] += w * math.comb(N, n) * eta**n * (1.0 - eta) ** (N - n)
+            got = _thin(weights, eta)
+            assert len(got) == len(weights)
+            for a, b in zip(got, expected):
+                assert a == pytest.approx(b, rel=1e-13, abs=1e-16)
+
+    def test_high_mu_oracles_stay_finite(self):
+        # about 1200 pairs: C(N, n) no longer fits in a double
+        p = SourceParams(30.0, 1e-6, 0.5, 1e-4)
+        series = conditional_pmf_series(THERMAL, p)
+        assert all(math.isfinite(x) for x in series.probs)
+        assert max_term_dev(series, signal_pmf(THERMAL, p)) < SERIES_TOL
+        oracle = herald_filter_convolution_oracle(p, 1.0)
+        assert all(math.isfinite(x) for x in oracle.probs)
+        closed = signal_pmf(POISSON, p, FilterSpec(FilterBranch.HERALD, 1.0))
+        assert max_term_dev(oracle, closed) < SERIES_TOL
 
 
 class TestEffectiveDarkCount:

@@ -100,6 +100,12 @@ class TestFormats:
         rec = records.parse(path.read_text())
         assert rec.command == "pmf"
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "pmf", *REF_FLAGS, "--out", str(path))
+        assert code == 1 and out == ""
+        assert str(path) in err and "Traceback" not in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -122,6 +128,13 @@ class TestConfigFile:
         code, _, err = run(capsys, "pmf", "--config", str(cfg))
         assert code == 1
         assert "bogus" in err
+
+    def test_bad_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "source.cfg"
+        cfg.write_text("mu = 0.01\ntrials = abc\n")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert "trials" in err and "Traceback" not in err
 
 
 class TestMomentsCommand:
@@ -200,6 +213,11 @@ class TestSweepCommand:
         code, _, _ = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu")
         assert code == 1
 
+    def test_bad_logspace_usage_error(self, capsys):
+        code, _, err = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu",
+                           "--logspace", "a", "1", "5")
+        assert code == 1 and "logspace" in err
+
 
 class TestSimulateCommand:
     def test_fixed_seed_bit_identical(self, capsys):
@@ -232,6 +250,12 @@ class TestSimulateCommand:
                          "--trials", "1000")
         assert code == 2
 
+    def test_negative_seed_domain_error(self, capsys):
+        code, out, err = run(capsys, "simulate", *REF_FLAGS,
+                             "--trials", "1000", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "seed" in err and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_tiny_matrix_passes(self, capsys):
@@ -252,6 +276,11 @@ class TestVerifyCommand:
         assert code == 3
         rows = records.parse(out).rows
         assert any(r["status"] == "fail" for r in rows)
+
+    def test_negative_seed_domain_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--matrix", "tiny", "--no-mc",
+                             "--seed", "-1")
+        assert code == 2 and out == "" and "seed" in err
 
     def test_report_columns(self, capsys):
         _, out, _ = run(capsys, "verify", "--matrix", "tiny", "--no-mc")

@@ -32,6 +32,11 @@ class TestConfig:
         with pytest.raises(ValidationError):
             McConfig(params=REF, n_cap=4)
 
+    def test_rejects_seed_outside_unsigned_64_bits(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValidationError):
+                McConfig(params=REF, seed=seed)
+
     def test_rejects_thermal_filter(self):
         with pytest.raises(ValidationError):
             McConfig(params=REF, stat=THERMAL, filt=FilterSpec(FilterBranch.HERALD, 0.5))
