@@ -11,17 +11,14 @@ from .analytic import (
     DEFAULT_TOL,
     XiKind,
     asymptotic_tail_check,
-    binomial_loss,
     conditional_pmf_series,
     effective_dark_count,
-    exp_partial_sum,
     g2_from_pmf,
     herald_click_probability,
     herald_filter_convolution_oracle,
     herald_gain_ratio,
     herald_prob,
     input_pmf,
-    laguerre,
     moments_closed_form,
     moments_from_pmf,
     signal_pmf,
@@ -50,9 +47,8 @@ from .model import (
     SourceParams,
     from_record,
     to_record,
-    validate,
 )
-from .montecarlo import CHUNK_TRIALS, McConfig, McEstimate, herald_rate_estimate, simulate
+from .montecarlo import CHUNK_TRIALS, McConfig, McEstimate, simulate
 from .optimize import OptimizeResult, SweepResult, SweepRow, fano_ratio, optimize_mu, sweep
 from .verify import run_verification, sample_configurations
 

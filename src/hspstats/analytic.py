@@ -5,16 +5,24 @@ mean mu).  Each branch is a compound loss modeled as a single beam splitter,
 so a population of N photons survives as a Binomial(N, eta) count.  The
 herald is a threshold click: it fires when at least one heralding photon is
 detected or a dark count occurs.  Conditioning the signal-branch count on
-that click multiplies the unconditioned law by a correcting factor xi(n);
-this module evaluates every such factor exactly, together with a direct
-series evaluation of the defining conditional sum and a convolution oracle
-for the mode-filtered source, so each closed form can be cross-checked
-against an independent route.
+that click multiplies the unconditioned law by a correcting factor xi(n).
+
+A mode filter keeps one thermal mode of mean mu*f; the twins of the photons
+it removes act as dark counts behind a signal filter and as an independent
+Poisson signal count behind a herald filter.  So :func:`_describe` gives
+every configuration as (base law, kept-mode mean m, effective dark count,
+extraneous signal mean lam): Poisson (POISSON, mu, d_h, 0), thermal
+(THERMAL, mu, d_h, 0), signal filter (THERMAL, mu*f, nu_h, 0) and herald
+filter (THERMAL, mu*f, d_h, mu*eta_s*(1-f)).  The unconditioned signal law
+is the base law at mean m*eta_s, and :func:`_factor` gives 1/P_click and
+xi(n).  The series and convolution oracles never read a description, so
+each closed form is cross-checked against an independent route.
 
 All functions are pure and safe for concurrent use.
 """
 
 import math
+import operator
 from enum import Enum
 
 from .errors import (
@@ -37,11 +45,8 @@ from .model import (
 __all__ = [
     "XiKind",
     "xi_kind_for",
-    "binomial_loss",
     "herald_prob",
     "input_pmf",
-    "laguerre",
-    "exp_partial_sum",
     "effective_dark_count",
     "xi",
     "xi_limit",
@@ -64,8 +69,6 @@ DEFAULT_TOL = 1e-12
 # (the builders account mass by floating-point summation).
 MIN_TOL = 1e-13
 
-LAGUERRE_MAX_ORDER = 500
-
 
 class XiKind(Enum):
     """Which correcting factor applies to a configuration."""
@@ -74,6 +77,13 @@ class XiKind(Enum):
     THERMAL_UNFILTERED = "xi_t"
     SIGNAL_FILTERED = "xi_s"
     HERALD_FILTERED = "xi_h"
+
+
+# the filter branch of each filtered kind; the others take none
+_FILTERED = {
+    XiKind.SIGNAL_FILTERED: FilterBranch.SIGNAL,
+    XiKind.HERALD_FILTERED: FilterBranch.HERALD,
+}
 
 
 def xi_kind_for(stat: PairStatistics, filt: FilterSpec) -> XiKind:
@@ -95,15 +105,6 @@ def xi_kind_for(stat: PairStatistics, filt: FilterSpec) -> XiKind:
 def _oms(x: float, d_h: float) -> float:
     """1 - (1-d_h)*exp(-x) for x >= 0, evaluated without cancellation."""
     return d_h + (1.0 - d_h) * (-math.expm1(-x))
-
-
-def binomial_loss(N: int, n: int, eta: float) -> float:
-    """Probability that n of N photons survive a transmission eta."""
-    if N < 0 or n < 0 or n > N:
-        raise ValidationError(f"need 0 <= n <= N, got N={N}, n={n}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"eta must lie in [0, 1], got {eta!r}")
-    return math.comb(N, n) * eta**n * (1.0 - eta) ** (N - n)
 
 
 def herald_prob(N: int, params: SourceParams) -> float:
@@ -133,66 +134,6 @@ def input_pmf(stat: PairStatistics, mu: float, N: int) -> float:
     return (mu / (1.0 + mu)) ** N / (1.0 + mu)
 
 
-def laguerre(n: int, x: float) -> float:
-    """Laguerre polynomial of order n.
-
-    For x <= 0 every term of the defining sum is positive, so the sum is
-    evaluated directly (no cancellation); elsewhere the three-term
-    recurrence is used.  Orders above 500 are refused and intermediate
-    overflow raises with the order reached.
-    """
-    if n < 0:
-        raise ValidationError(f"order must be >= 0, got {n}")
-    if n > LAGUERRE_MAX_ORDER:
-        raise SeriesOverflowError(
-            f"Laguerre order {n} exceeds the supported maximum "
-            f"{LAGUERRE_MAX_ORDER}", order=n,
-        )
-    if not math.isfinite(x):
-        raise ValidationError(f"argument must be finite, got {x!r}")
-    if x <= 0.0:
-        term = 1.0
-        total = 1.0
-        for k in range(1, n + 1):
-            term *= -x * (n - k + 1) / (k * k)
-            total += term
-            if not math.isfinite(total):
-                raise SeriesOverflowError(
-                    f"Laguerre sum overflowed at term {k} (order {n}, x={x!r})",
-                    order=k,
-                )
-        return total
-    prev, cur = 1.0, 1.0 - x
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-        if not math.isfinite(cur):
-            raise SeriesOverflowError(
-                f"Laguerre recurrence overflowed at order {k + 1} (x={x!r})",
-                order=k + 1,
-            )
-    return cur
-
-
-def exp_partial_sum(n: int, x: float) -> float:
-    """Truncated exponential series sum_{k=0..n} x^k / k! for x >= 0."""
-    if n < 0:
-        raise ValidationError(f"order must be >= 0, got {n}")
-    if not math.isfinite(x) or x < 0.0:
-        raise ValidationError(f"argument must be finite and >= 0, got {x!r}")
-    term = 1.0
-    total = 1.0
-    for k in range(1, n + 1):
-        term *= x / k
-        total += term
-        if not math.isfinite(total):
-            raise SeriesOverflowError(
-                f"series overflowed at term {k} (order {n}, x={x!r})", order=k,
-            )
-    return total
-
-
 def effective_dark_count(params: SourceParams, f: float) -> float:
     """Dark-count probability as inflated by a signal-branch filter.
 
@@ -213,69 +154,87 @@ def _check_heraldable(d_h: float, rate: float):
         )
 
 
-def _log_q(eta_h: float) -> float:
-    """-log(1 - eta_h), +inf at eta_h = 1."""
-    return math.inf if eta_h == 1.0 else -math.log1p(-eta_h)
-
-
-def _xi_poisson(n: int, p: SourceParams) -> float:
-    _check_heraldable(p.d_h, p.mu * p.eta_h)
-    lq = _log_q(p.eta_h)
-    x = p.mu * p.eta_h * (1.0 - p.eta_s) + (n * lq if n else 0.0)
-    return _oms(x, p.d_h) / _oms(p.mu * p.eta_h, p.d_h)
-
-
 def _log_ratio(mu: float, eta_h: float, eta_s: float) -> float:
     """log[(1 + mu(eta_s+eta_h-eta_s*eta_h)) / (1 + mu*eta_s)] at full
     precision: the two arguments differ by exactly mu*eta_h*(1-eta_s)."""
     return math.log1p(mu * eta_h * (1.0 - eta_s) / (1.0 + mu * eta_s))
 
 
-def _xi_thermal_core(n: int, mu: float, eta_h: float, eta_s: float, dark: float) -> float:
-    """Thermal-source correcting factor; also serves the signal-filtered
-    case through the substitutions mu -> mu*f, dark -> nu_h."""
-    _check_heraldable(dark, mu * eta_h)
-    lq = _log_q(eta_h)
-    x = (n + 1) * _log_ratio(mu, eta_h, eta_s) + (n * lq if n else 0.0)
-    return (1.0 + mu * eta_h) / (dark + mu * eta_h) * _oms(x, dark)
+def _describe(kind: XiKind, params: SourceParams, filt: FilterSpec) -> tuple:
+    """(base law, kept-mode mean m, effective dark count, extraneous signal
+    mean lam) of a configuration whose filter branch matches its kind."""
+    branch = _FILTERED.get(kind, FilterBranch.NONE)
+    if filt.branch is not branch:
+        raise ValidationError(
+            f"{kind.name} needs filter branch {branch.value!r}, got {filt.branch.value!r}"
+        )
+    mu, d_h = params.mu, params.d_h
+    if kind is XiKind.POISSON_UNFILTERED:
+        return PairStatistics.POISSON, mu, d_h, 0.0
+    if kind is XiKind.THERMAL_UNFILTERED:
+        return PairStatistics.THERMAL, mu, d_h, 0.0
+    if kind is XiKind.SIGNAL_FILTERED:
+        return PairStatistics.THERMAL, mu * filt.f, effective_dark_count(params, filt.f), 0.0
+    return PairStatistics.THERMAL, mu * filt.f, d_h, mu * params.eta_s * (1.0 - filt.f)
 
 
-def _xi_herald_filtered(n: int, p: SourceParams, f: float) -> float:
-    """Herald-branch-filtered correcting factor.
+def _click_fraction(desc: tuple, eta_h: float) -> tuple:
+    """Herald rate P_click of a described configuration as (numerator,
+    denominator), so that P_click and 1/P_click each round only once."""
+    base, m, dark, _ = desc
+    if base is PairStatistics.POISSON:
+        return _oms(m * eta_h, dark), 1.0
+    return dark + m * eta_h, 1.0 + m * eta_h
 
-    Sum over k = number of signal photons contributed by the filtered-out
-    (extraneous, Poisson) population; the remaining n-k photons come from
-    the kept thermal mode whose herald weight carries the k-independent
-    structure of the unfiltered thermal factor.  Written this way every
-    term is positive, so the evaluation is cancellation-free, reduces
-    bit-exactly to the thermal factor at f = 1, and the eta_h = 1 limit
-    needs no special casing (the would-be singular factor is absorbed
-    term by term).
+
+def _factor(desc: tuple, params: SourceParams, f: float) -> tuple:
+    """1/P_click and the correcting factor n -> xi(n) of a described
+    configuration, with its constants computed once.
+
+    With oms(x) = 1 - (1-d)e^(-x), lq = -log(1-eta_h) and L from
+    :func:`_log_ratio`, xi(n) is oms(m eta_h (1-eta_s) + n lq)/P_click for
+    a Poisson base and oms(x_n)/P_click, x_n = (n+1)L + n lq, for a thermal
+    one.  With lam > 0, k of the n photons are extraneous:
+    xi(n) = e^(-lam)/P_click sum_k y^k/k! oms(x_(n-k)), y = (1-f)(1+m eta_s)/f.
+    All terms are positive, and eta_h = 1 (lq = inf) needs no special case.
+    The oms(x_j) and y^k/k! are kept between calls, so a pmf built term by
+    term evaluates each once.
     """
-    mu, eta_h, eta_s, d_h = p.mu, p.eta_h, p.eta_s, p.d_h
-    muf = mu * f
-    _check_heraldable(d_h, muf * eta_h)
-    s = muf * eta_s
-    lam = mu * eta_s * (1.0 - f)
-    y = (1.0 - f) * (1.0 + s) / f
-    l_ratio = _log_ratio(muf, eta_h, eta_s)
-    lq = _log_q(eta_h)
+    base, m, dark, lam = desc
+    eta_h, eta_s = params.eta_h, params.eta_s
+    _check_heraldable(dark, m * eta_h)
+    num, den = _click_fraction(desc, eta_h)
+    sup = den / num
+    lq = math.inf if eta_h == 1.0 else -math.log1p(-eta_h)
+    if base is PairStatistics.POISSON:
+        x0 = m * eta_h * (1.0 - eta_s)
+        return sup, lambda n: sup * _oms(x0 + (n * lq if n else 0.0), dark)
+    l_ratio = _log_ratio(m, eta_h, eta_s)
 
-    term = 1.0
-    total = 0.0
-    for k in range(n + 1):
-        if k:
-            term *= y / k
-            if not math.isfinite(term):
+    def kept(n):
+        return _oms((n + 1) * l_ratio + (n * lq if n else 0.0), dark)
+
+    if lam == 0.0:
+        return sup, lambda n: sup * kept(n)
+    y = (1.0 - f) * (1.0 + m * eta_s) / f
+    scale = sup * math.exp(-lam)
+    factors, weights = [], [1.0]
+
+    def xi_n(n):
+        while len(factors) <= n:
+            factors.append(kept(len(factors)))
+        while len(weights) <= n:
+            k = len(weights)
+            w = weights[-1] * (y / k)
+            if not math.isfinite(w):
                 raise SeriesOverflowError(
                     f"herald-filter series overflowed at term {k} "
                     f"(n={n}, f={f!r})", order=k,
                 )
-        m = n - k
-        x = (m + 1) * l_ratio + (m * lq if m else 0.0)
-        total += term * _oms(x, d_h)
-    pref = (1.0 + muf * eta_h) / (d_h + muf * eta_h)
-    return pref * math.exp(-lam) * total
+            weights.append(w)
+        return scale * sum(map(operator.mul, weights, factors[n::-1]), 0.0)
+
+    return sup, xi_n
 
 
 def xi(kind: XiKind, n: int, params: SourceParams, filt: FilterSpec = NO_FILTER) -> float:
@@ -283,30 +242,14 @@ def xi(kind: XiKind, n: int, params: SourceParams, filt: FilterSpec = NO_FILTER)
     probability of n signal photons, for the given configuration kind."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
-    if kind in (XiKind.POISSON_UNFILTERED, XiKind.THERMAL_UNFILTERED):
-        if filt.branch is not FilterBranch.NONE:
-            raise ValidationError(f"{kind.name} is incompatible with a {filt.branch.value} filter")
-        if kind is XiKind.POISSON_UNFILTERED:
-            return _xi_poisson(n, params)
-        return _xi_thermal_core(n, params.mu, params.eta_h, params.eta_s, params.d_h)
-    if kind is XiKind.SIGNAL_FILTERED:
-        if filt.branch is not FilterBranch.SIGNAL:
-            raise ValidationError("SIGNAL_FILTERED requires a signal-branch filter")
-        nu_h = effective_dark_count(params, filt.f)
-        return _xi_thermal_core(n, params.mu * filt.f, params.eta_h, params.eta_s, nu_h)
-    if filt.branch is not FilterBranch.HERALD:
-        raise ValidationError("HERALD_FILTERED requires a herald-branch filter")
-    return _xi_herald_filtered(n, params, filt.f)
+    return _factor(_describe(kind, params, filt), params, filt.f)[1](n)
 
 
 def xi_limit(kind: XiKind, params: SourceParams) -> float:
-    """Large-n limit of the unfiltered correcting factors."""
-    _check_heraldable(params.d_h, params.mu * params.eta_h)
-    if kind is XiKind.POISSON_UNFILTERED:
-        return 1.0 / _oms(params.mu * params.eta_h, params.d_h)
-    if kind is XiKind.THERMAL_UNFILTERED:
-        return (1.0 + params.mu * params.eta_h) / (params.d_h + params.mu * params.eta_h)
-    raise ValidationError(f"no finite large-n limit is defined for {kind.name}")
+    """Large-n limit of the unfiltered correcting factors: 1/P_click."""
+    if kind in _FILTERED:
+        raise ValidationError(f"no finite large-n limit is defined for {kind.name}")
+    return _factor(_describe(kind, params, NO_FILTER), params, 1.0)[0]
 
 
 def herald_gain_ratio(stat: PairStatistics, params: SourceParams) -> float:
@@ -403,18 +346,6 @@ def conditional_pmf_series(
     return _cut([x / denom for x in _thin(weights, eta_s)], 0.9 * tol, 0.1 * tol)
 
 
-def _poisson_pmf(a: float, n: int) -> float:
-    if a == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if n <= 32 and a <= 32.0:
-        return math.exp(-a) * a**n / math.factorial(n)
-    return math.exp(n * math.log(a) - a - math.lgamma(n + 1))
-
-
-def _thermal_pmf(a: float, n: int) -> float:
-    return (a / (1.0 + a)) ** n / (1.0 + a)
-
-
 def signal_pmf(
     stat: PairStatistics,
     params: SourceParams,
@@ -425,46 +356,33 @@ def signal_pmf(
     matching correcting factor, truncated so the stored tail_bound <= tol."""
     if not tol >= MIN_TOL:
         raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
-    kind = xi_kind_for(stat, filt)
-    mu, eta_h, eta_s, d_h = params.mu, params.eta_h, params.eta_s, params.d_h
-
-    if kind is XiKind.POISSON_UNFILTERED:
-        a = mu * eta_s
-        sup = xi_limit(kind, params)
-        base = lambda n: _poisson_pmf(a, n)
+    desc = _describe(xi_kind_for(stat, filt), params, filt)
+    base, m, _, lam = desc
+    sup, factor = _factor(desc, params, filt.f)
+    a = m * params.eta_s
+    q = a / (1.0 + a)
+    if base is PairStatistics.POISSON:
         tail = lambda n: sup * _poisson_tail_bound(a, n)
-    elif kind is XiKind.THERMAL_UNFILTERED:
-        a = mu * eta_s
-        sup = xi_limit(kind, params)
-        base = lambda n: _thermal_pmf(a, n)
-        tail = lambda n: sup * _thermal_tail(a / (1.0 + a), n)
-    elif kind is XiKind.SIGNAL_FILTERED:
-        a = mu * filt.f * eta_s
-        nu_h = effective_dark_count(params, filt.f)
-        _check_heraldable(nu_h, mu * filt.f * eta_h)
-        sup = (1.0 + mu * filt.f * eta_h) / (nu_h + mu * filt.f * eta_h)
-        base = lambda n: _thermal_pmf(a, n)
-        tail = lambda n: sup * _thermal_tail(a / (1.0 + a), n)
+    elif lam == 0.0:
+        tail = lambda n: sup * _thermal_tail(q, n)
+        if tail(100_000) > 0.9 * tol:
+            # the exact tail fixes the length before any term is summed
+            terms = math.log(sup / (0.9 * tol)) / math.log1p(1.0 / a)
+            # terms is inf for a near the double range; order stays an int
+            raise SeriesOverflowError(
+                f"pmf truncation needs {terms:.3g} terms, more than 100001",
+                order=math.ceil(min(terms, 2.0**63)),
+            )
     else:
-        a = mu * filt.f * eta_s
-        _check_heraldable(d_h, mu * filt.f * eta_h)
-        lam = mu * eta_s * (1.0 - filt.f)
-        p_h = (d_h + mu * filt.f * eta_h) / (1.0 + mu * filt.f * eta_h)
-        q = a / (1.0 + a)
-
-        def tail(n, lam=lam, p_h=p_h, q=q):
-            # count > n forces the kept-mode part > n//2 or the extraneous
-            # part > n - n//2; both tails have analytic bounds
-            m = n // 2
-            return (_thermal_tail(q, m) + _poisson_tail_bound(lam, n - m)) / p_h
-
-        base = lambda n: _thermal_pmf(a, n)
+        # count > n forces the kept-mode part > n//2 or the extraneous
+        # part > n - n//2; both tails have analytic bounds
+        tail = lambda n: sup * (_thermal_tail(q, n // 2)
+                                + _poisson_tail_bound(lam, n - n // 2))
 
     probs = []
-    bound = math.inf
     n = 0
     while True:
-        probs.append(base(n) * xi(kind, n, params, filt))
+        probs.append(input_pmf(base, a, n) * factor(n))
         bound = tail(n)
         if bound <= 0.9 * tol:
             break
@@ -483,12 +401,8 @@ def unconditioned_pmf(
     distribution that the correcting factor xi multiplies."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
-    kind = xi_kind_for(stat, filt)
-    if kind is XiKind.POISSON_UNFILTERED:
-        return _poisson_pmf(params.mu * params.eta_s, n)
-    if kind is XiKind.THERMAL_UNFILTERED:
-        return _thermal_pmf(params.mu * params.eta_s, n)
-    return _thermal_pmf(params.mu * filt.f * params.eta_s, n)
+    base, m, _, _ = _describe(xi_kind_for(stat, filt), params, filt)
+    return input_pmf(base, m * params.eta_s, n)
 
 
 def herald_click_probability(
@@ -496,17 +410,8 @@ def herald_click_probability(
 ) -> float:
     """Closed form of the herald rate sum_N P_in(N) H(N) (the normalizer of
     the conditional law), for any supported configuration."""
-    mu, eta_h, d_h = params.mu, params.eta_h, params.d_h
-    kind = xi_kind_for(stat, filt)
-    if kind is XiKind.POISSON_UNFILTERED:
-        return _oms(mu * eta_h, d_h)
-    if kind is XiKind.THERMAL_UNFILTERED:
-        return (d_h + mu * eta_h) / (1.0 + mu * eta_h)
-    muf = mu * filt.f
-    if kind is XiKind.HERALD_FILTERED:
-        return (d_h + muf * eta_h) / (1.0 + muf * eta_h)
-    nu_h = effective_dark_count(params, filt.f)
-    return (nu_h + muf * eta_h) / (1.0 + muf * eta_h)
+    num, den = _click_fraction(_describe(xi_kind_for(stat, filt), params, filt), params.eta_h)
+    return num / den
 
 
 def herald_filter_convolution_oracle(
@@ -539,7 +444,7 @@ def herald_filter_convolution_oracle(
     p_h = 0.0
     N = 0
     while True:
-        w = _thermal_pmf(muf, N) * herald_prob(N, params)
+        w = input_pmf(PairStatistics.THERMAL, muf, N) * herald_prob(N, params)
         kept_w.append(w)
         p_h += w
         if N >= 8 and p_h > 0.0 and _thermal_tail(q_kept, N) <= inner * p_h:
@@ -551,7 +456,7 @@ def herald_filter_convolution_oracle(
     ex_w = []
     N = 0
     while True:
-        ex_w.append(_poisson_pmf(mu_ex, N))
+        ex_w.append(input_pmf(PairStatistics.POISSON, mu_ex, N))
         if N >= 8 and _poisson_tail_bound(mu_ex, N) <= inner:
             break
         N += 1
@@ -626,12 +531,10 @@ def asymptotic_tail_check(params: SourceParams, f: float, n: int) -> tuple[float
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
     filt = FilterSpec(FilterBranch.HERALD, f)
-    a = params.mu * filt.f * params.eta_s
-    exact = _thermal_pmf(a, n) * xi(XiKind.HERALD_FILTERED, n, params, filt)
-    muf = params.mu * filt.f
-    lam = params.mu * params.eta_s * (1.0 - filt.f)
-    pref = (1.0 + muf * params.eta_h) / (
-        (1.0 + muf * params.eta_s) * (params.d_h + muf * params.eta_h)
-    )
-    asym = pref * math.exp(-lam) * (lam**n if n else 1.0) / math.factorial(n)
+    desc = _describe(XiKind.HERALD_FILTERED, params, filt)
+    _, m, _, lam = desc
+    sup, factor = _factor(desc, params, filt.f)
+    a = m * params.eta_s
+    exact = input_pmf(PairStatistics.THERMAL, a, n) * factor(n)
+    asym = sup / (1.0 + a) * math.exp(-lam) * lam**n / math.factorial(n)
     return exact, asym

@@ -31,34 +31,6 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 
-DEFAULTS = {
-    "stat": "poisson",
-    "mu": None,
-    "eta_h": 1.0,
-    "eta_s": 1.0,
-    "dark": 0.0,
-    "filter": "none",
-    "f": 1.0,
-    "tol": analytic.DEFAULT_TOL,
-    "nmax": None,
-    "trials": None,
-    "seed": 0,
-    "n_cap": 64,
-    "format": "csv",
-    "out": None,
-    "matrix": "default",
-    "tolerance": None,
-    "mu_lo": 1e-6,
-    "mu_hi": 10.0,
-    "rel_tol": 1e-4,
-    "pre_scan": False,
-    "axis": "mu",
-    "grid": None,
-    "logspace": None,
-    "no_mc": False,
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -71,17 +43,26 @@ class Parser(argparse.ArgumentParser):
 
 
 def _add_physics_flags(p: Parser):
-    p.add_argument("--stat", choices=["poisson", "thermal"], help="pair-number law")
+    p.add_argument("--stat", choices=["poisson", "thermal"], default="poisson",
+                   help="pair-number law")
     p.add_argument("--mu", type=float, help="mean pairs per time bin")
-    p.add_argument("--eta-h", dest="eta_h", type=float, help="heralding-branch transmission")
-    p.add_argument("--eta-s", dest="eta_s", type=float, help="signal-branch transmission")
-    p.add_argument("--dark", type=float, help="dark-count probability per bin")
-    p.add_argument("--filter", choices=["none", "signal", "herald"], help="filtered branch")
-    p.add_argument("--f", type=float, help="transmitted mode fraction")
+    _add_detection_flags(p)
+    p.add_argument("--filter", choices=["none", "signal", "herald"], default="none",
+                   help="filtered branch")
+    p.add_argument("--f", type=float, default=1.0, help="transmitted mode fraction")
+
+
+def _add_detection_flags(p: Parser):
+    p.add_argument("--eta-h", dest="eta_h", type=float, default=1.0,
+                   help="heralding-branch transmission")
+    p.add_argument("--eta-s", dest="eta_s", type=float, default=1.0,
+                   help="signal-branch transmission")
+    p.add_argument("--dark", type=float, default=0.0, help="dark-count probability per bin")
 
 
 def _add_output_flags(p: Parser):
-    p.add_argument("--format", choices=list(records.FORMATS), help="output encoding")
+    p.add_argument("--format", choices=list(records.FORMATS), default="csv",
+                   help="output encoding")
     p.add_argument("--out", help="write to this path instead of stdout")
     p.add_argument("--config", help="flat key=value file supplying flag defaults")
 
@@ -92,50 +73,51 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("pmf", help="heralded vs unheralded photon-number table")
     _add_physics_flags(p)
-    p.add_argument("--tol", type=float, help="pmf tail tolerance")
+    p.add_argument("--tol", type=float, default=analytic.DEFAULT_TOL, help="pmf tail tolerance")
     p.add_argument("--nmax", type=int, help="emit rows for n = 0..nmax")
     _add_output_flags(p)
 
     p = sub.add_parser("moments", help="mean, variance, Fano ratio, g2")
     _add_physics_flags(p)
-    p.add_argument("--tol", type=float, help="pmf tail tolerance")
+    p.add_argument("--tol", type=float, default=analytic.DEFAULT_TOL, help="pmf tail tolerance")
     _add_output_flags(p)
 
     p = sub.add_parser("optimize", help="pump level minimizing the Fano ratio")
-    p.add_argument("--eta-h", dest="eta_h", type=float, help="heralding-branch transmission")
-    p.add_argument("--eta-s", dest="eta_s", type=float, help="signal-branch transmission")
-    p.add_argument("--dark", type=float, help="dark-count probability per bin")
-    p.add_argument("--mu-lo", dest="mu_lo", type=float, help="bracket lower end")
-    p.add_argument("--mu-hi", dest="mu_hi", type=float, help="bracket upper end")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, help="relative tolerance on mu")
-    p.add_argument("--pre-scan", dest="pre_scan", action="store_const", const=True,
+    _add_detection_flags(p)
+    p.add_argument("--mu-lo", dest="mu_lo", type=float, default=1e-6, help="bracket lower end")
+    p.add_argument("--mu-hi", dest="mu_hi", type=float, default=10.0, help="bracket upper end")
+    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-4,
+                   help="relative tolerance on mu")
+    p.add_argument("--pre-scan", dest="pre_scan", action="store_true",
                    help="16-point grid scan before the search")
     _add_output_flags(p)
 
     p = sub.add_parser("sweep", help="moments and leading pmf terms along one axis")
     _add_physics_flags(p)
-    p.add_argument("--axis", choices=list(opt.SWEEP_AXES), help="swept parameter")
+    p.add_argument("--axis", choices=list(opt.SWEEP_AXES), default="mu", help="swept parameter")
     p.add_argument("--grid", help="comma-separated grid values")
     p.add_argument("--logspace", nargs=3, metavar=("START", "STOP", "POINTS"),
                    help="log-spaced grid")
-    p.add_argument("--tol", type=float, help="pmf tail tolerance")
+    p.add_argument("--tol", type=float, default=analytic.DEFAULT_TOL, help="pmf tail tolerance")
     _add_output_flags(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of the heralded pmf")
     _add_physics_flags(p)
-    p.add_argument("--trials", type=int, help="number of simulated time bins")
-    p.add_argument("--seed", type=int, help="64-bit reproducibility seed")
-    p.add_argument("--n-cap", dest="n_cap", type=int, help="histogram clamp")
+    p.add_argument("--trials", type=int, default=1_000_000, help="number of simulated time bins")
+    p.add_argument("--seed", type=int, default=0, help="64-bit reproducibility seed")
+    p.add_argument("--n-cap", dest="n_cap", type=int, default=64, help="histogram clamp")
     _add_output_flags(p)
 
     p = sub.add_parser("verify", help="closed form vs series vs convolution vs MC")
-    p.add_argument("--matrix", choices=sorted(MATRIX_SIZES), help="matrix size")
+    p.add_argument("--matrix", choices=sorted(MATRIX_SIZES), default="default",
+                   help="matrix size")
     p.add_argument("--tolerance", type=float, help="override every check tolerance")
     p.add_argument("--trials", type=int, help="Monte Carlo trials per check")
-    p.add_argument("--seed", type=int, help="sampling seed")
-    p.add_argument("--no-mc", dest="no_mc", action="store_const", const=True,
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--no-mc", dest="no_mc", action="store_true",
                    help="skip the Monte Carlo checks")
     _add_output_flags(p)
+    parser.commands = sub.choices
     return parser
 
 
@@ -156,38 +138,29 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _coerce(key: str, value):
-    """Config-file strings to the type the flag would have produced."""
-    if not isinstance(value, str):
-        return value
-    if key in ("stat", "filter", "format", "out", "matrix", "axis", "grid"):
-        return value
-    if key in ("nmax", "trials", "seed", "n_cap"):
-        return int(value)
-    if key in ("pre_scan", "no_mc"):
-        return value.lower() in ("1", "true", "yes", "on")
-    if key == "logspace":
-        return value.split(",")
-    return float(value)
+def _config_argv(path: str, command: str, commands: dict) -> list:
+    """The config file's ``key = value`` lines as flags of ``command``.
 
-
-def _settings(args: argparse.Namespace) -> dict:
-    merged = dict(DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, value in _read_config(config_path).items():
-            if key not in DEFAULTS:
-                raise UsageError(f"unknown config key {key!r}")
-            try:
-                merged[key] = _coerce(key, value)
-            except ValueError:
-                raise UsageError(
-                    f"{config_path}: bad value for {key!r}: {value!r}") from None
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
+    A key that only another command takes is dropped; one that no command
+    takes is a usage error.  A true ``pre_scan`` or ``no_mc`` becomes the
+    bare flag, and ``logspace`` takes comma-separated values.
+    """
+    defaults = {name: vars(p.parse_args([])) for name, p in commands.items()}
+    known = set().union(*defaults.values()) - {"config"}
+    argv = []
+    for key, value in _read_config(path).items():
+        if key not in known:
+            raise UsageError(f"unknown config key {key!r}")
+        if key not in defaults[command]:
             continue
-        merged[key] = value
-    return merged
+        flag = "--" + key.replace("_", "-")
+        if isinstance(defaults[command][key], bool):
+            argv += [flag] if value.lower() in ("1", "true", "yes", "on") else []
+        elif key == "logspace":
+            argv += [flag, *(v.strip() for v in value.split(","))]
+        else:
+            argv.append(f"{flag}={value}")
+    return argv
 
 
 def _physics(s: dict) -> tuple[PairStatistics, SourceParams, FilterSpec]:
@@ -290,6 +263,8 @@ def _parse_grid(s: dict) -> tuple:
 
 def cmd_sweep(s: dict) -> records.OutputRecord:
     stat, params, filt = _physics(s)
+    if s["axis"] == "f" and filt.branch is FilterBranch.NONE:
+        raise UsageError("--axis f needs a mode filter: --filter signal or herald")
     grid = _parse_grid(s)
     result = opt.sweep(params, stat, filt, s["axis"], grid, s["tol"])
     rows = []
@@ -315,11 +290,10 @@ def cmd_sweep(s: dict) -> records.OutputRecord:
 
 def cmd_simulate(s: dict) -> records.OutputRecord:
     stat, params, filt = _physics(s)
-    trials = 1_000_000 if s["trials"] is None else s["trials"]
-    if trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {trials}")
+    if s["trials"] < 1:
+        raise UsageError(f"--trials must be >= 1, got {s['trials']}")
     config = McConfig(params=params, stat=stat, filt=filt,
-                      trials=trials, seed=s["seed"], n_cap=s["n_cap"])
+                      trials=s["trials"], seed=s["seed"], n_cap=s["n_cap"])
     est = simulate(config)
     rows = [
         {
@@ -333,7 +307,7 @@ def cmd_simulate(s: dict) -> records.OutputRecord:
         for n in range(len(est.pmf_hat))
     ]
     inputs = _echo_inputs(stat, params, filt,
-                          {"trials": trials, "seed": s["seed"], "n_cap": s["n_cap"]})
+                          {"trials": s["trials"], "seed": s["seed"], "n_cap": s["n_cap"]})
     return records.OutputRecord(records.SCHEMA_VERSION, "simulate", inputs, rows)
 
 
@@ -376,9 +350,18 @@ def _emit(record: records.OutputRecord, s: dict):
 
 def main(argv: list | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        s = _settings(args)
+        if args.config:
+            # config lines go before the command-line flags, which so win
+            at = argv.index(args.command) + 1
+            config = _config_argv(args.config, args.command, parser.commands)
+            try:
+                args = parser.parse_args(argv[:at] + config + argv[at:])
+            except UsageError as exc:
+                raise UsageError(f"{args.config}: {exc}") from None
+        s = vars(args)
         if args.command == "pmf":
             record = cmd_pmf(s)
         elif args.command == "moments":

@@ -20,7 +20,6 @@ __all__ = [
     "NO_FILTER",
     "Pmf",
     "MomentSummary",
-    "validate",
     "to_record",
     "from_record",
 ]
@@ -162,17 +161,6 @@ class MomentSummary:
     def __post_init__(self):
         if not self.variance >= 0.0:
             raise ValidationError(f"variance must be >= 0, got {self.variance!r}")
-
-
-def validate(params: SourceParams) -> SourceParams:
-    """Return ``params`` unchanged iff every range invariant holds.
-
-    Construction already rejects violations; this re-checks values that may
-    have been smuggled past the constructor (e.g. via object.__setattr__).
-    """
-    if not isinstance(params, SourceParams):
-        raise ValidationError(f"expected SourceParams, got {type(params).__name__}")
-    return SourceParams(params.mu, params.eta_h, params.eta_s, params.d_h)
 
 
 def to_record(params: SourceParams, filt: FilterSpec = NO_FILTER) -> dict:

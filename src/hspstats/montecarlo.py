@@ -13,7 +13,6 @@ SeedSequence(seed, spawn_key=(i,))))`` and draws in a fixed order, so a
 distributing whole chunks across workers cannot change the merged result.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import NoHeraldSamplesError, ValidationError
 from .model import FilterBranch, FilterSpec, NO_FILTER, PairStatistics, SourceParams
 
-__all__ = ["McConfig", "McEstimate", "simulate", "herald_rate_estimate", "CHUNK_TRIALS"]
+__all__ = ["McConfig", "McEstimate", "simulate", "CHUNK_TRIALS"]
 
 CHUNK_TRIALS = 1 << 20
 
@@ -149,18 +148,3 @@ def simulate(config: McConfig) -> McEstimate:
         cap_mass=float(pmf_hat[config.n_cap]),
     )
 
-
-def herald_rate_estimate(config: McConfig) -> tuple[float, float]:
-    """Empirical herald frequency and its binomial standard error.
-
-    Runs the same draws as :func:`simulate`, so the returned rate equals
-    ``simulate(config).herald_rate`` exactly; unlike :func:`simulate` it is
-    well defined even when no trial heralds.
-    """
-    heralded = 0
-    for index, size in _chunks(config.trials):
-        _, k = _simulate_chunk(config, index, size)
-        heralded += k
-    rate = heralded / config.trials
-    stderr = math.sqrt(rate * (1.0 - rate) / config.trials)
-    return rate, stderr

@@ -8,7 +8,6 @@ regression in any closed form shows up against a value it did not produce.
 import math
 
 import pytest
-from scipy.special import eval_laguerre
 
 from hspstats import (
     NO_FILTER,
@@ -24,17 +23,14 @@ from hspstats import (
     ValidationError,
     XiKind,
     asymptotic_tail_check,
-    binomial_loss,
     conditional_pmf_series,
     effective_dark_count,
-    exp_partial_sum,
     g2_from_pmf,
     herald_click_probability,
     herald_filter_convolution_oracle,
     herald_gain_ratio,
     herald_prob,
     input_pmf,
-    laguerre,
     moments_closed_form,
     moments_from_pmf,
     signal_pmf,
@@ -53,26 +49,6 @@ THERMAL = PairStatistics.THERMAL
 
 def max_term_dev(a, b):
     return max(abs(a.prob(i) - b.prob(i)) for i in range(max(len(a), len(b))))
-
-
-class TestBinomialLoss:
-    def test_symmetric(self):
-        assert binomial_loss(2, 1, 0.5) == 0.5
-
-    def test_lossless(self):
-        assert binomial_loss(5, 5, 1.0) == 1.0
-
-    def test_direct_expansion(self):
-        assert binomial_loss(3, 1, 0.2) == pytest.approx(0.384, abs=1e-15)
-
-    def test_rows_sum_to_one(self):
-        for N in (0, 1, 5, 40):
-            total = math.fsum(binomial_loss(N, n, 0.37) for n in range(N + 1))
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValidationError):
-            binomial_loss(2, 3, 0.5)
 
 
 class TestHeraldProb:
@@ -109,47 +85,6 @@ class TestInputPmf:
         for stat in (POISSON, THERMAL):
             total = math.fsum(input_pmf(stat, 0.8, N) for N in range(400))
             assert total == pytest.approx(1.0, abs=1e-12)
-
-
-class TestLaguerre:
-    def test_first_two_orders(self):
-        for x in (-3.0, 0.0, 1.7):
-            assert laguerre(0, x) == 1.0
-            assert laguerre(1, x) == 1.0 - x
-
-    def test_at_zero(self):
-        assert all(laguerre(n, 0.0) == 1.0 for n in range(51))
-
-    def test_sum_formula_value(self):
-        # direct expansion 1 + 6 + 3*4/2 + 8/6 = 43/3
-        assert laguerre(3, -2.0) == pytest.approx(43.0 / 3.0, rel=1e-14)
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40])
-    @pytest.mark.parametrize("x", [-11.0, -2.0, -1e-3, 0.5, 4.0, 30.0])
-    def test_against_scipy(self, n, x):
-        assert laguerre(n, x) == pytest.approx(float(eval_laguerre(n, x)), rel=1e-10)
-
-    def test_order_cap(self):
-        with pytest.raises(SeriesOverflowError):
-            laguerre(501, -1.0)
-
-    def test_overflow_carries_order(self):
-        with pytest.raises(SeriesOverflowError) as info:
-            laguerre(500, -1e12)
-        assert 0 < info.value.order <= 500
-
-
-class TestExpPartialSum:
-    def test_small_orders(self):
-        assert exp_partial_sum(0, 3.0) == 1.0
-        assert exp_partial_sum(2, 3.0) == 1.0 + 3.0 + 4.5
-
-    def test_converges_to_exp(self):
-        assert exp_partial_sum(60, 5.0) == pytest.approx(math.exp(5.0), rel=1e-14)
-
-    def test_rejects_negative_argument(self):
-        with pytest.raises(ValidationError):
-            exp_partial_sum(3, -1.0)
 
 
 class TestXi:
@@ -312,6 +247,20 @@ class TestSignalPmf:
     def test_vacuum_input(self):
         pmf = signal_pmf(POISSON, SourceParams(0.0, 0.5, 0.5, 1e-4))
         assert pmf.prob(0) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("params", [REF, SourceParams(20.0, 0.5, 0.9, 1e-4)])
+    def test_herald_filter_at_full_fraction_is_thermal(self, params):
+        # no extraneous population at f = 1: same truncation, same terms
+        filtered = signal_pmf(POISSON, params, FilterSpec(FilterBranch.HERALD, 1.0))
+        thermal = signal_pmf(THERMAL, params)
+        assert len(filtered) == len(thermal)
+        for a, b in zip(filtered.probs, thermal.probs):
+            assert a == pytest.approx(b, rel=2e-15, abs=0.0)
+
+    def test_hopeless_thermal_truncation_refused_up_front(self):
+        with pytest.raises(SeriesOverflowError) as info:
+            signal_pmf(THERMAL, SourceParams(1e7, 0.5, 0.5, 1e-4))
+        assert info.value.order > 100_001
 
 
 class TestConvolutionOracle:

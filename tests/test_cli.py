@@ -136,6 +136,22 @@ class TestConfigFile:
         assert code == 1
         assert "trials" in err and "Traceback" not in err
 
+    def test_key_of_another_command_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "source.cfg"
+        cfg.write_text("mu = 0.01\ntrials = 5\nmatrix = tiny\n")
+        code, out, _ = run(capsys, "moments", "--config", str(cfg))
+        assert code == 0 and records.parse(out).rows[0]["mean"] > 0.0
+
+    def test_switches_and_logspace(self, capsys, tmp_path):
+        cfg = tmp_path / "source.cfg"
+        cfg.write_text("eta_h = 0.5\neta_s = 0.5\ndark = 1e-4\npre_scan = yes\n"
+                       "mu = 0.01\naxis = mu\nlogspace = 1e-3, 1, 4\n")
+        code, out, _ = run(capsys, "optimize", "--config", str(cfg))
+        flagged = run(capsys, "optimize", "--config", str(cfg), "--pre-scan")[1]
+        assert code == 0 and out == flagged
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 0 and len(records.parse(out).rows) == 4
+
 
 class TestMomentsCommand:
     def test_reference_source_sub_poisson(self, capsys):
@@ -212,6 +228,11 @@ class TestSweepCommand:
     def test_missing_grid_usage_error(self, capsys):
         code, _, _ = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu")
         assert code == 1
+
+    def test_f_axis_without_filter_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", *REF_FLAGS, "--axis", "f",
+                             "--grid", "0.5,1")
+        assert code == 1 and out == "" and "--filter" in err
 
     def test_bad_logspace_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu",

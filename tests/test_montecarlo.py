@@ -13,7 +13,6 @@ from hspstats import (
     SourceParams,
     ValidationError,
     herald_click_probability,
-    herald_rate_estimate,
     signal_pmf,
     simulate,
 )
@@ -135,8 +134,13 @@ class TestAgreementWithClosedForm:
 
 
 class TestHeraldRate:
+    @staticmethod
+    def rate_and_error(config):
+        rate = simulate(config).herald_rate
+        return rate, math.sqrt(rate * (1.0 - rate) / config.trials)
+
     def test_certain_dark(self):
-        rate, err = herald_rate_estimate(
+        rate, err = self.rate_and_error(
             McConfig(params=SourceParams(0.5, 0.5, 0.5, 1.0), trials=10_000)
         )
         assert rate == 1.0
@@ -144,22 +148,11 @@ class TestHeraldRate:
 
     def test_dark_counts_only(self):
         config = McConfig(params=SourceParams(0.0, 0.5, 0.5, 1e-4), trials=2_000_000, seed=11)
-        rate, err = herald_rate_estimate(config)
+        rate, err = self.rate_and_error(config)
         assert abs(rate - 1e-4) <= 5 * max(err, math.sqrt(1e-4 / config.trials))
 
     def test_reference_rate_matches_closed_form(self):
         config = McConfig(params=REF, trials=2_000_000, seed=12)
-        rate, err = herald_rate_estimate(config)
+        rate, err = self.rate_and_error(config)
         expected = herald_click_probability(POISSON, REF)
         assert abs(rate - expected) <= 5 * max(err, 1e-9)
-
-    def test_matches_simulate(self):
-        config = McConfig(params=REF, trials=100_000, seed=13)
-        rate, _ = herald_rate_estimate(config)
-        assert rate == simulate(config).herald_rate
-
-    def test_zero_rate_is_not_an_error(self):
-        rate, err = herald_rate_estimate(
-            McConfig(params=SourceParams(0.0, 0.5, 0.5, 0.0), trials=1000)
-        )
-        assert rate == 0.0 and err == 0.0
