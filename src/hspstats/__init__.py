@@ -19,6 +19,7 @@ from .analytic import (
     herald_gain_ratio,
     herald_prob,
     input_pmf,
+    laguerre,
     moments_closed_form,
     moments_from_pmf,
     signal_pmf,

@@ -47,6 +47,7 @@ __all__ = [
     "xi_kind_for",
     "herald_prob",
     "input_pmf",
+    "laguerre",
     "effective_dark_count",
     "xi",
     "xi_limit",
@@ -68,6 +69,8 @@ DEFAULT_TOL = 1e-12
 # Requested tail tolerances below this cannot be honored in double precision
 # (the builders account mass by floating-point summation).
 MIN_TOL = 1e-13
+
+LAGUERRE_MAX_ORDER = 500
 
 
 class XiKind(Enum):
@@ -132,6 +135,48 @@ def input_pmf(stat: PairStatistics, mu: float, N: int) -> float:
             return math.exp(-mu) * mu**N / math.factorial(N)
         return math.exp(N * math.log(mu) - mu - math.lgamma(N + 1))
     return (mu / (1.0 + mu)) ** N / (1.0 + mu)
+
+
+def laguerre(n: int, x: float) -> float:
+    """Laguerre polynomial of order n.
+
+    For x <= 0 every term of the defining sum is positive, so the sum is
+    evaluated directly (no cancellation); elsewhere the three-term
+    recurrence is used.  Orders above 500 are refused and intermediate
+    overflow raises with the order reached.
+    """
+    if n < 0:
+        raise ValidationError(f"order must be >= 0, got {n}")
+    if n > LAGUERRE_MAX_ORDER:
+        raise SeriesOverflowError(
+            f"Laguerre order {n} exceeds the supported maximum "
+            f"{LAGUERRE_MAX_ORDER}", order=n,
+        )
+    if not math.isfinite(x):
+        raise ValidationError(f"argument must be finite, got {x!r}")
+    if x <= 0.0:
+        term = 1.0
+        total = 1.0
+        for k in range(1, n + 1):
+            term *= -x * (n - k + 1) / (k * k)
+            total += term
+            if not math.isfinite(total):
+                raise SeriesOverflowError(
+                    f"Laguerre sum overflowed at term {k} (order {n}, x={x!r})",
+                    order=k,
+                )
+        return total
+    prev, cur = 1.0, 1.0 - x
+    if n == 0:
+        return prev
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        if not math.isfinite(cur):
+            raise SeriesOverflowError(
+                f"Laguerre recurrence overflowed at order {k + 1} (x={x!r})",
+                order=k + 1,
+            )
+    return cur
 
 
 def effective_dark_count(params: SourceParams, f: float) -> float:

@@ -8,6 +8,7 @@ regression in any closed form shows up against a value it did not produce.
 import math
 
 import pytest
+from scipy.special import eval_laguerre
 
 from hspstats import (
     NO_FILTER,
@@ -31,6 +32,7 @@ from hspstats import (
     herald_gain_ratio,
     herald_prob,
     input_pmf,
+    laguerre,
     moments_closed_form,
     moments_from_pmf,
     signal_pmf,
@@ -85,6 +87,34 @@ class TestInputPmf:
         for stat in (POISSON, THERMAL):
             total = math.fsum(input_pmf(stat, 0.8, N) for N in range(400))
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLaguerre:
+    def test_first_two_orders(self):
+        for x in (-3.0, 0.0, 1.7):
+            assert laguerre(0, x) == 1.0
+            assert laguerre(1, x) == 1.0 - x
+
+    def test_at_zero(self):
+        assert all(laguerre(n, 0.0) == 1.0 for n in range(51))
+
+    def test_sum_formula_value(self):
+        # direct expansion 1 + 6 + 3*4/2 + 8/6 = 43/3
+        assert laguerre(3, -2.0) == pytest.approx(43.0 / 3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40])
+    @pytest.mark.parametrize("x", [-11.0, -2.0, -1e-3, 0.5, 4.0, 30.0])
+    def test_against_scipy(self, n, x):
+        assert laguerre(n, x) == pytest.approx(float(eval_laguerre(n, x)), rel=1e-10)
+
+    def test_order_cap(self):
+        with pytest.raises(SeriesOverflowError):
+            laguerre(501, -1.0)
+
+    def test_overflow_carries_order(self):
+        with pytest.raises(SeriesOverflowError) as info:
+            laguerre(500, -1e12)
+        assert 0 < info.value.order <= 500
 
 
 class TestXi:
