@@ -14,15 +14,19 @@ every configuration as (base law, kept-mode mean m, effective dark count,
 extraneous signal mean lam): Poisson (POISSON, mu, d_h, 0), thermal
 (THERMAL, mu, d_h, 0), signal filter (THERMAL, mu*f, nu_h, 0) and herald
 filter (THERMAL, mu*f, d_h, mu*eta_s*(1-f)).  The unconditioned signal law
-is the base law at mean m*eta_s, and :func:`_factor` gives 1/P_click and
-xi(n).  The series and convolution oracles never read a description, so
-each closed form is cross-checked against an independent route.
+is the base law at mean m*eta_s, and :func:`_factor` gives 1/P_click, xi(n)
+and the pmf terms; behind a herald filter the terms follow a positive
+two-sequence recurrence in natural scale, O(1) per term at any f.  The
+series and convolution oracles never read a description, so each closed
+form is cross-checked against an independent route.
 
 All functions are pure and safe for concurrent use.
 """
 
+import bisect
+import itertools
 import math
-import operator
+import sys
 from enum import Enum
 
 from .errors import (
@@ -50,6 +54,7 @@ __all__ = [
     "laguerre",
     "effective_dark_count",
     "xi",
+    "xi_values",
     "xi_limit",
     "herald_gain_ratio",
     "conditional_pmf_series",
@@ -232,18 +237,25 @@ def _click_fraction(desc: tuple, eta_h: float) -> tuple:
     return dark + m * eta_h, 1.0 + m * eta_h
 
 
-def _factor(desc: tuple, params: SourceParams, f: float) -> tuple:
-    """1/P_click and the correcting factor n -> xi(n) of a described
-    configuration, with its constants computed once.
+def _factor(desc: tuple, params: SourceParams) -> tuple:
+    """1/P_click, the pmf terms p(0), p(1), ... (a fresh iterator per call)
+    and xi over a range of n of a described configuration.
 
     With oms(x) = 1 - (1-d)e^(-x), lq = -log(1-eta_h) and L from
     :func:`_log_ratio`, xi(n) is oms(m eta_h (1-eta_s) + n lq)/P_click for
     a Poisson base and oms(x_n)/P_click, x_n = (n+1)L + n lq, for a thermal
-    one.  With lam > 0, k of the n photons are extraneous:
-    xi(n) = e^(-lam)/P_click sum_k y^k/k! oms(x_(n-k)), y = (1-f)(1+m eta_s)/f.
-    All terms are positive, and eta_h = 1 (lq = inf) needs no special case.
-    The oms(x_j) and y^k/k! are kept between calls, so a pmf built term by
-    term evaluates each once.
+    one, and p(n) = base(a, n) xi(n) with a = m eta_s.
+
+    With lam > 0 the signal count is the heralded kept-mode count plus an
+    independent Poisson(lam) count, so p(n) = C(n)/P_click, C the
+    convolution of Po(lam) with h(j) = Th(a, j) oms(x_j).  Since
+    oms(x_(j+1)) = r oms(x_j) + 1 - r with r = e^(-(L+lq)), C and the
+    unconditioned law D = Po(lam) * Th(a) follow, with q = a/(1+a),
+        C(n+1) = Po(lam, n+1) h(0) + q r C(n) + q (1-r) D(n),
+        D(n+1) = Po(lam, n+1)/(1+a) + q D(n),
+    at O(1) per term, and xi(n) = p(n)/Th(a, n).  Every step adds positive
+    terms in natural scale, so nothing cancels or overflows, and eta_h = 1
+    (lq = inf, r = 0) needs no special case.
     """
     base, m, dark, lam = desc
     eta_h, eta_s = params.eta_h, params.eta_s
@@ -251,35 +263,52 @@ def _factor(desc: tuple, params: SourceParams, f: float) -> tuple:
     num, den = _click_fraction(desc, eta_h)
     sup = den / num
     lq = math.inf if eta_h == 1.0 else -math.log1p(-eta_h)
+    a = m * eta_s
     if base is PairStatistics.POISSON:
         x0 = m * eta_h * (1.0 - eta_s)
-        return sup, lambda n: sup * _oms(x0 + (n * lq if n else 0.0), dark)
-    l_ratio = _log_ratio(m, eta_h, eta_s)
-
-    def kept(n):
-        return _oms((n + 1) * l_ratio + (n * lq if n else 0.0), dark)
-
+        factor = lambda n: sup * _oms(x0 + (n * lq if n else 0.0), dark)
+    else:
+        l_ratio = _log_ratio(m, eta_h, eta_s)
+        factor = lambda n: sup * _oms((n + 1) * l_ratio + (n * lq if n else 0.0), dark)
     if lam == 0.0:
-        return sup, lambda n: sup * kept(n)
-    y = (1.0 - f) * (1.0 + m * eta_s) / f
-    scale = sup * math.exp(-lam)
-    factors, weights = [], [1.0]
+        terms = lambda: (input_pmf(base, a, n) * factor(n) for n in itertools.count())
+        return sup, terms, lambda ns: [factor(n) for n in ns]
 
-    def xi_n(n):
-        while len(factors) <= n:
-            factors.append(kept(len(factors)))
-        while len(weights) <= n:
-            k = len(weights)
-            w = weights[-1] * (y / k)
-            if not math.isfinite(w):
-                raise SeriesOverflowError(
-                    f"herald-filter series overflowed at term {k} "
-                    f"(n={n}, f={f!r})", order=k,
-                )
-            weights.append(w)
-        return scale * sum(map(operator.mul, weights, factors[n::-1]), 0.0)
+    q = a / (1.0 + a)
+    h0 = _oms(l_ratio, dark) / (1.0 + a)
+    qr = q * math.exp(-(l_ratio + lq))
+    qs = q * -math.expm1(-(l_ratio + lq))
 
-    return sup, xi_n
+    def terms():
+        po = math.exp(-lam)
+        c, d = po * h0, po / (1.0 + a)
+        for n in itertools.count(1):
+            yield sup * c
+            # Po(lam, n) by its term ratio, or afresh while e^(-lam) underflows
+            po = (po * lam / n if po > 1e-280 or n > lam
+                  else input_pmf(PairStatistics.POISSON, lam, n))
+            c, d = po * h0 + qr * c + qs * d, po / (1.0 + a) + q * d
+
+    def xis(ns):
+        # xi(n) = p(n)/Th(a, n), in logs where Th(a, n) is subnormal
+        out = []
+        for n, p in zip(ns, itertools.islice(terms(), ns.start, None)):
+            th = input_pmf(PairStatistics.THERMAL, a, n)
+            try:        # p <= 1 over a normal th stays finite
+                out.append(p / th if th >= sys.float_info.min
+                           else math.exp(math.log(p) + math.log1p(a) - n * math.log(q)))
+            except (ValueError, OverflowError):     # p(n) underflowed or xi(n) overflows
+                raise SeriesOverflowError(f"xi({n}) leaves double range", order=n) from None
+        return out
+
+    return sup, terms, xis
+
+
+def xi_values(kind: XiKind, n_top: int, params: SourceParams,
+              filt: FilterSpec = NO_FILTER) -> list:
+    """xi(0), ..., xi(n_top) from one evaluation of the factor: O(1) each,
+    or one pass of the recurrence behind a herald filter."""
+    return _factor(_describe(kind, params, filt), params)[2](range(n_top + 1))
 
 
 def xi(kind: XiKind, n: int, params: SourceParams, filt: FilterSpec = NO_FILTER) -> float:
@@ -287,26 +316,25 @@ def xi(kind: XiKind, n: int, params: SourceParams, filt: FilterSpec = NO_FILTER)
     probability of n signal photons, for the given configuration kind."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
-    return _factor(_describe(kind, params, filt), params, filt.f)[1](n)
+    return _factor(_describe(kind, params, filt), params)[2](range(n, n + 1))[0]
 
 
 def xi_limit(kind: XiKind, params: SourceParams) -> float:
     """Large-n limit of the unfiltered correcting factors: 1/P_click."""
     if kind in _FILTERED:
         raise ValidationError(f"no finite large-n limit is defined for {kind.name}")
-    return _factor(_describe(kind, params, NO_FILTER), params, 1.0)[0]
+    return _factor(_describe(kind, params, NO_FILTER), params)[0]
 
 
 def herald_gain_ratio(stat: PairStatistics, params: SourceParams) -> float:
     """xi(1)/xi(0): the factor by which heralding boosts one photon over
     vacuum.  Tends to 1 - eta_h + eta_h/d_h as mu -> 0 for both laws."""
-    kind = xi_kind_for(stat, NO_FILTER)
-    xi0 = xi(kind, 0, params)
+    xi0, xi1 = xi_values(xi_kind_for(stat, NO_FILTER), 1, params)
     if xi0 == 0.0:
         raise PerfectHeraldError(
             "xi(0) = 0 (perfect herald eliminates vacuum); the gain is infinite"
         )
-    return xi(kind, 1, params) / xi0
+    return xi1 / xi0
 
 
 def _poisson_tail_bound(a: float, n: int) -> float:
@@ -397,46 +425,41 @@ def signal_pmf(
     filt: FilterSpec = NO_FILTER,
     tol: float = DEFAULT_TOL,
 ) -> Pmf:
-    """Exact heralded signal pmf from the closed forms: base law times the
-    matching correcting factor, truncated so the stored tail_bound <= tol."""
+    """Exact heralded signal pmf from the closed forms (:func:`_factor`),
+    truncated so the stored tail_bound <= tol."""
     if not tol >= MIN_TOL:
         raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
     desc = _describe(xi_kind_for(stat, filt), params, filt)
     base, m, _, lam = desc
-    sup, factor = _factor(desc, params, filt.f)
+    sup, terms, _ = _factor(desc, params)
     a = m * params.eta_s
     q = a / (1.0 + a)
     if base is PairStatistics.POISSON:
         tail = lambda n: sup * _poisson_tail_bound(a, n)
     elif lam == 0.0:
         tail = lambda n: sup * _thermal_tail(q, n)
-        if tail(100_000) > 0.9 * tol:
-            # the exact tail fixes the length before any term is summed
-            terms = math.log(sup / (0.9 * tol)) / math.log1p(1.0 / a)
-            # terms is inf for a near the double range; order stays an int
-            raise SeriesOverflowError(
-                f"pmf truncation needs {terms:.3g} terms, more than 100001",
-                order=math.ceil(min(terms, 2.0**63)),
-            )
     else:
         # count > n forces the kept-mode part > n//2 or the extraneous
         # part > n - n//2; both tails have analytic bounds
         tail = lambda n: sup * (_thermal_tail(q, n // 2)
                                 + _poisson_tail_bound(lam, n - n // 2))
-
-    probs = []
-    n = 0
-    while True:
-        probs.append(input_pmf(base, a, n) * factor(n))
-        bound = tail(n)
-        if bound <= 0.9 * tol:
-            break
-        n += 1
-        if n > 100_000:
-            raise SeriesOverflowError(
-                "pmf truncation failed to converge within 100000 terms", order=n
-            )
-    return Pmf(tuple(probs), bound + 0.1 * tol)
+    # tail(n) <= 0.9 tol holds from the truncation order on, so gallop to a
+    # bound on the order and bisect below it instead of testing every n
+    hi = 0
+    while hi < 100_000 and tail(hi) > 0.9 * tol:
+        hi = min(2 * hi + 1, 100_000)
+    order = bisect.bisect_left(range(hi + 1), True, (hi + 1) // 2,
+                               key=lambda n: tail(n) <= 0.9 * tol)
+    if order > 100_000:
+        # refused before any term is summed; the Poisson mean and the exact
+        # thermal tail bound the length from below
+        need = (a if base is PairStatistics.POISSON
+                else math.log(sup / (0.9 * tol)) / math.log1p(1.0 / a))
+        need = math.ceil(min(max(need, 100_002.0), 2.0**63))
+        raise SeriesOverflowError(f"pmf truncation needs at least {need} terms", order=need)
+    # a term that rounds one ulp above 1 is exactly 1 (tiny a)
+    probs = [p if p <= 1.0 else 1.0 for p in itertools.islice(terms(), order + 1)]
+    return Pmf(tuple(probs), tail(order) + 0.1 * tol)
 
 
 def unconditioned_pmf(
@@ -578,8 +601,7 @@ def asymptotic_tail_check(params: SourceParams, f: float, n: int) -> tuple[float
     filt = FilterSpec(FilterBranch.HERALD, f)
     desc = _describe(XiKind.HERALD_FILTERED, params, filt)
     _, m, _, lam = desc
-    sup, factor = _factor(desc, params, filt.f)
-    a = m * params.eta_s
-    exact = input_pmf(PairStatistics.THERMAL, a, n) * factor(n)
-    asym = sup / (1.0 + a) * math.exp(-lam) * lam**n / math.factorial(n)
+    sup, terms, _ = _factor(desc, params)
+    exact = next(itertools.islice(terms(), n, None))
+    asym = sup / (1.0 + m * params.eta_s) * math.exp(-lam) * lam**n / math.factorial(n)
     return exact, asym

@@ -172,12 +172,8 @@ def _physics(s: dict) -> tuple[PairStatistics, SourceParams, FilterSpec]:
     return stat, params, filt
 
 
-def _echo_inputs(stat, params, filt, extra: dict | None = None) -> dict:
-    inputs = {"stat": stat.value}
-    inputs.update(to_record(params, filt))
-    if extra:
-        inputs.update(extra)
-    return inputs
+def _echo_inputs(stat, params, filt, extra: dict) -> dict:
+    return {"stat": stat.value, **to_record(params, filt), **extra}
 
 
 def cmd_pmf(s: dict) -> records.OutputRecord:
@@ -186,12 +182,11 @@ def cmd_pmf(s: dict) -> records.OutputRecord:
     pmf = analytic.signal_pmf(stat, params, filt, s["tol"])
     n_top = len(pmf) - 1 if s["nmax"] is None else s["nmax"]
     rows = []
-    for n in range(n_top + 1):
+    for n, factor in enumerate(analytic.xi_values(kind, n_top, params, filt)):
         base = analytic.unconditioned_pmf(stat, params, filt, n)
-        factor = analytic.xi(kind, n, params, filt)
         rows.append({
             "n": n,
-            "p_heralded": base * factor,
+            "p_heralded": min(base * factor, 1.0),
             "p_unheralded": base,
             "xi": factor,
         })
@@ -362,22 +357,14 @@ def main(argv: list | None = None) -> int:
             except UsageError as exc:
                 raise UsageError(f"{args.config}: {exc}") from None
         s = vars(args)
-        if args.command == "pmf":
-            record = cmd_pmf(s)
-        elif args.command == "moments":
-            record = cmd_moments(s)
-        elif args.command == "optimize":
-            record = cmd_optimize(s)
-        elif args.command == "sweep":
-            record = cmd_sweep(s)
-        elif args.command == "simulate":
-            record = cmd_simulate(s)
-        else:
+        if args.command == "verify":
             record, ok = cmd_verify(s)
-            _emit(record, s)
-            return EXIT_OK if ok else EXIT_VERIFY
+        else:
+            commands = {"pmf": cmd_pmf, "moments": cmd_moments, "optimize": cmd_optimize,
+                        "sweep": cmd_sweep, "simulate": cmd_simulate}
+            record, ok = commands[args.command](s), True
         _emit(record, s)
-        return EXIT_OK
+        return EXIT_OK if ok else EXIT_VERIFY
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -112,18 +112,16 @@ def _series_checks(configs) -> dict:
 
 def _reduction_check(configs) -> float:
     """xi_s and xi_h at f = 1 against xi_t, n = 0..50, scale-aware."""
-    full_signal = FilterSpec(FilterBranch.SIGNAL, 1.0)
-    full_herald = FilterSpec(FilterBranch.HERALD, 1.0)
+    filtered = ((XiKind.SIGNAL_FILTERED, FilterSpec(FilterBranch.SIGNAL, 1.0)),
+                (XiKind.HERALD_FILTERED, FilterSpec(FilterBranch.HERALD, 1.0)))
     worst = 0.0
     for params, _ in configs:
         if params.d_h == 0.0 and params.mu * params.eta_h == 0.0:
             continue
-        for n in range(51):
-            ref = analytic.xi(XiKind.THERMAL_UNFILTERED, n, params)
-            scale = max(1.0, abs(ref))
-            xs = analytic.xi(XiKind.SIGNAL_FILTERED, n, params, full_signal)
-            xh = analytic.xi(XiKind.HERALD_FILTERED, n, params, full_herald)
-            worst = max(worst, abs(xs - ref) / scale, abs(xh - ref) / scale)
+        refs = analytic.xi_values(XiKind.THERMAL_UNFILTERED, 50, params)
+        for kind, filt in filtered:
+            for ref, x in zip(refs, analytic.xi_values(kind, 50, params, filt)):
+                worst = max(worst, abs(x - ref) / max(1.0, abs(ref)))
     return worst
 
 

@@ -6,6 +6,7 @@ regression in any closed form shows up against a value it did not produce.
 """
 
 import math
+import time
 
 import pytest
 from scipy.special import eval_laguerre
@@ -41,7 +42,7 @@ from hspstats import (
     xi_kind_for,
     xi_limit,
 )
-from hspstats.analytic import _thin
+from hspstats.analytic import _thin, xi_values
 from hspstats.verify import SERIES_TOL
 
 REF = SourceParams(0.01, 0.5, 0.5, 1e-4)
@@ -161,6 +162,43 @@ class TestXi:
         closed = signal_pmf(POISSON, p, filt)
         oracle = herald_filter_convolution_oracle(p, 0.5)
         assert max_term_dev(closed, oracle) < 1e-12
+
+    @pytest.mark.parametrize("kind, filt", [
+        (XiKind.POISSON_UNFILTERED, NO_FILTER),
+        (XiKind.THERMAL_UNFILTERED, NO_FILTER),
+        (XiKind.SIGNAL_FILTERED, FilterSpec(FilterBranch.SIGNAL, 0.3)),
+        (XiKind.HERALD_FILTERED, FilterSpec(FilterBranch.HERALD, 0.3)),
+    ])
+    def test_values_equal_single_factors(self, kind, filt):
+        p = SourceParams(0.8, 0.6, 0.7, 1e-3)
+        single = [xi(kind, n, p, filt) for n in range(40)]
+        assert xi_values(kind, 39, p, filt) == single
+
+    def test_herald_filtered_factor_is_term_over_base(self):
+        filt = FilterSpec(FilterBranch.HERALD, 0.3)
+        pmf = signal_pmf(POISSON, REF, filt)
+        for n, factor in enumerate(xi_values(XiKind.HERALD_FILTERED, len(pmf) - 1, REF, filt)):
+            base = unconditioned_pmf(POISSON, REF, filt, n)
+            assert base * factor == pytest.approx(pmf.probs[n], rel=1e-15)
+
+    def test_herald_filtered_raises_only_beyond_double_range(self):
+        # xi(n) ~ (lam/q)^n/n! grows past 1e308 at f = 1e-6, while the pmf
+        # stays finite; Th(a, n) is subnormal from n = 64 on, xi(n) up to n = 68
+        params = SourceParams(30.0, 0.5, 0.5, 1e-4)
+        filt = FilterSpec(FilterBranch.HERALD, 1e-6)
+        a = 30.0 * 1e-6 * 0.5
+        pmf = signal_pmf(POISSON, params, filt)
+        raised = 0
+        for n, p in enumerate(pmf.probs):
+            log_xi = math.log(p) + math.log1p(a) - n * math.log(a / (1.0 + a))
+            if log_xi < 709.0:
+                assert xi(XiKind.HERALD_FILTERED, n, params, filt) == pytest.approx(
+                    math.exp(log_xi), rel=1e-12)
+            elif log_xi > 710.0:
+                with pytest.raises(SeriesOverflowError):
+                    xi(XiKind.HERALD_FILTERED, n, params, filt)
+                raised += 1
+        assert 0 < raised < len(pmf)
 
     def test_no_herald_error(self):
         with pytest.raises(NoHeraldError):
@@ -291,6 +329,48 @@ class TestSignalPmf:
         with pytest.raises(SeriesOverflowError) as info:
             signal_pmf(THERMAL, SourceParams(1e7, 0.5, 0.5, 1e-4))
         assert info.value.order > 100_001
+
+    @pytest.mark.parametrize("filt", [NO_FILTER, FilterSpec(FilterBranch.HERALD, 0.5)])
+    def test_hopeless_poisson_base_truncation_refused_up_front(self, filt):
+        # the Poisson pmf used to sum 100,000 terms first; the herald filter
+        # at mu = 1e6 would run 100,000 recurrence steps
+        mu = 1e7 if filt is NO_FILTER else 1e6
+        start = time.perf_counter()
+        with pytest.raises(SeriesOverflowError) as info:
+            signal_pmf(POISSON, SourceParams(mu, 0.5, 0.5, 1e-4), filt)
+        assert time.perf_counter() - start < 0.05
+        assert info.value.order > 100_001
+
+    @pytest.mark.parametrize("stat, filt", [
+        (THERMAL, NO_FILTER),
+        (POISSON, FilterSpec(FilterBranch.SIGNAL, 0.3)),
+        (POISSON, FilterSpec(FilterBranch.HERALD, 0.3)),
+    ])
+    @pytest.mark.parametrize("eta_s", [0.0, 1e-20])
+    def test_dim_signal_terms_stay_probabilities(self, stat, filt, eta_s):
+        # a closed-form p(0) rounding one ulp above 1 used to fail Pmf
+        for mu in (0.5, 0.37, 2.0, 13.0):
+            pmf = signal_pmf(stat, SourceParams(mu, 0.5, eta_s, 1e-4), filt)
+            assert pmf.probs[0] == pytest.approx(1.0, abs=1e-15)
+            assert all(p <= 1.0 for p in pmf.probs)
+            if eta_s == 0.0:
+                assert len(pmf) == 1
+
+    @pytest.mark.parametrize("f", [3e-5, 1e-6])
+    def test_herald_filtered_matches_oracle_at_tiny_fraction(self, f):
+        # the former k-sum weights y^k/k! left double range here
+        params = SourceParams(30.0, 0.5, 0.5, 1e-4)
+        closed = signal_pmf(POISSON, params, FilterSpec(FilterBranch.HERALD, f))
+        oracle = herald_filter_convolution_oracle(params, f)
+        assert max_term_dev(closed, oracle) < SERIES_TOL
+
+    def test_herald_filtered_survives_underflowing_extraneous_vacuum(self):
+        # e^(-lam) underflows at lam ~ 1000; the terms start from log form
+        params = SourceParams(2000.0, 0.5, 0.5, 1e-4)
+        pmf = signal_pmf(POISSON, params, FilterSpec(FilterBranch.HERALD, 1e-4))
+        lam = 2000.0 * 0.5 * (1.0 - 1e-4)
+        assert moments_from_pmf(pmf).mean == pytest.approx(lam, abs=1.0)
+        assert moments_from_pmf(pmf).variance == pytest.approx(lam, rel=0.01)
 
 
 class TestConvolutionOracle:

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from hspstats import records, signal_pmf, PairStatistics, SourceParams
+from hspstats import (FilterBranch, FilterSpec, PairStatistics, SourceParams, records,
+                      signal_pmf, xi, xi_kind_for)
 from hspstats.cli import main
 
 REF_FLAGS = ["--mu", "0.01", "--eta-h", "0.5", "--eta-s", "0.5", "--dark", "1e-4"]
@@ -36,6 +37,32 @@ class TestPmfCommand:
         assert len(rec.rows) == 7
         # multi-photon terms sit far above the unfiltered thermal tail
         assert rec.rows[4]["p_heralded"] > 1e-9
+
+    @pytest.mark.parametrize("config", [
+        ["--stat", "thermal"],
+        ["--filter", "signal", "--f", "0.3"],
+        ["--filter", "herald", "--f", "0.3"],
+    ])
+    def test_dark_signal_branch(self, capsys, config):
+        # eta_s = 0: p(0) = 1 used to round one ulp above 1 and exit 2
+        code, out, _ = run(capsys, "pmf", *config, "--mu", "0.5", "--eta-h", "0.5",
+                           "--eta-s", "0", "--dark", "1e-4")
+        assert code == 0
+        rows = records.parse(out).rows
+        assert len(rows) == 1
+        assert rows[0]["p_heralded"] == pytest.approx(1.0, abs=1e-15)
+        assert rows[0]["p_heralded"] <= 1.0
+
+    @pytest.mark.parametrize("filt", ["none", "signal", "herald"])
+    def test_rows_equal_single_factors(self, capsys, filt):
+        code, out, _ = run(capsys, "pmf", *REF_FLAGS, "--filter", filt, "--f", "0.1",
+                           "--nmax", "12")
+        assert code == 0
+        params = SourceParams(0.01, 0.5, 0.5, 1e-4)
+        spec = FilterSpec(FilterBranch(filt), 0.1 if filt != "none" else 1.0)
+        kind = xi_kind_for(PairStatistics.POISSON, spec)
+        for n, row in enumerate(records.parse(out).rows):
+            assert row["xi"] == xi(kind, n, params, spec)
 
     def test_thermal_vacuum(self, capsys):
         code, out, _ = run(capsys, "pmf", "--stat", "thermal", "--mu", "0",
