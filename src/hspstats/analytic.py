@@ -238,8 +238,8 @@ def _click_fraction(desc: tuple, eta_h: float) -> tuple:
 
 
 def _factor(desc: tuple, params: SourceParams) -> tuple:
-    """1/P_click, the pmf terms p(0), p(1), ... (a fresh iterator per call)
-    and xi over a range of n of a described configuration.
+    """1/P_click, terms() over p(0), p(1), ... and xis(start) over xi(start),
+    xi(start + 1), ... of a described configuration (fresh iterators).
 
     With oms(x) = 1 - (1-d)e^(-x), lq = -log(1-eta_h) and L from
     :func:`_log_ratio`, xi(n) is oms(m eta_h (1-eta_s) + n lq)/P_click for
@@ -253,9 +253,13 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     unconditioned law D = Po(lam) * Th(a) follow, with q = a/(1+a),
         C(n+1) = Po(lam, n+1) h(0) + q r C(n) + q (1-r) D(n),
         D(n+1) = Po(lam, n+1)/(1+a) + q D(n),
-    at O(1) per term, and xi(n) = p(n)/Th(a, n).  Every step adds positive
-    terms in natural scale, so nothing cancels or overflows, and eta_h = 1
-    (lq = inf, r = 0) needs no special case.
+    at O(1) per term.  Divided by Th(a, n+1) = q Th(a, n), it gives
+    xi(n) = X(n)/P_click with X = C/Th(a), Y = D/Th(a), w(n) = Po(lam, n)/q^n:
+        X(n+1) = w(n+1) oms(L) + r X(n) + (1-r) Y(n),  Y(n+1) = w(n+1) + Y(n),
+    carried with a binary exponent, so xi(n) stays exact where C(n) and
+    Th(a, n) underflow and raises only beyond double range.  Every step
+    adds positive terms, so nothing cancels, and eta_h = 1 (lq = inf,
+    r = 0) needs no special case.
     """
     base, m, dark, lam = desc
     eta_h, eta_s = params.eta_h, params.eta_s
@@ -272,12 +276,13 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
         factor = lambda n: sup * _oms((n + 1) * l_ratio + (n * lq if n else 0.0), dark)
     if lam == 0.0:
         terms = lambda: (input_pmf(base, a, n) * factor(n) for n in itertools.count())
-        return sup, terms, lambda ns: [factor(n) for n in ns]
+        return sup, terms, lambda start: map(factor, itertools.count(start))
 
     q = a / (1.0 + a)
-    h0 = _oms(l_ratio, dark) / (1.0 + a)
-    qr = q * math.exp(-(l_ratio + lq))
-    qs = q * -math.expm1(-(l_ratio + lq))
+    o0 = _oms(l_ratio, dark)
+    h0 = o0 / (1.0 + a)
+    r, s = math.exp(-(l_ratio + lq)), -math.expm1(-(l_ratio + lq))
+    qr, qs = q * r, q * s
 
     def terms():
         po = math.exp(-lam)
@@ -289,17 +294,22 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
                   else input_pmf(PairStatistics.POISSON, lam, n))
             c, d = po * h0 + qr * c + qs * d, po / (1.0 + a) + q * d
 
-    def xis(ns):
-        # xi(n) = p(n)/Th(a, n), in logs where Th(a, n) is subnormal
-        out = []
-        for n, p in zip(ns, itertools.islice(terms(), ns.start, None)):
-            th = input_pmf(PairStatistics.THERMAL, a, n)
-            try:        # p <= 1 over a normal th stays finite
-                out.append(p / th if th >= sys.float_info.min
-                           else math.exp(math.log(p) + math.log1p(a) - n * math.log(q)))
-            except (ValueError, OverflowError):     # p(n) underflowed or xi(n) overflows
-                raise SeriesOverflowError(f"xi({n}) leaves double range", order=n) from None
-        return out
+    def xis(start):
+        # x, y, w times 2^e are X, Y, w; e^(-lam) = 2^-k e^(k ln2 - lam)
+        k = round(lam / math.log(2.0)) if lam > 700.0 else 0
+        w, e = math.frexp(math.exp(k * math.log(2.0) - lam))
+        x, y, e = w * o0, w, e - k
+        sm, se = math.frexp(sup)
+        for n in itertools.count():
+            if n >= start:
+                try:
+                    yield math.ldexp(sm * x, e + se)
+                except OverflowError:
+                    raise SeriesOverflowError(f"xi({n}) leaves double range", order=n) from None
+            w *= lam / (q * (n + 1))
+            x, y = w * o0 + r * x + s * y, w + y
+            if y > 2.0**600:
+                w, x, y, e = w * 2.0**-600, x * 2.0**-600, y * 2.0**-600, e + 600
 
     return sup, terms, xis
 
@@ -308,7 +318,8 @@ def xi_values(kind: XiKind, n_top: int, params: SourceParams,
               filt: FilterSpec = NO_FILTER) -> list:
     """xi(0), ..., xi(n_top) from one evaluation of the factor: O(1) each,
     or one pass of the recurrence behind a herald filter."""
-    return _factor(_describe(kind, params, filt), params)[2](range(n_top + 1))
+    xis = _factor(_describe(kind, params, filt), params)[2]
+    return list(itertools.islice(xis(0), n_top + 1))
 
 
 def xi(kind: XiKind, n: int, params: SourceParams, filt: FilterSpec = NO_FILTER) -> float:
@@ -316,7 +327,7 @@ def xi(kind: XiKind, n: int, params: SourceParams, filt: FilterSpec = NO_FILTER)
     probability of n signal photons, for the given configuration kind."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
-    return _factor(_describe(kind, params, filt), params)[2](range(n, n + 1))[0]
+    return next(_factor(_describe(kind, params, filt), params)[2](n))
 
 
 def xi_limit(kind: XiKind, params: SourceParams) -> float:
@@ -434,31 +445,34 @@ def signal_pmf(
     sup, terms, _ = _factor(desc, params)
     a = m * params.eta_s
     q = a / (1.0 + a)
+    # the Poisson bound exceeds 1 just above n = mean - 2; capped at 1,
+    # every tail bound below is non-increasing in n
+    po_tail = lambda mean, n: min(_poisson_tail_bound(mean, n), 1.0)
     if base is PairStatistics.POISSON:
-        tail = lambda n: sup * _poisson_tail_bound(a, n)
+        tail = lambda n: sup * po_tail(a, n)
     elif lam == 0.0:
         tail = lambda n: sup * _thermal_tail(q, n)
     else:
         # count > n forces the kept-mode part > n//2 or the extraneous
         # part > n - n//2; both tails have analytic bounds
-        tail = lambda n: sup * (_thermal_tail(q, n // 2)
-                                + _poisson_tail_bound(lam, n - n // 2))
-    # tail(n) <= 0.9 tol holds from the truncation order on, so gallop to a
-    # bound on the order and bisect below it instead of testing every n
-    hi = 0
-    while hi < 100_000 and tail(hi) > 0.9 * tol:
-        hi = min(2 * hi + 1, 100_000)
-    order = bisect.bisect_left(range(hi + 1), True, (hi + 1) // 2,
-                               key=lambda n: tail(n) <= 0.9 * tol)
-    if order > 100_000:
+        tail = lambda n: sup * (_thermal_tail(q, n // 2) + po_tail(lam, n - n // 2))
+    if tail(100_000) > 0.9 * tol:
         # refused before any term is summed; the Poisson mean and the exact
         # thermal tail bound the length from below
         need = (a if base is PairStatistics.POISSON
                 else math.log(sup / (0.9 * tol)) / math.log1p(1.0 / a))
         need = math.ceil(min(max(need, 100_002.0), 2.0**63))
         raise SeriesOverflowError(f"pmf truncation needs at least {need} terms", order=need)
-    # a term that rounds one ulp above 1 is exactly 1 (tiny a)
-    probs = [p if p <= 1.0 else 1.0 for p in itertools.islice(terms(), order + 1)]
+    # tail is non-increasing, so the first n that meets the tolerance lies
+    # between a galloped bound and its half, where bisection finds it
+    hi = 0
+    while tail(hi) > 0.9 * tol:
+        hi = 2 * hi + 1
+    order = bisect.bisect_left(range(hi + 1), True, hi // 2, key=lambda n: tail(n) <= 0.9 * tol)
+    # a term that rounds a few ulp above 1 is exactly 1 (tiny a); a larger
+    # excess is left for Pmf to reject
+    probs = [1.0 if 1.0 < p <= 1.0 + 4 * sys.float_info.epsilon else p
+             for p in itertools.islice(terms(), order + 1)]
     return Pmf(tuple(probs), tail(order) + 0.1 * tol)
 
 

@@ -172,8 +172,12 @@ def _physics(s: dict) -> tuple[PairStatistics, SourceParams, FilterSpec]:
     return stat, params, filt
 
 
-def _echo_inputs(stat, params, filt, extra: dict) -> dict:
-    return {"stat": stat.value, **to_record(params, filt), **extra}
+def _echo_inputs(stat, params, filt, extra: dict | None = None) -> dict:
+    inputs = {"stat": stat.value}
+    inputs.update(to_record(params, filt))
+    if extra:
+        inputs.update(extra)
+    return inputs
 
 
 def cmd_pmf(s: dict) -> records.OutputRecord:
@@ -186,7 +190,7 @@ def cmd_pmf(s: dict) -> records.OutputRecord:
         base = analytic.unconditioned_pmf(stat, params, filt, n)
         rows.append({
             "n": n,
-            "p_heralded": min(base * factor, 1.0),
+            "p_heralded": pmf.probs[n] if n < len(pmf) else base * factor,
             "p_unheralded": base,
             "xi": factor,
         })
@@ -357,14 +361,22 @@ def main(argv: list | None = None) -> int:
             except UsageError as exc:
                 raise UsageError(f"{args.config}: {exc}") from None
         s = vars(args)
-        if args.command == "verify":
-            record, ok = cmd_verify(s)
+        if args.command == "pmf":
+            record = cmd_pmf(s)
+        elif args.command == "moments":
+            record = cmd_moments(s)
+        elif args.command == "optimize":
+            record = cmd_optimize(s)
+        elif args.command == "sweep":
+            record = cmd_sweep(s)
+        elif args.command == "simulate":
+            record = cmd_simulate(s)
         else:
-            commands = {"pmf": cmd_pmf, "moments": cmd_moments, "optimize": cmd_optimize,
-                        "sweep": cmd_sweep, "simulate": cmd_simulate}
-            record, ok = commands[args.command](s), True
+            record, ok = cmd_verify(s)
+            _emit(record, s)
+            return EXIT_OK if ok else EXIT_VERIFY
         _emit(record, s)
-        return EXIT_OK if ok else EXIT_VERIFY
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

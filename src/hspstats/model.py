@@ -24,8 +24,8 @@ __all__ = [
     "from_record",
 ]
 
-# Smallest accepted transmitted mode fraction: f = 0 keeps no mode to herald
-# with, so it is rejected rather than extrapolated.
+# Smallest accepted transmitted mode fraction.  The filtered-source formulas
+# divide by f, so f = 0 is rejected rather than extrapolated.
 MIN_MODE_FRACTION = 1e-6
 
 # Rounding slack allowed above exact normalization of a stored pmf.

@@ -8,7 +8,7 @@ pmf terms along one parameter axis.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analytic import moments_closed_form, moments_from_pmf, signal_pmf
 from .errors import BracketError, HspsError, ValidationError
@@ -186,6 +186,13 @@ def sweep(
 def _substitute(
     params: SourceParams, filt: FilterSpec, axis: str, value: float
 ) -> tuple[SourceParams, FilterSpec]:
+    fields = {
+        "mu": params.mu,
+        "eta_h": params.eta_h,
+        "eta_s": params.eta_s,
+        "d_h": params.d_h,
+    }
     if axis == "f":
         return params, FilterSpec(filt.branch, value)
-    return replace(params, **{axis: value}), filt
+    fields[axis] = value
+    return SourceParams(**fields), filt

@@ -6,6 +6,7 @@ regression in any closed form shows up against a value it did not produce.
 """
 
 import math
+import sys
 import time
 
 import pytest
@@ -42,7 +43,8 @@ from hspstats import (
     xi_kind_for,
     xi_limit,
 )
-from hspstats.analytic import _thin, xi_values
+from hspstats import analytic
+from hspstats.analytic import _poisson_tail_bound, _thin, xi_values
 from hspstats.verify import SERIES_TOL
 
 REF = SourceParams(0.01, 0.5, 0.5, 1e-4)
@@ -355,6 +357,30 @@ class TestSignalPmf:
             assert all(p <= 1.0 for p in pmf.probs)
             if eta_s == 0.0:
                 assert len(pmf) == 1
+
+    @pytest.mark.parametrize("a", [0.3, 2.0, 49.5, 50.0, 1234.56])
+    def test_capped_poisson_tail_bound_is_non_increasing(self, a):
+        # signal_pmf gallops and bisects for its truncation order on this;
+        # uncapped, the bound exceeds 1 just above n = a - 2
+        bounds = [min(_poisson_tail_bound(a, n), 1.0) for n in range(int(3 * a) + 20)]
+        assert all(x >= y for x, y in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("excess, clamped", [(1, True), (4, True), (5, False), (2**50, False)])
+    def test_only_rounding_excess_above_one_is_clamped(self, monkeypatch, excess, clamped):
+        # a few ulp above 1 is rounding and stored as 1; more reaches Pmf's check
+        real = analytic._factor
+
+        def overshooting(desc, params):
+            sup, _, xis = real(desc, params)
+            return sup, lambda: iter([1.0 + excess * sys.float_info.epsilon]), xis
+
+        monkeypatch.setattr(analytic, "_factor", overshooting)
+        params = SourceParams(0.5, 0.5, 0.0, 1e-4)     # eta_s = 0: one term
+        if clamped:
+            assert signal_pmf(THERMAL, params).probs == (1.0,)
+        else:
+            with pytest.raises(ValidationError):
+                signal_pmf(THERMAL, params)
 
     @pytest.mark.parametrize("f", [3e-5, 1e-6])
     def test_herald_filtered_matches_oracle_at_tiny_fraction(self, f):

@@ -64,6 +64,20 @@ class TestPmfCommand:
         for n, row in enumerate(records.parse(out).rows):
             assert row["xi"] == xi(kind, n, params, spec)
 
+    @pytest.mark.parametrize("filt", ["none", "herald"])
+    def test_rows_beyond_the_pmf(self, capsys, filt):
+        # from n = 116 the herald-filtered p(n) and Th(a, n) underflow to 0
+        # while xi(n) stays near 6.5e3; the rows used to end in an error
+        code, out, _ = run(capsys, "pmf", *REF_FLAGS, "--filter", filt, "--f", "0.3",
+                           "--nmax", "120")
+        assert code == 0
+        rows = records.parse(out).rows
+        assert len(rows) == 121
+        spec = FilterSpec(FilterBranch(filt), 0.3 if filt != "none" else 1.0)
+        pmf = signal_pmf(PairStatistics.POISSON, SourceParams(0.01, 0.5, 0.5, 1e-4), spec)
+        assert tuple(row["p_heralded"] for row in rows[: len(pmf)]) == pmf.probs
+        assert all(math.isfinite(row["xi"]) and row["xi"] > 0.0 for row in rows)
+
     def test_thermal_vacuum(self, capsys):
         code, out, _ = run(capsys, "pmf", "--stat", "thermal", "--mu", "0",
                            "--eta-h", "0.5", "--eta-s", "0.5", "--dark", "1e-4")

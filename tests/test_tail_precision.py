@@ -12,6 +12,10 @@ both thinned in closed form: sum_N Th(mu f, N) t^N Bin(N, j, eta_s) =
 q_in = mu f/(1 + mu f).  It is normalized by the click probability and
 convolved with Po(mu eta_s (1-f)) term by term at 50 digits.
 
+The correcting factors xi(n) = p(n)/Th(a, n) are checked the same way,
+past the n where p(n) and Th(a, n) underflow and up to where xi(n)
+itself leaves double range.
+
 The bound was measured before it was fixed: over 240 configurations (the
 verify box, mu up to 30, efficiencies, fractions and dark counts down to
 1e-6 and up to 1), n <= 400 and p(n) >= 1e-250, the largest relative
@@ -20,6 +24,7 @@ recurrence accumulates rounding.  RELATIVE_BOUND allows twice that.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -32,7 +37,9 @@ RELATIVE_BOUND = 1e-13
 FLOOR = 1e-250
 
 
-def _reference(params, f, n_top):
+def _reference(params, f, n_top, per_base=False):
+    """p(n) at 50 digits, or xi(n) = p(n)/Th(a, n) with per_base, as floats
+    (inf where xi(n) leaves double range)."""
     with mp.workdps(50):
         mu, eta_h, eta_s, d_h = (mp.mpf(x) for x in (params.mu, params.eta_h,
                                                       params.eta_s, params.d_h))
@@ -47,7 +54,10 @@ def _reference(params, f, n_top):
         extra = [mp.exp(-lam)]
         for k in range(1, n_top + 1):
             extra.append(extra[-1] * lam / k)
-        return [float(mp.fdot(extra[: n + 1], kept[n::-1])) for n in range(n_top + 1)]
+        terms = [mp.fdot(extra[: n + 1], kept[n::-1]) for n in range(n_top + 1)]
+        if per_base:
+            terms = [t * (1 + a) ** (n + 1) / a**n for n, t in enumerate(terms)]
+        return [float(t) if t < mp.mpf("1.7976931348623157e308") else math.inf for t in terms]
 
 
 def _closed_terms(params, f, n_top):
@@ -81,3 +91,24 @@ def test_pmf_terms_are_the_checked_terms():
     params, f = h.SourceParams(0.5, 0.5, 0.5, 1e-4), 0.3
     pmf = h.signal_pmf(h.PairStatistics.POISSON, params, h.FilterSpec(h.FilterBranch.HERALD, f))
     assert pmf.probs == tuple(_closed_terms(params, f, len(pmf) - 1))
+
+
+@pytest.mark.parametrize("params, f, n_top", [
+    # p(n) and Th(a, n) are subnormal from n = 112 and zero from n = 116,
+    # where xi(n) is about 6.5e3
+    (h.SourceParams(0.01, 0.5, 0.5, 1e-4), 0.3, 130),
+    (h.SourceParams(30.0, 0.5, 0.5, 1e-4), 1e-6, 80),           # xi(69) > 1e308
+    (h.SourceParams(2000.0, 0.5, 0.5, 1e-4), 1e-4, 60),         # e^(-lam) underflows
+    (h.SourceParams(5.0, 0.01, 0.9, 0.0), 0.05, 150),
+])
+def test_herald_filtered_factors_match_reference_beyond_underflow(params, f, n_top):
+    # measured before it was fixed: over 240 random configurations and
+    # n <= 150 the largest relative deviation was 5.2e-14 (9.2e-14 to n = 400)
+    filt = h.FilterSpec(h.FilterBranch.HERALD, f)
+    for n, ref in enumerate(_reference(params, f, n_top, per_base=True)):
+        if math.isinf(ref):
+            with pytest.raises(h.SeriesOverflowError):
+                h.xi(h.XiKind.HERALD_FILTERED, n, params, filt)
+            break
+        assert h.xi(h.XiKind.HERALD_FILTERED, n, params, filt) == pytest.approx(
+            ref, rel=RELATIVE_BOUND, abs=0.0), n
