@@ -49,7 +49,7 @@ from .model import (
     from_record,
     to_record,
 )
-from .montecarlo import CHUNK_TRIALS, McConfig, McEstimate, simulate
+from .montecarlo import CHUNK_TRIALS, STREAM_VERSION, McConfig, McEstimate, simulate
 from .optimize import OptimizeResult, SweepResult, SweepRow, fano_ratio, optimize_mu, sweep
 from .verify import run_verification, sample_configurations
 

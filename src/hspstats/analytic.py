@@ -575,7 +575,8 @@ def moments_closed_form(params: SourceParams) -> MomentSummary:
     var = max(var, 0.0)
     if mean > 0.0:
         fano = var / mean
-        g2 = 1.0 + (var - mean) / (mean * mean)
+        # None also where mean^2 underflows to 0
+        g2 = 1.0 + (var - mean) / (mean * mean) if mean * mean > 0.0 else None
     else:
         fano = None
         g2 = None
@@ -589,7 +590,7 @@ def moments_from_pmf(pmf: Pmf) -> MomentSummary:
     var = max(m2 - mean * mean, 0.0)
     if mean > 0.0:
         fano = var / mean
-        g2 = (m2 - mean) / (mean * mean)
+        g2 = (m2 - mean) / (mean * mean) if mean * mean > 0.0 else None
     else:
         fano = None
         g2 = None
@@ -599,8 +600,8 @@ def moments_from_pmf(pmf: Pmf) -> MomentSummary:
 def g2_from_pmf(pmf: Pmf) -> float:
     """Zero-delay second-order correlation <n(n-1)>/<n>^2 of a pmf."""
     mean = math.fsum(n * p for n, p in enumerate(pmf.probs))
-    if mean <= 0.0:
-        raise UndefinedMomentError("g2 is undefined for a zero-mean distribution")
+    if not mean * mean > 0.0:
+        raise UndefinedMomentError(f"g2 is undefined at mean {mean!r}: mean^2 is 0")
     fact2 = math.fsum(n * (n - 1) * p for n, p in enumerate(pmf.probs))
     return fact2 / (mean * mean)
 

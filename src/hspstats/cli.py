@@ -12,8 +12,10 @@ friends), 3 verification failure.
 import argparse
 import sys
 
+import numpy
+
 from . import analytic, optimize as opt, records
-from .errors import HspsError
+from .errors import HspsError, SeriesOverflowError
 from .model import (
     FilterBranch,
     FilterSpec,
@@ -21,7 +23,7 @@ from .model import (
     SourceParams,
     to_record,
 )
-from .montecarlo import McConfig, simulate
+from .montecarlo import STREAM_VERSION, McConfig, simulate
 from .verify import MATRIX_SIZES, run_verification
 
 __all__ = ["main"]
@@ -182,18 +184,26 @@ def _echo_inputs(stat, params, filt, extra: dict | None = None) -> dict:
 
 def cmd_pmf(s: dict) -> records.OutputRecord:
     stat, params, filt = _physics(s)
+    if s["nmax"] is not None and s["nmax"] < 0:
+        raise UsageError(f"--nmax must be >= 0, got {s['nmax']}")
     kind = analytic.xi_kind_for(stat, filt)
     pmf = analytic.signal_pmf(stat, params, filt, s["tol"])
     n_top = len(pmf) - 1 if s["nmax"] is None else s["nmax"]
+    try:
+        factors = analytic.xi_values(kind, n_top, params, filt)
+    except SeriesOverflowError as exc:
+        # xi(n) leaves double range from n = exc.order on: those rows print it
+        # as null, and beyond the pmf their p_heralded too
+        factors = analytic.xi_values(kind, exc.order - 1, params, filt)
     rows = []
-    for n, factor in enumerate(analytic.xi_values(kind, n_top, params, filt)):
+    for n in range(n_top + 1):
         base = analytic.unconditioned_pmf(stat, params, filt, n)
-        rows.append({
-            "n": n,
-            "p_heralded": pmf.probs[n] if n < len(pmf) else base * factor,
-            "p_unheralded": base,
-            "xi": factor,
-        })
+        factor = factors[n] if n < len(factors) else None
+        if n < len(pmf):
+            p_heralded = pmf.probs[n]
+        else:
+            p_heralded = None if factor is None else base * factor
+        rows.append({"n": n, "p_heralded": p_heralded, "p_unheralded": base, "xi": factor})
     inputs = _echo_inputs(stat, params, filt, {"tol": s["tol"], "tail_bound": pmf.tail_bound})
     return records.OutputRecord(records.SCHEMA_VERSION, "pmf", inputs, rows)
 
@@ -306,7 +316,8 @@ def cmd_simulate(s: dict) -> records.OutputRecord:
         for n in range(len(est.pmf_hat))
     ]
     inputs = _echo_inputs(stat, params, filt,
-                          {"trials": s["trials"], "seed": s["seed"], "n_cap": s["n_cap"]})
+                          {"trials": s["trials"], "seed": s["seed"], "n_cap": s["n_cap"],
+                           "stream": STREAM_VERSION, "numpy": numpy.__version__})
     return records.OutputRecord(records.SCHEMA_VERSION, "simulate", inputs, rows)
 
 

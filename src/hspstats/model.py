@@ -150,7 +150,7 @@ class MomentSummary:
     """First two moments of a photon-number law plus derived ratios.
 
     ``fano`` is (Delta n)^2 / <n> and ``g2`` is <n(n-1)> / <n>^2; both are
-    None when the mean vanishes.
+    None when the mean vanishes, and ``g2`` also when <n>^2 underflows to 0.
     """
 
     mean: float

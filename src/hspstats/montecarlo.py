@@ -6,13 +6,26 @@ with any surviving heralding photon), and record the signal-side survivor
 count when the herald fired.  The estimator is the normalized histogram
 over heralded trials, an end-to-end oracle for every closed form.
 
+A bin holds a thermal count of kept-mode pairs and a Poisson count of extra
+pairs, whose photons reach both branches (unfiltered source) or only the
+unfiltered one.  Dim bins are almost all empty, so each chunk splits its bins
+by occupation with one multinomial draw and draws and thins only the occupied
+ones; the empty bins' dark heralds are one binomial count.
+
 Reproducibility contract: trials are processed in fixed chunks of
 ``CHUNK_TRIALS``; chunk ``i`` uses ``numpy.random.Generator(PCG64(
-SeedSequence(seed, spawn_key=(i,))))`` and draws in a fixed order, so a
-(config, seed) pair replays bit-identically for a given numpy version, and
-distributing whole chunks across workers cannot change the merged result.
+SeedSequence(seed, spawn_key=(i,))))`` and draws, in this order (stream
+``STREAM_VERSION``): the multinomial split into kept-only, extra-only, both
+and empty bins; the kept counts of the kept-only and both bins; the
+first-arrival uniforms, then the Poisson remainders, of the both and
+extra-only bins; the herald-branch thinning, the signal-branch thinning and
+the dark-count uniforms of the occupied bins; the dark heralds among the
+empty bins.  A (config, seed) pair therefore replays bit-identically for a
+given numpy version and stream version, and distributing whole chunks
+across workers cannot change the merged result.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +33,17 @@ import numpy as np
 from .errors import NoHeraldSamplesError, ValidationError
 from .model import FilterBranch, FilterSpec, NO_FILTER, PairStatistics, SourceParams
 
-__all__ = ["McConfig", "McEstimate", "simulate", "CHUNK_TRIALS"]
+__all__ = ["McConfig", "McEstimate", "simulate", "CHUNK_TRIALS", "STREAM_VERSION"]
 
 CHUNK_TRIALS = 1 << 20
+
+# Version of the draw order above; it moves with every change to the numbers
+# a (config, seed) pair produces.  Stream 1, the dense sampler that drew every
+# bin, does not replay under stream 2.
+STREAM_VERSION = 2
+
+# Largest simulated mu: pair counts stay far inside int64 and numpy's Poisson range.
+MAX_MU = 1e15
 
 
 @dataclass(frozen=True)
@@ -43,6 +64,8 @@ class McConfig:
             raise ValidationError(f"n_cap must be >= 8, got {self.n_cap}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed!r}")
+        if self.params.mu > MAX_MU:
+            raise ValidationError(f"mu above {MAX_MU:g} would overflow the pair counts")
         if self.filt.branch is not FilterBranch.NONE and self.stat is not PairStatistics.POISSON:
             raise ValidationError("a mode filter requires Poisson pair statistics")
 
@@ -63,54 +86,54 @@ class McEstimate:
     cap_mass: float
 
 
-def _chunk_seed(seed: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=(index,))
-
-
-def _thermal_counts(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
-    """Thermal pair counts via the geometric law with success 1/(1+mean)."""
-    if mean == 0.0:
-        return np.zeros(size, dtype=np.int64)
-    return rng.geometric(1.0 / (1.0 + mean), size=size) - 1
+def _describe(config: McConfig) -> tuple[float, float, bool, bool]:
+    """(thermal kept mean, Poisson extra mean, extra photons reach the herald
+    branch, extra photons reach the signal branch).  A filter removes the
+    extra photons of its own branch, not their twins in the other."""
+    mu, branch = config.params.mu, config.filt.branch
+    if branch is FilterBranch.NONE:
+        if config.stat is PairStatistics.THERMAL:
+            return mu, 0.0, True, True
+        return 0.0, mu, True, True
+    f = config.filt.f
+    return mu * f, mu * (1.0 - f), branch is FilterBranch.SIGNAL, branch is FilterBranch.HERALD
 
 
 def _simulate_chunk(config: McConfig, index: int, size: int) -> tuple[np.ndarray, int]:
-    """Histogram of clamped signal counts over heralded trials of one chunk.
-
-    Draw order (fixed): pair counts (kept mode first when filtered), then
-    herald-side thinning, then signal-side thinning, then dark-count
-    uniforms.
-    """
+    """Histogram of clamped signal counts over heralded trials of one chunk,
+    and the number of heralded trials; draws in the order of the module
+    docstring."""
     p = config.params
-    rng = np.random.Generator(np.random.PCG64(_chunk_seed(config.seed, index)))
+    seq = np.random.SeedSequence(entropy=int(config.seed), spawn_key=(index,))
+    rng = np.random.Generator(np.random.PCG64(seq))
+    kept_mean, extra_mean, extra_herald, extra_signal = _describe(config)
+    kept0, kept1 = 1.0 / (1.0 + kept_mean), kept_mean / (1.0 + kept_mean)
+    extra0, extra1 = math.exp(-extra_mean), -math.expm1(-extra_mean)
+    n_kept, n_extra, n_both, n_empty = rng.multinomial(
+        size, [kept1 * extra0, kept0 * extra1, kept1 * extra1, kept0 * extra0])
 
-    if config.filt.branch is FilterBranch.NONE:
-        if config.stat is PairStatistics.POISSON:
-            pairs = rng.poisson(p.mu, size=size)
-        else:
-            pairs = _thermal_counts(rng, p.mu, size)
-        herald_photons = rng.binomial(pairs, p.eta_h)
-        signal = rng.binomial(pairs, p.eta_s)
-    else:
-        f = config.filt.f
-        kept = _thermal_counts(rng, p.mu * f, size)
-        extra = rng.poisson(p.mu * (1.0 - f), size=size)
-        if config.filt.branch is FilterBranch.HERALD:
-            # extraneous heralding photons are filtered out before the
-            # detector; their signal twins remain
-            herald_photons = rng.binomial(kept, p.eta_h)
-            signal = rng.binomial(kept + extra, p.eta_s)
-        else:
-            # signal filter: extraneous signal photons removed, but their
-            # heralding twins still reach the detector
-            herald_photons = rng.binomial(kept + extra, p.eta_h)
-            signal = rng.binomial(kept, p.eta_s)
+    # occupied bins in the order kept-only, both, extra-only
+    occupied = n_kept + n_both + n_extra
+    kept = np.zeros(occupied, dtype=np.int64)
+    extra = np.zeros(occupied, dtype=np.int64)
+    # the geometric law is memoryless: thermal N given N >= 1 is geometric
+    # on 1, 2, ... with the same success probability P(N = 0)
+    kept[:n_kept + n_both] = rng.geometric(kept0, size=n_kept + n_both)
+    # Poisson N given N >= 1: the first arrival time T of the unit-time
+    # process, by inverse CDF given T < 1, then 1 + Poisson(m (1 - T)); the
+    # clip keeps rounding from taking m (1 - T) below 0
+    first = rng.random(n_both + n_extra)
+    rest = np.maximum(extra_mean + np.log1p(-first * extra1), 0.0)
+    extra[n_kept:] = 1 + rng.poisson(rest)
 
-    dark = rng.random(size) < p.d_h
-    heralded = (herald_photons >= 1) | dark
-    clamped = np.minimum(signal[heralded], config.n_cap)
-    hist = np.bincount(clamped, minlength=config.n_cap + 1)
-    return hist, int(heralded.sum())
+    herald_photons = rng.binomial(kept + extra if extra_herald else kept, p.eta_h)
+    signal = rng.binomial(kept + extra if extra_signal else kept, p.eta_s)
+    heralded = (herald_photons >= 1) | (rng.random(occupied) < p.d_h)
+    hist = np.bincount(np.minimum(signal[heralded], config.n_cap), minlength=config.n_cap + 1)
+    # an empty bin heralds only by a dark count, and then with no signal photon
+    dark = int(rng.binomial(n_empty, p.d_h))
+    hist[0] += dark
+    return hist, int(heralded.sum()) + dark
 
 
 def _chunks(trials: int):
@@ -134,9 +157,8 @@ def simulate(config: McConfig) -> McEstimate:
         hist += h
         heralded += k
     if heralded == 0:
-        raise NoHeraldSamplesError(
-            f"no heralded trials out of {config.trials}", trials=config.trials
-        )
+        raise NoHeraldSamplesError(f"no heralded trials out of {config.trials}",
+                                   trials=config.trials)
     pmf_hat = hist / heralded
     stderr = np.sqrt(pmf_hat * (1.0 - pmf_hat) / heralded)
     return McEstimate(
@@ -147,4 +169,3 @@ def simulate(config: McConfig) -> McEstimate:
         heralded=heralded,
         cap_mass=float(pmf_hat[config.n_cap]),
     )
-

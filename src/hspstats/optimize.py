@@ -130,7 +130,8 @@ def optimize_mu(
     else:
         f_c = f_probe
     f_d = objective(d)
-    while (b - a) > rel_tol:
+    # a rel_tol below the spacing of doubles ends where the points collapse
+    while (b - a) > rel_tol and a < c < d < b:
         if f_c < f_d:
             b, d, f_d = d, c, f_c
             c = a + (b - a) * (1.0 - _INV_PHI)

@@ -499,6 +499,17 @@ class TestMoments:
         assert m.mean == 0.0
         assert m.fano is None and m.g2 is None
 
+    def test_underflowing_mean_square_leaves_g2_undefined(self):
+        # mean ~ 3e-228 > 0, but mean^2 is 0: g2 must not divide by it
+        m = moments_closed_form(SourceParams(0.01, 0.5, 2.75e-228, 1e-4))
+        assert 0.0 < m.mean < 1e-200
+        assert m.fano == pytest.approx(1.0) and m.g2 is None
+        pmf = Pmf((1.0, 1e-200), 1e-12)
+        m = moments_from_pmf(pmf)
+        assert m.mean == 1e-200 and m.g2 is None
+        with pytest.raises(UndefinedMomentError):
+            g2_from_pmf(pmf)
+
 
 class TestG2:
     def test_poisson_is_one(self):

@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy
 import pytest
 
-from hspstats import (FilterBranch, FilterSpec, PairStatistics, SourceParams, records,
-                      signal_pmf, xi, xi_kind_for)
+from hspstats import (STREAM_VERSION, FilterBranch, FilterSpec, PairStatistics, SourceParams,
+                      records, signal_pmf, xi, xi_kind_for)
 from hspstats.cli import main
 
 REF_FLAGS = ["--mu", "0.01", "--eta-h", "0.5", "--eta-s", "0.5", "--dark", "1e-4"]
@@ -77,6 +78,34 @@ class TestPmfCommand:
         pmf = signal_pmf(PairStatistics.POISSON, SourceParams(0.01, 0.5, 0.5, 1e-4), spec)
         assert tuple(row["p_heralded"] for row in rows[: len(pmf)]) == pmf.probs
         assert all(math.isfinite(row["xi"]) and row["xi"] > 0.0 for row in rows)
+
+    def test_negative_nmax_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "pmf", *REF_FLAGS, "--nmax", "-2")
+        assert code == 1 and out == "" and "--nmax" in err
+
+    def test_xi_null_where_it_leaves_double_range(self, capsys):
+        # xi(n) ~ (lam/q)^n/n! passes 1.8e308 at n = 69 while the pmf is finite
+        # to n = 113: the table prints xi as null from there and exits 0
+        flags = ["--mu", "30", "--eta-h", "0.5", "--eta-s", "0.5", "--dark", "1e-4",
+                 "--filter", "herald", "--f", "1e-6"]
+        code, out, _ = run(capsys, "pmf", *flags)
+        assert code == 0
+        rows = records.parse(out).rows
+        spec = FilterSpec(FilterBranch.HERALD, 1e-6)
+        pmf = signal_pmf(PairStatistics.POISSON, SourceParams(30, 0.5, 0.5, 1e-4), spec)
+        assert len(rows) == len(pmf) > 70
+        assert tuple(row["p_heralded"] for row in rows) == pmf.probs
+        kind = xi_kind_for(PairStatistics.POISSON, spec)
+        assert [row["xi"] for row in rows[:69]] == [
+            xi(kind, n, SourceParams(30, 0.5, 0.5, 1e-4), spec) for n in range(69)]
+        assert all(row["xi"] is None for row in rows[69:])
+
+        code, out, _ = run(capsys, "pmf", *flags, "--nmax", "150")
+        assert code == 0
+        rows = records.parse(out).rows
+        assert len(rows) == 151
+        assert all(row["p_heralded"] is None and row["xi"] is None
+                   for row in rows[len(pmf):])
 
     def test_thermal_vacuum(self, capsys):
         code, out, _ = run(capsys, "pmf", "--stat", "thermal", "--mu", "0",
@@ -302,6 +331,17 @@ class TestSimulateCommand:
                 continue
             sigma = math.sqrt(p * (1 - p) / heralded)
             assert abs(row["pmf_hat"] - p) <= 5 * sigma
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stream_provenance_round_trips(self, capsys, fmt):
+        code, out, _ = run(capsys, "simulate", *REF_FLAGS, "--trials", "20000",
+                           "--format", fmt)
+        assert code == 0
+        rec = records.parse(out)
+        assert rec.inputs["stream"] == STREAM_VERSION
+        assert type(rec.inputs["stream"]) is int
+        assert rec.inputs["numpy"] == numpy.__version__
+        assert records.render(rec, fmt) == out
 
     def test_zero_trials_usage_error(self, capsys):
         code, _, _ = run(capsys, "simulate", *REF_FLAGS, "--trials", "0")

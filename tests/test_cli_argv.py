@@ -1,0 +1,94 @@
+"""Random argv over every command: the CLI ends with a documented exit
+status and never lets an exception escape.
+
+Flags come from the real parser, values mix valid and invalid ones.  Work
+is bounded: --trials <= 1e5, --n-cap <= 256, --nmax <= 500, at most 8 sweep
+points, and verify runs only as ``--matrix tiny --no-mc``.  ``--help``
+leaves through ``SystemExit(0)``, as argparse does; ``test_cli`` covers it.
+"""
+
+import argparse
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hspstats import cli
+
+VALID = ["0", "1e-6", "0.01", "0.3", "0.5", "1"]
+INVALID = ["-1", "1.5", "30", "1e300", "nan", "inf", "-inf", "abc", ""]
+INT_BOUNDS = {"--trials": 100_000, "--n-cap": 256, "--nmax": 500, "--seed": 2**65}
+VERIFY_FIXED = ["--matrix", "tiny", "--no-mc"]
+
+
+def floats():
+    return st.one_of(st.sampled_from(VALID), st.floats(0, 1).map(repr),
+                     st.sampled_from(INVALID), st.floats(-1e3, 1e3).map(repr))
+
+
+def ints(flag):
+    top = INT_BOUNDS.get(flag, 100)
+    return st.one_of(st.integers(-(2**65), top).map(str), st.integers(-2, 12).map(str),
+                     st.sampled_from(["abc", "1.5", "", "1e3"]))
+
+
+def values(flag, action, paths):
+    """Strategy for the argv words of one flag: [] for a switch, else the
+    flag with one value (or three for --logspace)."""
+    if action.nargs == 0:
+        return st.just([flag])
+    if flag == "--logspace":
+        points = st.one_of(st.integers(-1, 8).map(str), st.sampled_from(["x", "2.5"]))
+        return st.tuples(floats(), floats(), points).map(lambda v: [flag, *v])
+    if flag == "--grid":
+        return st.lists(floats(), max_size=8).map(lambda v: [flag, ",".join(v)])
+    if flag in ("--out", "--config"):
+        return st.sampled_from(paths[flag]).map(lambda v: [flag, v])
+    if action.choices:
+        return st.sampled_from([*action.choices, "bogus"]).map(lambda v: [flag, v])
+    if action.type is int:
+        return ints(flag).map(lambda v: [flag, v])
+    return floats().map(lambda v: [flag, v])
+
+
+def argv_strategy(paths):
+    per_command = []
+    for name, sub in cli.build_parser().commands.items():
+        flags = {a.option_strings[0]: a for a in sub._actions
+                 if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        if name == "verify":
+            for fixed in ("--matrix", "--no-mc"):
+                flags.pop(fixed)
+        words = st.lists(st.sampled_from(sorted(flags)), max_size=6, unique=True).flatmap(
+            lambda chosen, flags=flags: st.tuples(
+                *(values(f, flags[f], paths) for f in chosen)))
+        extra = VERIFY_FIXED if name == "verify" else []
+        per_command.append(words.map(
+            lambda groups, name=name, extra=extra: [name, *extra,
+                                                    *(w for g in groups for w in g)]))
+    return st.one_of(per_command)
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    good = root / "good.cfg"
+    good.write_text("mu = 0.01\neta_h = 0.5\ndark = 1e-4\ntrials = 1000\n")
+    bad = root / "bad.cfg"
+    bad.write_text("mu = abc\nno equals sign\n")
+    return {"--out": [str(root / "out.txt"), str(root / "missing" / "out.txt")],
+            "--config": [str(good), str(bad), str(root / "absent.cfg")]}
+
+
+def test_random_argv_ends_in_a_documented_status(paths):
+    @settings(max_examples=80)
+    @given(argv_strategy(paths))
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue()
+
+    run()

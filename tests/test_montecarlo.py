@@ -5,6 +5,7 @@ import pytest
 
 import hspstats.montecarlo as mc
 from hspstats import (
+    NO_FILTER,
     FilterBranch,
     FilterSpec,
     McConfig,
@@ -16,6 +17,7 @@ from hspstats import (
     signal_pmf,
     simulate,
 )
+from hspstats.verify import mc_acceptance_matrix, mc_deviation
 
 REF = SourceParams(0.01, 0.5, 0.5, 1e-4)
 POISSON = PairStatistics.POISSON
@@ -35,6 +37,11 @@ class TestConfig:
         for seed in (-1, 2**64):
             with pytest.raises(ValidationError):
                 McConfig(params=REF, seed=seed)
+
+    def test_rejects_mu_beyond_the_count_range(self):
+        McConfig(params=SourceParams(mc.MAX_MU, 0.5, 0.5, 0.0))
+        with pytest.raises(ValidationError):
+            McConfig(params=SourceParams(1e300, 0.5, 0.5, 0.0))
 
     def test_rejects_thermal_filter(self):
         with pytest.raises(ValidationError):
@@ -156,3 +163,64 @@ class TestHeraldRate:
         rate, err = self.rate_and_error(config)
         expected = herald_click_probability(POISSON, REF)
         assert abs(rate - expected) <= 5 * max(err, 1e-9)
+
+
+CONFIGS = [
+    (POISSON, NO_FILTER),
+    (THERMAL, NO_FILTER),
+    (POISSON, FilterSpec(FilterBranch.SIGNAL, 0.1)),
+    (POISSON, FilterSpec(FilterBranch.HERALD, 0.1)),
+]
+
+
+class TestSparseSampler:
+    """The sampler draws only the occupied bins, from the input laws given
+    N >= 1; these checks hold it exact in law at real trial counts."""
+
+    @pytest.mark.parametrize("name,stat,params,filt", mc_acceptance_matrix(),
+                             ids=[c[0] for c in mc_acceptance_matrix()])
+    def test_acceptance_configurations_exact_in_law(self, name, stat, params, filt):
+        trials = 1 << 22
+        est = simulate(McConfig(params=params, stat=stat, filt=filt, trials=trials, seed=8))
+        # every bin with p >= 1e-6 within 5 sigma of the closed form
+        assert mc_deviation(est, stat, params, filt) <= 1.0
+        rate = herald_click_probability(stat, params, filt)
+        assert abs(est.herald_rate - rate) <= 5 * math.sqrt(rate * (1 - rate) / trials)
+
+    @pytest.mark.parametrize("stat,filt", CONFIGS)
+    @pytest.mark.parametrize("d_h", [0.3, 1.0])
+    def test_vacuum_heralds_only_by_dark_counts(self, stat, filt, d_h):
+        trials = 100_000
+        est = simulate(McConfig(params=SourceParams(0.0, 0.5, 0.5, d_h), stat=stat,
+                                filt=filt, trials=trials, seed=3))
+        assert est.pmf_hat[0] == 1.0
+        assert abs(est.herald_rate - d_h) <= 5 * math.sqrt(d_h * (1 - d_h) / trials)
+
+    @pytest.mark.parametrize("branch", [FilterBranch.SIGNAL, FilterBranch.HERALD])
+    def test_full_mode_fraction_has_no_extra_pairs(self, branch):
+        config = McConfig(params=REF, filt=FilterSpec(branch, 1.0), trials=300_000, seed=4)
+        assert mc._describe(config)[:2] == (REF.mu, 0.0)
+        # with no extra bins the draws are those of the thermal source
+        assert simulate(config) == simulate(
+            McConfig(params=REF, stat=THERMAL, trials=300_000, seed=4))
+
+    # (stream, numpy major.minor) and, per configuration at REF, seed 2026 and
+    # 2^16 trials: heralded trials and the nonzero histogram bins.  A change
+    # to the draw order fails here unless it moves STREAM_VERSION and
+    # records its own stream.
+    PINNED_STREAM = (2, "2.4")
+    PINNED = [(369, {0: 205, 1: 164}), (325, {0: 159, 1: 165, 2: 1}),
+              (374, {0: 354, 1: 20}), (51, {0: 27, 1: 24})]
+
+    def test_pinned_stream(self):
+        stream, numpy_version = self.PINNED_STREAM
+        if mc.STREAM_VERSION != stream:
+            pytest.skip(f"stream {mc.STREAM_VERSION} has no pinned record")
+        if ".".join(np.__version__.split(".")[:2]) != numpy_version:
+            pytest.skip(f"stream pinned under numpy {numpy_version}")
+        for (stat, filt), (heralded, hist) in zip(CONFIGS, self.PINNED):
+            est = simulate(McConfig(params=REF, stat=stat, filt=filt, trials=1 << 16,
+                                    seed=2026))
+            counts = [round(p * est.heralded) for p in est.pmf_hat]
+            assert est.heralded == heralded
+            assert {n: c for n, c in enumerate(counts) if c} == hist

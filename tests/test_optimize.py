@@ -68,6 +68,13 @@ class TestOptimizeMu:
         with pytest.raises(BracketError):
             optimize_mu(0.5, 0.5, 1e-4, bounds=(0.5, 10.0), pre_scan=True)
 
+    def test_tolerance_below_double_spacing_terminates(self):
+        # the bracket cannot shrink below the spacing of doubles, so the
+        # search must stop there
+        result = optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-5, 1.0), rel_tol=1e-300)
+        assert 0.014 <= result.mu_opt <= 0.018
+        assert result.evaluations < 200
+
     def test_evaluation_count_reported(self):
         result = optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-5, 1.0))
         assert result.evaluations >= 10
