@@ -8,7 +8,6 @@ form.
 """
 
 from .analytic import (
-    DEFAULT_TOL,
     XiKind,
     asymptotic_tail_check,
     conditional_pmf_series,
@@ -17,9 +16,6 @@ from .analytic import (
     herald_click_probability,
     herald_filter_convolution_oracle,
     herald_gain_ratio,
-    herald_prob,
-    input_pmf,
-    laguerre,
     moments_closed_form,
     moments_from_pmf,
     signal_pmf,
@@ -46,11 +42,9 @@ from .model import (
     PairStatistics,
     Pmf,
     SourceParams,
-    from_record,
-    to_record,
 )
-from .montecarlo import CHUNK_TRIALS, STREAM_VERSION, McConfig, McEstimate, simulate
-from .optimize import OptimizeResult, SweepResult, SweepRow, fano_ratio, optimize_mu, sweep
-from .verify import run_verification, sample_configurations
+from .montecarlo import McConfig, simulate
+from .optimize import fano_ratio, optimize_mu, sweep
+from .verify import sample_configurations
 
 __version__ = "0.1.0"

@@ -49,12 +49,8 @@ from .model import (
 __all__ = [
     "XiKind",
     "xi_kind_for",
-    "herald_prob",
-    "input_pmf",
-    "laguerre",
     "effective_dark_count",
     "xi",
-    "xi_values",
     "xi_limit",
     "herald_gain_ratio",
     "conditional_pmf_series",
@@ -66,7 +62,6 @@ __all__ = [
     "moments_from_pmf",
     "g2_from_pmf",
     "asymptotic_tail_check",
-    "DEFAULT_TOL",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -74,8 +69,6 @@ DEFAULT_TOL = 1e-12
 # Requested tail tolerances below this cannot be honored in double precision
 # (the builders account mass by floating-point summation).
 MIN_TOL = 1e-13
-
-LAGUERRE_MAX_ORDER = 500
 
 
 class XiKind(Enum):
@@ -140,48 +133,6 @@ def input_pmf(stat: PairStatistics, mu: float, N: int) -> float:
             return math.exp(-mu) * mu**N / math.factorial(N)
         return math.exp(N * math.log(mu) - mu - math.lgamma(N + 1))
     return (mu / (1.0 + mu)) ** N / (1.0 + mu)
-
-
-def laguerre(n: int, x: float) -> float:
-    """Laguerre polynomial of order n.
-
-    For x <= 0 every term of the defining sum is positive, so the sum is
-    evaluated directly (no cancellation); elsewhere the three-term
-    recurrence is used.  Orders above 500 are refused and intermediate
-    overflow raises with the order reached.
-    """
-    if n < 0:
-        raise ValidationError(f"order must be >= 0, got {n}")
-    if n > LAGUERRE_MAX_ORDER:
-        raise SeriesOverflowError(
-            f"Laguerre order {n} exceeds the supported maximum "
-            f"{LAGUERRE_MAX_ORDER}", order=n,
-        )
-    if not math.isfinite(x):
-        raise ValidationError(f"argument must be finite, got {x!r}")
-    if x <= 0.0:
-        term = 1.0
-        total = 1.0
-        for k in range(1, n + 1):
-            term *= -x * (n - k + 1) / (k * k)
-            total += term
-            if not math.isfinite(total):
-                raise SeriesOverflowError(
-                    f"Laguerre sum overflowed at term {k} (order {n}, x={x!r})",
-                    order=k,
-                )
-        return total
-    prev, cur = 1.0, 1.0 - x
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-        if not math.isfinite(cur):
-            raise SeriesOverflowError(
-                f"Laguerre recurrence overflowed at order {k + 1} (x={x!r})",
-                order=k + 1,
-            )
-    return cur
 
 
 def effective_dark_count(params: SourceParams, f: float) -> float:
@@ -565,6 +516,9 @@ def moments_closed_form(params: SourceParams) -> MomentSummary:
         gamma = (1-d_h) e^(-mu*eta_h) / [1 - (1-d_h) e^(-mu*eta_h)]
         <n>   = mu*eta_s (1 + gamma*eta_h)
         var   = mu*eta_s {1 + gamma*eta_h [1 - mu*eta_s*eta_h (1+gamma)]}
+        g2    = [1 + gamma*eta_h (2-eta_h)] / (1 + gamma*eta_h)^2
+    g2 is written with positive terms only (1 + (var - <n>)/<n>^2 cancels
+    for dim sources) and does not depend on eta_s.
     """
     mu, eta_h, eta_s, d_h = params.mu, params.eta_h, params.eta_s, params.d_h
     _check_heraldable(d_h, mu * eta_h)
@@ -573,37 +527,32 @@ def moments_closed_form(params: SourceParams) -> MomentSummary:
     mean = mu * eta_s * (1.0 + gamma * eta_h)
     var = mu * eta_s * (1.0 + gamma * eta_h * (1.0 - mu * eta_s * eta_h * (1.0 + gamma)))
     var = max(var, 0.0)
-    if mean > 0.0:
-        fano = var / mean
-        # None also where mean^2 underflows to 0
-        g2 = 1.0 + (var - mean) / (mean * mean) if mean * mean > 0.0 else None
-    else:
-        fano = None
-        g2 = None
-    return MomentSummary(mean, var, fano, g2)
+    if mean == 0.0:
+        return MomentSummary(mean, var, None, None)
+    g = gamma * eta_h
+    # divided twice, since (1 + g)^2 overflows for mu below about 1e-154
+    g2 = (1.0 + g * (2.0 - eta_h)) / (1.0 + g) / (1.0 + g)
+    return MomentSummary(mean, var, var / mean, g2)
 
 
 def moments_from_pmf(pmf: Pmf) -> MomentSummary:
-    """Moments of a truncated pmf by direct summation."""
+    """Moments of a truncated pmf by direct summation of n p(n) and
+    n(n-1) p(n); g2 is None where <n>^2 underflows to 0."""
     mean = math.fsum(n * p for n, p in enumerate(pmf.probs))
-    m2 = math.fsum(n * n * p for n, p in enumerate(pmf.probs))
-    var = max(m2 - mean * mean, 0.0)
-    if mean > 0.0:
-        fano = var / mean
-        g2 = (m2 - mean) / (mean * mean) if mean * mean > 0.0 else None
-    else:
-        fano = None
-        g2 = None
-    return MomentSummary(mean, var, fano, g2)
+    fact2 = math.fsum(n * (n - 1) * p for n, p in enumerate(pmf.probs))
+    var = max(fact2 + mean - mean * mean, 0.0)
+    if mean == 0.0:
+        return MomentSummary(mean, var, None, None)
+    g2 = fact2 / (mean * mean) if mean * mean > 0.0 else None
+    return MomentSummary(mean, var, var / mean, g2)
 
 
 def g2_from_pmf(pmf: Pmf) -> float:
     """Zero-delay second-order correlation <n(n-1)>/<n>^2 of a pmf."""
-    mean = math.fsum(n * p for n, p in enumerate(pmf.probs))
-    if not mean * mean > 0.0:
-        raise UndefinedMomentError(f"g2 is undefined at mean {mean!r}: mean^2 is 0")
-    fact2 = math.fsum(n * (n - 1) * p for n, p in enumerate(pmf.probs))
-    return fact2 / (mean * mean)
+    summary = moments_from_pmf(pmf)
+    if summary.g2 is None:
+        raise UndefinedMomentError(f"g2 is undefined at mean {summary.mean!r}: mean^2 is 0")
+    return summary.g2
 
 
 def asymptotic_tail_check(params: SourceParams, f: float, n: int) -> tuple[float, float]:
@@ -618,5 +567,5 @@ def asymptotic_tail_check(params: SourceParams, f: float, n: int) -> tuple[float
     _, m, _, lam = desc
     sup, terms, _ = _factor(desc, params)
     exact = next(itertools.islice(terms(), n, None))
-    asym = sup / (1.0 + m * params.eta_s) * math.exp(-lam) * lam**n / math.factorial(n)
+    asym = sup / (1.0 + m * params.eta_s) * input_pmf(PairStatistics.POISSON, lam, n)
     return exact, asym

@@ -10,6 +10,7 @@ friends), 3 verification failure.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy
@@ -276,22 +277,15 @@ def cmd_sweep(s: dict) -> records.OutputRecord:
         raise UsageError("--axis f needs a mode filter: --filter signal or herald")
     grid = _parse_grid(s)
     result = opt.sweep(params, stat, filt, s["axis"], grid, s["tol"])
+    failed = dict.fromkeys(("mean", "variance", "fano", "g2"))
     rows = []
     for row in result.rows:
-        if row.error is not None:
-            rows.append({result.axis: row.value, "mean": None, "variance": None,
-                         "fano": None, "g2": None, "p0": None, "p1": None,
-                         "p2": None, "p3": None, "error": row.error})
-            continue
-        head = list(row.pmf_head) + [None] * (4 - len(row.pmf_head))
+        head = row.pmf_head or ()
         rows.append({
             result.axis: row.value,
-            "mean": row.moments.mean,
-            "variance": row.moments.variance,
-            "fano": row.moments.fano,
-            "g2": row.moments.g2,
-            "p0": head[0], "p1": head[1], "p2": head[2], "p3": head[3],
-            "error": None,
+            **(failed if row.moments is None else dataclasses.asdict(row.moments)),
+            **{f"p{i}": head[i] if i < len(head) else None for i in range(opt.PMF_HEAD)},
+            "error": row.error,
         })
     inputs = _echo_inputs(stat, params, filt, {"axis": s["axis"], "tol": s["tol"]})
     return records.OutputRecord(records.SCHEMA_VERSION, "sweep", inputs, rows)

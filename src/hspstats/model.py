@@ -20,8 +20,6 @@ __all__ = [
     "NO_FILTER",
     "Pmf",
     "MomentSummary",
-    "to_record",
-    "from_record",
 ]
 
 # Smallest accepted transmitted mode fraction.  The filtered-source formulas
@@ -150,7 +148,8 @@ class MomentSummary:
     """First two moments of a photon-number law plus derived ratios.
 
     ``fano`` is (Delta n)^2 / <n> and ``g2`` is <n(n-1)> / <n>^2; both are
-    None when the mean vanishes, and ``g2`` also when <n>^2 underflows to 0.
+    None when the mean vanishes, and ``g2`` of a summed pmf also when <n>^2
+    underflows to 0.
     """
 
     mean: float
@@ -173,23 +172,3 @@ def to_record(params: SourceParams, filt: FilterSpec = NO_FILTER) -> dict:
         "filter_branch": filt.branch.value,
         "f": filt.f,
     }
-
-
-def from_record(record: dict) -> tuple[SourceParams, FilterSpec]:
-    """Inverse of :func:`to_record`; accepts string or numeric values."""
-    try:
-        params = SourceParams(
-            float(record["mu"]),
-            float(record["eta_h"]),
-            float(record["eta_s"]),
-            float(record["d_h"]),
-        )
-        branch = FilterBranch(str(record.get("filter_branch", "none")))
-        filt = FilterSpec(branch, float(record.get("f", 1.0)))
-    except KeyError as exc:
-        raise ValidationError(f"missing field {exc.args[0]!r} in record") from exc
-    except ValueError as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(str(exc)) from exc
-    return params, filt

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NoHeraldSamplesError, ValidationError
 from .model import FilterBranch, FilterSpec, NO_FILTER, PairStatistics, SourceParams
 
-__all__ = ["McConfig", "McEstimate", "simulate", "CHUNK_TRIALS", "STREAM_VERSION"]
+__all__ = ["McConfig", "simulate"]
 
 CHUNK_TRIALS = 1 << 20
 

@@ -8,7 +8,7 @@ pmf terms along one parameter axis.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analytic import moments_closed_form, moments_from_pmf, signal_pmf
 from .errors import BracketError, HspsError, ValidationError
@@ -20,11 +20,14 @@ from .model import (
     SourceParams,
 )
 
-__all__ = ["OptimizeResult", "SweepResult", "SweepRow", "optimize_mu", "sweep", "fano_ratio"]
+__all__ = ["optimize_mu", "sweep", "fano_ratio"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 SWEEP_AXES = ("mu", "eta_h", "eta_s", "d_h", "f")
+
+# leading pmf terms p(0)..p(PMF_HEAD - 1) kept per sweep row
+PMF_HEAD = 4
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,6 @@ class OptimizeResult:
     mu_opt: float
     fano_opt: float
     evaluations: int
-    bracket: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     axis: str
-    grid: tuple
     rows: tuple
 
 
@@ -146,7 +147,6 @@ def optimize_mu(
         mu_opt=mu_opt,
         fano_opt=fano_ratio(mu_opt, eta_h, eta_s, d_h),
         evaluations=evaluations,
-        bracket=(mu_lo, mu_hi),
     )
 
 
@@ -157,7 +157,6 @@ def sweep(
     axis: str = "mu",
     grid: tuple = (),
     tol: float = 1e-12,
-    pmf_head: int = 4,
 ) -> SweepResult:
     """Evaluate moments and leading pmf terms along one parameter axis.
 
@@ -175,25 +174,11 @@ def sweep(
     rows = []
     for value in grid:
         try:
-            p, fl = _substitute(params, filt, axis, value)
-            pmf = signal_pmf(stat, p, fl, tol)
-            moments = moments_from_pmf(pmf)
-            rows.append(SweepRow(value, moments, tuple(pmf.probs[:pmf_head])))
+            if axis == "f":
+                pmf = signal_pmf(stat, params, replace(filt, f=value), tol)
+            else:
+                pmf = signal_pmf(stat, replace(params, **{axis: value}), filt, tol)
+            rows.append(SweepRow(value, moments_from_pmf(pmf), pmf.probs[:PMF_HEAD]))
         except HspsError as exc:
             rows.append(SweepRow(value, None, None, error=str(exc)))
-    return SweepResult(axis=axis, grid=grid, rows=tuple(rows))
-
-
-def _substitute(
-    params: SourceParams, filt: FilterSpec, axis: str, value: float
-) -> tuple[SourceParams, FilterSpec]:
-    fields = {
-        "mu": params.mu,
-        "eta_h": params.eta_h,
-        "eta_s": params.eta_s,
-        "d_h": params.d_h,
-    }
-    if axis == "f":
-        return params, FilterSpec(filt.branch, value)
-    fields[axis] = value
-    return SourceParams(**fields), filt
+    return SweepResult(axis=axis, rows=tuple(rows))

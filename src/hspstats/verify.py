@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .model import FilterBranch, FilterSpec, NO_FILTER, PairStatistics, SourceParams
 from .montecarlo import McConfig, simulate
 
-__all__ = ["CheckResult", "MATRIX_SIZES", "sample_configurations", "run_verification"]
+__all__ = ["sample_configurations"]
 
 # (number of random box configurations, Monte Carlo trials per MC check)
 MATRIX_SIZES = {
@@ -37,6 +37,7 @@ SERIES_TOL = 1e-10          # per-term, closed form vs. independent series
 REDUCTION_TOL = 1e-12       # f = 1 reduction of the filtered factors
 MOMENT_TOL = 1e-9           # relative, closed moments vs. pmf moments
 MC_TOL = 1.0                # deviations in units of 5 sigma
+MC_PROB_FLOOR = 1e-6        # bins of smaller analytic probability are not compared
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,6 @@ def mc_deviation(
     stat: PairStatistics,
     params: SourceParams,
     filt: FilterSpec = NO_FILTER,
-    min_prob: float = 1e-6,
 ) -> float:
     """Worst bin deviation of an estimate from the closed form, in units of
     five binomial standard deviations of the analytic probability."""
@@ -172,7 +172,7 @@ def mc_deviation(
     worst = 0.0
     for n in range(len(est.pmf_hat) - 1):      # cap bin excluded: clamped mass
         p = pmf.prob(n)
-        if p < min_prob:
+        if p < MC_PROB_FLOOR:
             continue
         sigma = math.sqrt(p * (1.0 - p) / est.heralded)
         worst = max(worst, abs(est.pmf_hat[n] - p) / (5.0 * sigma))

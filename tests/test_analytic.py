@@ -5,12 +5,12 @@ expressions (and, for the pmfs, from the direct conditional series), so a
 regression in any closed form shows up against a value it did not produce.
 """
 
+import itertools
 import math
 import sys
 import time
 
 import pytest
-from scipy.special import eval_laguerre
 
 from hspstats import (
     NO_FILTER,
@@ -32,9 +32,6 @@ from hspstats import (
     herald_click_probability,
     herald_filter_convolution_oracle,
     herald_gain_ratio,
-    herald_prob,
-    input_pmf,
-    laguerre,
     moments_closed_form,
     moments_from_pmf,
     signal_pmf,
@@ -44,7 +41,7 @@ from hspstats import (
     xi_limit,
 )
 from hspstats import analytic
-from hspstats.analytic import _poisson_tail_bound, _thin, xi_values
+from hspstats.analytic import _poisson_tail_bound, _thin, herald_prob, input_pmf, xi_values
 from hspstats.verify import SERIES_TOL
 
 REF = SourceParams(0.01, 0.5, 0.5, 1e-4)
@@ -90,34 +87,6 @@ class TestInputPmf:
         for stat in (POISSON, THERMAL):
             total = math.fsum(input_pmf(stat, 0.8, N) for N in range(400))
             assert total == pytest.approx(1.0, abs=1e-12)
-
-
-class TestLaguerre:
-    def test_first_two_orders(self):
-        for x in (-3.0, 0.0, 1.7):
-            assert laguerre(0, x) == 1.0
-            assert laguerre(1, x) == 1.0 - x
-
-    def test_at_zero(self):
-        assert all(laguerre(n, 0.0) == 1.0 for n in range(51))
-
-    def test_sum_formula_value(self):
-        # direct expansion 1 + 6 + 3*4/2 + 8/6 = 43/3
-        assert laguerre(3, -2.0) == pytest.approx(43.0 / 3.0, rel=1e-14)
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40])
-    @pytest.mark.parametrize("x", [-11.0, -2.0, -1e-3, 0.5, 4.0, 30.0])
-    def test_against_scipy(self, n, x):
-        assert laguerre(n, x) == pytest.approx(float(eval_laguerre(n, x)), rel=1e-10)
-
-    def test_order_cap(self):
-        with pytest.raises(SeriesOverflowError):
-            laguerre(501, -1.0)
-
-    def test_overflow_carries_order(self):
-        with pytest.raises(SeriesOverflowError) as info:
-            laguerre(500, -1e12)
-        assert 0 < info.value.order <= 500
 
 
 class TestXi:
@@ -500,15 +469,43 @@ class TestMoments:
         assert m.fano is None and m.g2 is None
 
     def test_underflowing_mean_square_leaves_g2_undefined(self):
-        # mean ~ 3e-228 > 0, but mean^2 is 0: g2 must not divide by it
+        # mean ~ 3e-228 > 0, but mean^2 is 0: the closed form never divides
+        # by it (its g2 does not depend on eta_s), a summed pmf's g2 must
         m = moments_closed_form(SourceParams(0.01, 0.5, 2.75e-228, 1e-4))
         assert 0.0 < m.mean < 1e-200
-        assert m.fano == pytest.approx(1.0) and m.g2 is None
+        assert m.fano == pytest.approx(1.0)
+        assert m.g2 == moments_closed_form(REF).g2
         pmf = Pmf((1.0, 1e-200), 1e-12)
         m = moments_from_pmf(pmf)
         assert m.mean == 1e-200 and m.g2 is None
         with pytest.raises(UndefinedMomentError):
             g2_from_pmf(pmf)
+
+    def test_g2_finite_where_its_square_form_overflows(self):
+        # without dark counts gamma*eta_h ~ 1/mu, and (1 + 1e200)^2 overflows
+        m = moments_closed_form(SourceParams(1e-200, 0.5, 0.5, 0.0))
+        assert 0.0 < m.g2 < 1e-199
+        assert m.g2 == pytest.approx(1.5e-200, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [1e-12, 1e-10, 1e-6, 1e-3, 0.1, 3.0, 30.0])
+    def test_g2_matches_50_digit_reference(self, mu):
+        # reference from the pair law's factorial moments, in which eta_s
+        # cancels: g2 = E[N(N-1) H] P_click / E[N H]^2 with
+        # E[N^(k) H] = mu^k [1 - (1-d_h) e^(-mu eta_h) (1-eta_h)^k];
+        # measured worst over this grid 3.8e-16, where 1 + (var - mean)/mean^2
+        # was 6.2e-4 off at mu = 1e-12
+        mp = pytest.importorskip("mpmath")
+        for eta_h, d_h in itertools.product((1e-6, 1e-3, 0.5, 1.0), (0.0, 1e-4, 0.01, 0.3)):
+            with mp.workdps(50):
+                miss = (1 - mp.mpf(d_h)) * mp.exp(-mp.mpf(mu) * eta_h)
+                ref = ((1 - miss * (1 - mp.mpf(eta_h)) ** 2) * (1 - miss)
+                       / (1 - miss * (1 - mp.mpf(eta_h))) ** 2)
+            g2 = moments_closed_form(SourceParams(mu, eta_h, 0.5, d_h)).g2
+            assert g2 == pytest.approx(float(ref), rel=1e-15, abs=0.0), (eta_h, d_h)
+
+    def test_pmf_moments_share_g2_with_g2_from_pmf(self):
+        pmf = signal_pmf(THERMAL, SourceParams(1e-6, 0.5, 0.5, 1e-4))
+        assert moments_from_pmf(pmf).g2 == g2_from_pmf(pmf)
 
 
 class TestG2:
@@ -555,6 +552,17 @@ class TestAsymptote:
             e0, a0 = asymptotic_tail_check(p, 0.001, n)
             e1, a1 = asymptotic_tail_check(p, 0.001, n + 1)
             assert e1 / e0 == pytest.approx(a1 / a0, rel=0.25)
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_far_tail_gives_probabilities_not_overflow(self, n):
+        # lam**n / n! overflowed here; the Poisson term is now input_pmf's
+        p = SourceParams(30.0, 0.5, 0.5, 1e-4)
+        exact, asym = asymptotic_tail_check(p, 0.5, n)
+        assert 0.0 <= exact <= 1.0
+        # Po(lam, n) / P_click / (1 + a), with lam = a = 7.5
+        click = herald_click_probability(POISSON, p, FilterSpec(FilterBranch.HERALD, 0.5))
+        po = math.exp(n * math.log(7.5) - 7.5 - math.lgamma(n + 1))
+        assert asym == pytest.approx(po / click / 8.5, rel=1e-12, abs=0.0)
 
 
 class TestUnconditioned:

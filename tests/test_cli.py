@@ -4,9 +4,10 @@ import math
 import numpy
 import pytest
 
-from hspstats import (STREAM_VERSION, FilterBranch, FilterSpec, PairStatistics, SourceParams,
+from hspstats import (FilterBranch, FilterSpec, PairStatistics, SourceParams,
                       records, signal_pmf, xi, xi_kind_for)
 from hspstats.cli import main
+from hspstats.montecarlo import STREAM_VERSION
 
 REF_FLAGS = ["--mu", "0.01", "--eta-h", "0.5", "--eta-s", "0.5", "--dark", "1e-4"]
 

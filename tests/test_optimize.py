@@ -8,10 +8,12 @@ from hspstats import (
     SourceParams,
     ValidationError,
     fano_ratio,
+    moments_from_pmf,
     optimize_mu,
     signal_pmf,
     sweep,
 )
+from hspstats.optimize import SWEEP_AXES
 
 
 class TestFano:
@@ -32,7 +34,6 @@ class TestOptimizeMu:
         result = optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-5, 1.0))
         assert 0.014 <= result.mu_opt <= 0.018
         assert result.fano_opt == pytest.approx(0.512, abs=2e-3)
-        assert result.bracket == (1e-5, 1.0)
 
     def test_optimality_certificate(self):
         result = optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-5, 1.0), rel_tol=1e-5)
@@ -45,8 +46,8 @@ class TestOptimizeMu:
         assert tight.mu_opt == pytest.approx(wide.mu_opt, rel=1e-3)
 
     def test_interior_result_beats_bracket_ends(self):
-        result = optimize_mu(0.4, 0.8, 5e-4, bounds=(1e-5, 2.0))
-        lo, hi = result.bracket
+        lo, hi = 1e-5, 2.0
+        result = optimize_mu(0.4, 0.8, 5e-4, bounds=(lo, hi))
         assert lo <= result.mu_opt <= hi
         assert result.fano_opt <= fano_ratio(lo, 0.4, 0.8, 5e-4)
         assert result.fano_opt <= fano_ratio(hi, 0.4, 0.8, 5e-4)
@@ -115,6 +116,27 @@ class TestSweep:
         assert result.rows[0].error is not None
         assert result.rows[0].moments is None
         assert result.rows[1].error is None
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_rows_are_the_substituted_configuration(self, axis):
+        grid = {"mu": (0.001, 0.01, 0.1), "d_h": (0.0, 1e-4, 0.01)}.get(axis, (0.1, 0.5, 1.0))
+        base = {"mu": 0.01, "eta_h": 0.5, "eta_s": 0.5, "d_h": 1e-4, "f": 0.3}
+        params = SourceParams(0.01, 0.5, 0.5, 1e-4)
+        result = sweep(params, filt=FilterSpec(FilterBranch.HERALD, 0.3), axis=axis, grid=grid)
+        for value, row in zip(grid, result.rows, strict=True):
+            c = {**base, axis: value}
+            pmf = signal_pmf(PairStatistics.POISSON,
+                             SourceParams(c["mu"], c["eta_h"], c["eta_s"], c["d_h"]),
+                             FilterSpec(FilterBranch.HERALD, c["f"]))
+            assert row.error is None
+            assert row.pmf_head == pmf.probs[:4]
+            assert row.moments == moments_from_pmf(pmf)
+
+    def test_out_of_range_value_marks_its_row_failed(self):
+        result = sweep(SourceParams(0.01, 0.5, 0.5, 1e-4), axis="eta_h", grid=(0.5, 1.0, 1.5))
+        assert [row.error is None for row in result.rows] == [True, True, False]
+        assert "eta_h" in result.rows[2].error
+        assert result.rows[2].moments is None and result.rows[2].pmf_head is None
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValidationError):

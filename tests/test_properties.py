@@ -10,6 +10,7 @@ import math
 from hypothesis import given, strategies as st
 
 import hspstats as h
+from hspstats.analytic import DEFAULT_TOL, herald_prob
 
 efficiencies = st.floats(0.05, 1.0)
 mus = st.floats(math.log(1e-4), math.log(1.0)).map(math.exp)
@@ -42,13 +43,13 @@ def test_normalization(config):
     pmf = h.signal_pmf(stat, params, filt)
     total = math.fsum(pmf.probs)
     assert 1.0 - pmf.tail_bound <= total <= 1.0 + 1e-12
-    assert pmf.tail_bound <= h.DEFAULT_TOL
+    assert pmf.tail_bound <= DEFAULT_TOL
 
 
 @given(source_params(), st.integers(0, 200))
 def test_herald_prob_monotone_and_bounded(params, N):
-    a = h.herald_prob(N, params)
-    b = h.herald_prob(N + 1, params)
+    a = herald_prob(N, params)
+    b = herald_prob(N + 1, params)
     assert 0.0 <= a <= b <= 1.0
 
 
@@ -111,12 +112,6 @@ def test_convolution_oracle_equals_closed_form(params, f):
         h.PairStatistics.POISSON, params, h.FilterSpec(h.FilterBranch.HERALD, f))
     for n in range(max(len(oracle), len(closed))):
         assert abs(oracle.prob(n) - closed.prob(n)) < 1e-10
-
-
-@given(source_params())
-def test_serialization_round_trip(params):
-    q, _ = h.from_record(h.to_record(params))
-    assert q == params
 
 
 @given(st.floats(1e-6, 1.0), st.integers(0, 60))
