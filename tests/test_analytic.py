@@ -11,6 +11,7 @@ import sys
 import time
 
 import pytest
+from scipy import stats
 
 from hspstats import (
     NO_FILTER,
@@ -87,6 +88,21 @@ class TestInputPmf:
         for stat in (POISSON, THERMAL):
             total = math.fsum(input_pmf(stat, 0.8, N) for N in range(400))
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 5, 17, 40])
+    @pytest.mark.parametrize("mu", [1e-3, 0.5, 4.0, 30.0, 40.0])
+    def test_against_40_digit_reference(self, mu, N):
+        # the grid crosses the Poisson switch from mu^N/N! to exp(lgamma) at
+        # 32; exp(x) carries the rounding of the terms summed into x, about
+        # N |log mu| + mu + log N! ulp relative (N ulp for the thermal power)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            m = mp.mpf(mu)
+            refs = {POISSON: mp.exp(-m) * m**N / mp.factorial(N),
+                    THERMAL: (m / (1 + m)) ** N / (1 + m)}
+        for stat, ref in refs.items():
+            rel = 4e-16 * (1.0 + N * abs(math.log(mu)) + mu + math.lgamma(N + 1))
+            assert input_pmf(stat, mu, N) == pytest.approx(float(ref), rel=rel, abs=0.0), stat
 
 
 class TestXi:
@@ -333,6 +349,16 @@ class TestSignalPmf:
         # uncapped, the bound exceeds 1 just above n = a - 2
         bounds = [min(_poisson_tail_bound(a, n), 1.0) for n in range(int(3 * a) + 20)]
         assert all(x >= y for x, y in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("n", [0, 3, 10, 60])
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 5.0])
+    def test_poisson_tail_bound_holds_against_scipy(self, a, n):
+        # an upper bound on P(X > n), and within the geometric factor of it
+        exact = float(stats.poisson.sf(n, a))
+        bound = _poisson_tail_bound(a, n)
+        assert bound >= exact * (1.0 - 1e-12)
+        if a < n + 2:
+            assert bound <= exact / (1.0 - a / (n + 2)) * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("excess, clamped", [(1, True), (4, True), (5, False), (2**50, False)])
     def test_only_rounding_excess_above_one_is_clamped(self, monkeypatch, excess, clamped):

@@ -12,6 +12,7 @@ from hspstats import (
     SourceParams,
     ValidationError,
 )
+from hspstats import records
 from hspstats.model import to_record
 
 
@@ -97,6 +98,21 @@ class TestMomentSummary:
 
 
 class TestSerialization:
+    def test_round_trip_is_bit_exact(self):
+        # the CLI echoes to_record into every output record's inputs
+        p = SourceParams(0.0123456789012345678, 0.5, 1.0 / 3.0, 1e-4)
+        filt = FilterSpec(FilterBranch.HERALD, 0.1)
+        for fmt in records.FORMATS:
+            rec = records.OutputRecord(records.SCHEMA_VERSION, "pmf", to_record(p, filt), [])
+            back = records.parse(records.render(rec, fmt)).inputs
+            assert SourceParams(back["mu"], back["eta_h"], back["eta_s"], back["d_h"]) == p
+            assert FilterSpec(FilterBranch(back["filter_branch"]), back["f"]) == filt
+
+    def test_accepts_string_values(self):
+        p = SourceParams("0.01", "0.5", "0.5", "1e-4")
+        assert p == SourceParams(0.01, 0.5, 0.5, 1e-4) and p.d_h == 1e-4
+        assert FilterSpec(FilterBranch("signal"), "0.2").f == 0.2
+
     def test_record_keys(self):
         rec = to_record(SourceParams(0.01, 0.5, 0.5, 1e-4), NO_FILTER)
         assert set(rec) == {"mu", "eta_h", "eta_s", "d_h", "filter_branch", "f"}

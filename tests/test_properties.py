@@ -10,7 +10,9 @@ import math
 from hypothesis import given, strategies as st
 
 import hspstats as h
+from hspstats import records
 from hspstats.analytic import DEFAULT_TOL, herald_prob
+from hspstats.model import to_record
 
 efficiencies = st.floats(0.05, 1.0)
 mus = st.floats(math.log(1e-4), math.log(1.0)).map(math.exp)
@@ -112,6 +114,13 @@ def test_convolution_oracle_equals_closed_form(params, f):
         h.PairStatistics.POISSON, params, h.FilterSpec(h.FilterBranch.HERALD, f))
     for n in range(max(len(oracle), len(closed))):
         assert abs(oracle.prob(n) - closed.prob(n)) < 1e-10
+
+
+@given(source_params(), st.sampled_from(records.FORMATS))
+def test_serialization_round_trip(params, fmt):
+    rec = records.OutputRecord(records.SCHEMA_VERSION, "pmf", to_record(params), [])
+    back = records.parse(records.render(rec, fmt)).inputs
+    assert h.SourceParams(back["mu"], back["eta_h"], back["eta_s"], back["d_h"]) == params
 
 
 @given(st.floats(1e-6, 1.0), st.integers(0, 60))
