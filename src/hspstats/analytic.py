@@ -420,11 +420,23 @@ def signal_pmf(
     while tail(hi) > 0.9 * tol:
         hi = 2 * hi + 1
     order = bisect.bisect_left(range(hi + 1), True, hi // 2, key=lambda n: tail(n) <= 0.9 * tol)
-    # a term that rounds a few ulp above 1 is exactly 1 (tiny a); a larger
-    # excess is left for Pmf to reject
-    probs = [1.0 if 1.0 < p <= 1.0 + 4 * sys.float_info.epsilon else p
-             for p in itertools.islice(terms(), order + 1)]
-    return Pmf(tuple(probs), tail(order) + 0.1 * tol)
+    return Pmf(_clamped(terms(), order + 1), tail(order) + 0.1 * tol)
+
+
+def _clamped(terms, count: int) -> tuple:
+    """The first count pmf terms.  A term that rounds a few ulp above 1 is
+    exactly 1 (tiny a); a larger excess is left for Pmf to reject."""
+    return tuple([1.0 if 1.0 < p <= 1.0 + 4 * sys.float_info.epsilon else p
+                  for p in itertools.islice(terms, count)])
+
+
+def heralded_head(stat: PairStatistics, params: SourceParams, filt: FilterSpec,
+                  count: int) -> tuple:
+    """Moments and p(0), ..., p(count - 1) of the heralded signal law as
+    :func:`moments_closed_form` and :func:`signal_pmf` give them, from one description."""
+    desc = _describe(xi_kind_for(stat, filt), params, filt)
+    return (_moments(params, desc[0] is PairStatistics.POISSON, *desc[1:]),
+            _clamped(_factor(desc, params)[1](), count))
 
 
 def unconditioned_pmf(
@@ -508,31 +520,65 @@ def herald_filter_convolution_oracle(
     return _cut([x / p_h for x in probs], 0.7 * tol, 0.3 * tol)
 
 
-def moments_closed_form(params: SourceParams) -> MomentSummary:
-    """Mean, variance, Fano ratio and g2 of the heralded signal count for a
-    Poisson pair source without filtering.
+def moments_closed_form(params: SourceParams, stat: PairStatistics = PairStatistics.POISSON,
+                        filt: FilterSpec = NO_FILTER) -> MomentSummary:
+    """Mean, variance, Fano ratio and g2 of the heralded signal count of any
+    configuration, in closed form from its description (base, m, d, lam).
 
-    gamma is the odds of no click against a click:
-        gamma = (1-d_h) e^(-mu*eta_h) / [1 - (1-d_h) e^(-mu*eta_h)]
-        <n>   = mu*eta_s (1 + gamma*eta_h)
-        var   = mu*eta_s {1 + gamma*eta_h [1 - mu*eta_s*eta_h (1+gamma)]}
-        g2    = [1 + gamma*eta_h (2-eta_h)] / (1 + gamma*eta_h)^2
-    g2 is written with positive terms only (1 + (var - <n>)/<n>^2 cancels
-    for dim sources) and does not depend on eta_s.
+    Given the click, the count is Binomial(N, eta_s) of the kept-mode pair
+    count N plus a Po(lam) count; with E, V and G E^2 the mean, variance and
+    second factorial moment of N given the click,
+        <n> = eta_s E + lam,   var = eta_s (1-eta_s) E + eta_s^2 V + lam,
+        g2  = A^2 G + B (2A + B),   A = eta_s E/<n>,  B = lam/<n>.
+    With x = m eta_h, u = 1 - eta_h, z = 1 - (1-d) e^(-x) and t = (1-d) e^(-x) x/z,
+    a Poisson base has E = m + t, G = m (m + (1+u) t)/E^2 and
+        V = m + t [d e^(-x) - (e^(-x) - 1 + x)]/z;
+    with b = 1 + x, P = d + x and R = eta_h + x (2+x) + d u, a thermal one has
+    E = m R/(b P), G = 2 P [x (3 + 3x + x^2) + eta_h (1+u) + d u^2]/R^2 and
+        V = m (1+m) [x^2 (b^2+u) + d eta_h (1 + x^2 + 2m (1+b^2)) + d^2 u]/(b P)^2.
+    Only the Poisson V subtracts, never more than half of m, and takes
+    e^(-x) - 1 + x from its Taylor series at small x; x/z is carried whole,
+    so the moments stay finite at a subnormal x.
     """
-    mu, eta_h, eta_s, d_h = params.mu, params.eta_h, params.eta_s, params.d_h
-    _check_heraldable(d_h, mu * eta_h)
-    z = _oms(mu * eta_h, d_h)
-    gamma = (1.0 - d_h) * math.exp(-mu * eta_h) / z
-    mean = mu * eta_s * (1.0 + gamma * eta_h)
-    var = mu * eta_s * (1.0 + gamma * eta_h * (1.0 - mu * eta_s * eta_h * (1.0 + gamma)))
-    var = max(var, 0.0)
+    # optimize_mu's unfiltered Poisson source skips the description's enum lookups
+    if filt is NO_FILTER and stat is PairStatistics.POISSON:
+        return _moments(params, True, params.mu, params.d_h, 0.0)
+    base, m, d, lam = _describe(xi_kind_for(stat, filt), params, filt)
+    return _moments(params, base is PairStatistics.POISSON, m, d, lam)
+
+
+def _moments(params: SourceParams, poisson: bool, m: float, d: float, lam: float) -> MomentSummary:
+    """:func:`moments_closed_form` of a described configuration."""
+    eta_h, eta_s = params.eta_h, params.eta_s
+    x = m * eta_h
+    _check_heraldable(d, x)
+    if poisson:
+        miss, w = math.exp(-x), -math.expm1(-x)
+        z = d + (1.0 - d) * w
+        t = (1.0 - d) * miss * (x / z)
+        # e^(-x) - 1 + x = x - w, by its Taylor series while x - w cancels
+        gap = x - w if x > 0.125 else x * x * (
+            1 / 2 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x * (1 / 720 - x * (1 / 5040 - x * (
+                1 / 40320 - x * (1 / 362880 - x * (1 / 3628800 - x / 39916800)))))))))
+        e_n, v_n = m + t, m + t * (d * miss - gap) / z
+        g_n = m / e_n * ((m + (2.0 - eta_h) * t) / e_n) if m > 0.0 else 0.0   # unused at m = 0
+    else:
+        u, b, p = 1.0 - eta_h, 1.0 + x, d + x
+        r, k = eta_h + x * (2.0 + x) + d * u, m / (b * p)
+        e_n = k * r
+        v_n = (1.0 + m) * k * (m * eta_h * eta_h * k * (b * b + u) + d / (b * p) * (
+            eta_h * (1.0 + x * x + 2.0 * m * (1.0 + b * b)) + d * u))
+        if not math.isfinite(e_n + v_n):
+            raise SeriesOverflowError(f"moments leave double range at mean {m!r}", order=0)
+        g_n = 2.0 * p * (x * (3.0 + x * (3.0 + x)) + eta_h * (1.0 + u) + d * u * u) / r / r
+    mean = eta_s * e_n + lam
+    var = eta_s * ((1.0 - eta_s) * e_n + eta_s * v_n) + lam
     if mean == 0.0:
         return MomentSummary(mean, var, None, None)
-    g = gamma * eta_h
-    # divided twice, since (1 + g)^2 overflows for mu below about 1e-154
-    g2 = (1.0 + g * (2.0 - eta_h)) / (1.0 + g) / (1.0 + g)
-    return MomentSummary(mean, var, var / mean, g2)
+    if lam > 0.0:
+        kept, extra = eta_s * e_n / mean, lam / mean
+        g_n = kept * kept * g_n + extra * (2.0 * kept + extra)
+    return MomentSummary(mean, var, var / mean, g_n)
 
 
 def moments_from_pmf(pmf: Pmf) -> MomentSummary:

@@ -82,7 +82,6 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("moments", help="mean, variance, Fano ratio, g2")
     _add_physics_flags(p)
-    p.add_argument("--tol", type=float, default=analytic.DEFAULT_TOL, help="pmf tail tolerance")
     _add_output_flags(p)
 
     p = sub.add_parser("optimize", help="pump level minimizing the Fano ratio")
@@ -101,7 +100,6 @@ def build_parser() -> Parser:
     p.add_argument("--grid", help="comma-separated grid values")
     p.add_argument("--logspace", nargs=3, metavar=("START", "STOP", "POINTS"),
                    help="log-spaced grid")
-    p.add_argument("--tol", type=float, default=analytic.DEFAULT_TOL, help="pmf tail tolerance")
     _add_output_flags(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of the heralded pmf")
@@ -190,44 +188,28 @@ def cmd_pmf(s: dict) -> records.OutputRecord:
     kind = analytic.xi_kind_for(stat, filt)
     pmf = analytic.signal_pmf(stat, params, filt, s["tol"])
     n_top = len(pmf) - 1 if s["nmax"] is None else s["nmax"]
+    # rows beyond the truncated pmf take the exact terms that continue it
+    heralded = (pmf.probs if n_top < len(pmf)
+                else analytic.heralded_head(stat, params, filt, n_top + 1)[1])
     try:
         factors = analytic.xi_values(kind, n_top, params, filt)
     except SeriesOverflowError as exc:
-        # xi(n) leaves double range from n = exc.order on: those rows print it
-        # as null, and beyond the pmf their p_heralded too
+        # xi(n) leaves double range from n = exc.order on: those rows print it as null
         factors = analytic.xi_values(kind, exc.order - 1, params, filt)
     rows = []
     for n in range(n_top + 1):
-        base = analytic.unconditioned_pmf(stat, params, filt, n)
-        factor = factors[n] if n < len(factors) else None
-        if n < len(pmf):
-            p_heralded = pmf.probs[n]
-        else:
-            p_heralded = None if factor is None else base * factor
-        rows.append({"n": n, "p_heralded": p_heralded, "p_unheralded": base, "xi": factor})
+        rows.append({"n": n, "p_heralded": heralded[n],
+                     "p_unheralded": analytic.unconditioned_pmf(stat, params, filt, n),
+                     "xi": factors[n] if n < len(factors) else None})
     inputs = _echo_inputs(stat, params, filt, {"tol": s["tol"], "tail_bound": pmf.tail_bound})
     return records.OutputRecord(records.SCHEMA_VERSION, "pmf", inputs, rows)
 
 
 def cmd_moments(s: dict) -> records.OutputRecord:
     stat, params, filt = _physics(s)
-    if stat is PairStatistics.POISSON and filt.branch is FilterBranch.NONE:
-        summary = analytic.moments_closed_form(params)
-        source = "closed_form"
-    else:
-        summary = analytic.moments_from_pmf(analytic.signal_pmf(stat, params, filt, s["tol"]))
-        source = "pmf"
-    rows = [{
-        "mean": summary.mean,
-        "variance": summary.variance,
-        "fano": summary.fano,
-        "g2": summary.g2,
-        "source": source,
-    }]
-    return records.OutputRecord(
-        records.SCHEMA_VERSION, "moments",
-        _echo_inputs(stat, params, filt, {"tol": s["tol"]}), rows,
-    )
+    rows = [dataclasses.asdict(analytic.moments_closed_form(params, stat, filt))]
+    return records.OutputRecord(records.SCHEMA_VERSION, "moments",
+                                _echo_inputs(stat, params, filt), rows)
 
 
 def cmd_optimize(s: dict) -> records.OutputRecord:
@@ -276,18 +258,17 @@ def cmd_sweep(s: dict) -> records.OutputRecord:
     if s["axis"] == "f" and filt.branch is FilterBranch.NONE:
         raise UsageError("--axis f needs a mode filter: --filter signal or herald")
     grid = _parse_grid(s)
-    result = opt.sweep(params, stat, filt, s["axis"], grid, s["tol"])
+    result = opt.sweep(params, stat, filt, s["axis"], grid)
     failed = dict.fromkeys(("mean", "variance", "fano", "g2"))
     rows = []
     for row in result.rows:
-        head = row.pmf_head or ()
         rows.append({
             result.axis: row.value,
             **(failed if row.moments is None else dataclasses.asdict(row.moments)),
-            **{f"p{i}": head[i] if i < len(head) else None for i in range(opt.PMF_HEAD)},
+            **{f"p{i}": p for i, p in enumerate(row.pmf_head or (None,) * opt.PMF_HEAD)},
             "error": row.error,
         })
-    inputs = _echo_inputs(stat, params, filt, {"axis": s["axis"], "tol": s["tol"]})
+    inputs = _echo_inputs(stat, params, filt, {"axis": s["axis"]})
     return records.OutputRecord(records.SCHEMA_VERSION, "sweep", inputs, rows)
 
 

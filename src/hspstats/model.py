@@ -143,7 +143,7 @@ class Pmf:
         return self.probs[n] if n < len(self.probs) else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MomentSummary:
     """First two moments of a photon-number law plus derived ratios.
 
@@ -157,9 +157,13 @@ class MomentSummary:
     fano: float | None
     g2: float | None
 
-    def __post_init__(self):
-        if not self.variance >= 0.0:
-            raise ValidationError(f"variance must be >= 0, got {self.variance!r}")
+    def __init__(self, mean: float, variance: float, fano: float | None, g2: float | None):
+        if not variance >= 0.0:
+            raise ValidationError(f"variance must be >= 0, got {variance!r}")
+        # straight into the instance dict: the generated frozen __init__ costs
+        # one object.__setattr__ per field, more than the closed moments
+        fields = self.__dict__
+        fields["mean"], fields["variance"], fields["fano"], fields["g2"] = mean, variance, fano, g2
 
 
 def to_record(params: SourceParams, filt: FilterSpec = NO_FILTER) -> dict:

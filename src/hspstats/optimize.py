@@ -10,7 +10,7 @@ pmf terms along one parameter axis.
 import math
 from dataclasses import dataclass, replace
 
-from .analytic import moments_closed_form, moments_from_pmf, signal_pmf
+from .analytic import heralded_head, moments_closed_form
 from .errors import BracketError, HspsError, ValidationError
 from .model import (
     NO_FILTER,
@@ -156,12 +156,13 @@ def sweep(
     filt: FilterSpec = NO_FILTER,
     axis: str = "mu",
     grid: tuple = (),
-    tol: float = 1e-12,
 ) -> SweepResult:
     """Evaluate moments and leading pmf terms along one parameter axis.
 
-    Points are evaluated independently and in grid order; a point that
-    raises a domain error is marked failed instead of aborting the sweep.
+    Each point costs O(1): closed moments and the first PMF_HEAD terms of
+    the heralded law, with no pmf truncation.  Points are evaluated
+    independently and in grid order; a point that raises a domain error is
+    marked failed instead of aborting the sweep.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -174,11 +175,9 @@ def sweep(
     rows = []
     for value in grid:
         try:
-            if axis == "f":
-                pmf = signal_pmf(stat, params, replace(filt, f=value), tol)
-            else:
-                pmf = signal_pmf(stat, replace(params, **{axis: value}), filt, tol)
-            rows.append(SweepRow(value, moments_from_pmf(pmf), pmf.probs[:PMF_HEAD]))
+            point = params if axis == "f" else replace(params, **{axis: value})
+            point_filt = replace(filt, f=value) if axis == "f" else filt
+            rows.append(SweepRow(value, *heralded_head(stat, point, point_filt, PMF_HEAD)))
         except HspsError as exc:
             rows.append(SweepRow(value, None, None, error=str(exc)))
     return SweepResult(axis=axis, rows=tuple(rows))

@@ -7,6 +7,7 @@ regression in any closed form shows up against a value it did not produce.
 
 import itertools
 import math
+import random
 import sys
 import time
 
@@ -43,7 +44,7 @@ from hspstats import (
 )
 from hspstats import analytic
 from hspstats.analytic import _poisson_tail_bound, _thin, herald_prob, input_pmf, xi_values
-from hspstats.verify import SERIES_TOL
+from hspstats.verify import MOMENT_TOL, SERIES_TOL, sample_configurations
 
 REF = SourceParams(0.01, 0.5, 0.5, 1e-4)
 POISSON = PairStatistics.POISSON
@@ -532,6 +533,116 @@ class TestMoments:
     def test_pmf_moments_share_g2_with_g2_from_pmf(self):
         pmf = signal_pmf(THERMAL, SourceParams(1e-6, 0.5, 0.5, 1e-4))
         assert moments_from_pmf(pmf).g2 == g2_from_pmf(pmf)
+
+
+CONFIGURATIONS = {
+    "poisson": (POISSON, None),
+    "thermal": (THERMAL, None),
+    "signal_filtered": (POISSON, FilterBranch.SIGNAL),
+    "herald_filtered": (POISSON, FilterBranch.HERALD),
+}
+
+
+def _configuration(name, f):
+    stat, branch = CONFIGURATIONS[name]
+    return stat, NO_FILTER if branch is None else FilterSpec(branch, f)
+
+
+def _reference_moments(mp, name, params, f):
+    """Mean, variance and g2 at 50 digits from the pair law's weighted
+    moments E[N^(k) (1-eta_h)^N], k = 0, 1, 2, which give the herald-weighted
+    factorial moments E[N^(k) H] = E[N^(k)] - (1-d) E[N^(k) (1-eta_h)^N].
+    The kept mode is the whole source, or a thermal mode of mean mu f whose
+    removed twins either raise the herald's dark count (signal filter) or
+    add an independent Poisson signal of mean mu eta_s (1-f) (herald filter)."""
+    mu, eta_h, eta_s, d, f = (mp.mpf(v) for v in (params.mu, params.eta_h, params.eta_s,
+                                                   params.d_h, f))
+    lam = mp.mpf(0)
+    m, thermal = (mu, name != "poisson") if name in ("poisson", "thermal") else (mu * f, True)
+    if name == "signal_filtered":
+        d = 1 - (1 - d) * mp.exp(-mu * eta_h * (1 - f))
+    elif name == "herald_filtered":
+        lam = mu * eta_s * (1 - f)
+    u = 1 - eta_h
+    if thermal:
+        b = 1 + m * eta_h
+        weighted = (1 / b, m * u / b**2, 2 * m**2 * u**2 / b**3)
+        plain = (1, m, 2 * m**2)
+    else:
+        miss = mp.exp(-m * eta_h)
+        weighted = (miss, m * u * miss, (m * u) ** 2 * miss)
+        plain = (1, m, m**2)
+    click, e1, e2 = (p - (1 - d) * w for p, w in zip(plain, weighted))
+    mean_n, fact_n = e1 / click, e2 / click
+    mean = eta_s * mean_n + lam
+    var = eta_s**2 * (fact_n + mean_n - mean_n**2) + eta_s * (1 - eta_s) * mean_n + lam
+    fact = eta_s**2 * fact_n + 2 * eta_s * mean_n * lam + lam**2
+    return mean, var, fact / mean**2
+
+
+def _near_single_photon(count, seed=11):
+    rng = random.Random(seed)
+    return [(SourceParams(10 ** rng.uniform(-6, -2), 1 - 10 ** rng.uniform(-6, -1),
+                          1 - 10 ** rng.uniform(-6, -1), 0.0), rng.uniform(0.05, 1.0))
+            for _ in range(count)]
+
+
+class TestClosedMomentsEveryConfiguration:
+    @pytest.mark.parametrize("box", ["verify", "near_single_photon"])
+    @pytest.mark.parametrize("name", list(CONFIGURATIONS))
+    def test_matches_50_digit_reference(self, name, box):
+        # measured worst over both boxes and all configurations: 1.0e-15
+        mp = pytest.importorskip("mpmath")
+        configs = sample_configurations(200) if box == "verify" else _near_single_photon(100)
+        for params, f in configs:
+            got = moments_closed_form(params, *_configuration(name, f))
+            with mp.workdps(50):
+                want = _reference_moments(mp, name, params, f)
+            for label, value, ref in zip(("mean", "variance", "g2"),
+                                         (got.mean, got.variance, got.g2), want):
+                assert value == pytest.approx(float(ref), rel=1e-13, abs=0.0), (label, params, f)
+
+    @pytest.mark.parametrize("name", list(CONFIGURATIONS))
+    def test_agrees_with_summed_pmf(self, name):
+        for params, f in sample_configurations(200):
+            stat, filt = _configuration(name, f)
+            closed = moments_closed_form(params, stat, filt)
+            direct = moments_from_pmf(signal_pmf(stat, params, filt, 1e-13))
+            assert closed.mean == pytest.approx(direct.mean, rel=MOMENT_TOL, abs=0.0)
+            assert closed.variance == pytest.approx(direct.variance, rel=MOMENT_TOL, abs=0.0)
+
+    @pytest.mark.parametrize("name", list(CONFIGURATIONS))
+    def test_subnormal_pump_stays_finite(self, name):
+        # mu*eta_h subnormal with d_h = 0: gamma = e^(-x)/z overflowed and
+        # made the mean inf and g2 nan; the pair that heralds is all there is
+        mp = pytest.importorskip("mpmath")
+        params = SourceParams(1e-310, 0.5, 0.5, 0.0)
+        got = moments_closed_form(params, *_configuration(name, 0.5))
+        # 1 - e^(-x) at x ~ 1e-310 needs more than 310 digits
+        with mp.workdps(450):
+            mean, var, g2 = (float(v) for v in _reference_moments(mp, name, params, 0.5))
+        assert got.mean == pytest.approx(mean, rel=1e-12)
+        assert got.variance == pytest.approx(var, rel=1e-12)
+        assert got.fano == pytest.approx(var / mean, rel=1e-12)
+        assert got.g2 == pytest.approx(g2, rel=1e-12, abs=1e-320)
+
+    def test_filtered_at_full_fraction_equal_thermal(self):
+        thermal = moments_closed_form(REF, THERMAL)
+        for branch in (FilterBranch.SIGNAL, FilterBranch.HERALD):
+            assert moments_closed_form(REF, POISSON, FilterSpec(branch, 1.0)) == thermal
+
+    def test_poisson_default_equals_explicit_filter(self):
+        spec = FilterSpec(FilterBranch.NONE, 1.0)
+        assert moments_closed_form(REF) == moments_closed_form(REF, POISSON, spec)
+
+    def test_filter_needs_poisson_pairs(self):
+        with pytest.raises(ValidationError):
+            moments_closed_form(REF, THERMAL, FilterSpec(FilterBranch.HERALD, 0.5))
+
+    def test_thermal_beyond_double_range_is_a_domain_error(self):
+        # the thermal variance ~ mu^2 leaves double range; no nan escapes
+        with pytest.raises(SeriesOverflowError):
+            moments_closed_form(SourceParams(1e200, 0.5, 0.5, 1e-4), THERMAL)
 
 
 class TestG2:

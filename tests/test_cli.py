@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,9 @@ import numpy
 import pytest
 
 from hspstats import (FilterBranch, FilterSpec, PairStatistics, SourceParams,
-                      records, signal_pmf, xi, xi_kind_for)
+                      moments_closed_form, moments_from_pmf, records, signal_pmf, xi,
+                      xi_kind_for)
+from hspstats.analytic import heralded_head
 from hspstats.cli import main
 from hspstats.montecarlo import STREAM_VERSION
 
@@ -101,12 +104,18 @@ class TestPmfCommand:
             xi(kind, n, SourceParams(30, 0.5, 0.5, 1e-4), spec) for n in range(69)]
         assert all(row["xi"] is None for row in rows[69:])
 
+        # beyond the pmf, p_heralded continues with the exact terms, which
+        # stay finite where xi has left double range
         code, out, _ = run(capsys, "pmf", *flags, "--nmax", "150")
         assert code == 0
         rows = records.parse(out).rows
         assert len(rows) == 151
-        assert all(row["p_heralded"] is None and row["xi"] is None
-                   for row in rows[len(pmf):])
+        params = SourceParams(30, 0.5, 0.5, 1e-4)
+        terms = heralded_head(PairStatistics.POISSON, params, spec, 151)[1]
+        assert tuple(row["p_heralded"] for row in rows) == terms
+        assert terms[:len(pmf)] == pmf.probs
+        assert all(0.0 <= p < 1e-12 for p in terms[len(pmf):])
+        assert all(row["xi"] is None for row in rows[69:])
 
     def test_thermal_vacuum(self, capsys):
         code, out, _ = run(capsys, "pmf", "--stat", "thermal", "--mu", "0",
@@ -231,7 +240,9 @@ class TestMomentsCommand:
         row = records.parse(out).rows[0]
         assert row["fano"] < 1.0
         assert row["g2"] < 1.0
-        assert row["source"] == "closed_form"
+        want = moments_closed_form(SourceParams(0.01, 0.5, 0.5, 1e-4))
+        assert row == {"mean": want.mean, "variance": want.variance,
+                       "fano": want.fano, "g2": want.g2}
 
     def test_certain_darks_poissonian(self, capsys):
         code, out, _ = run(capsys, "moments", "--mu", "0.016", "--eta-h", "0.5",
@@ -245,11 +256,31 @@ class TestMomentsCommand:
         row = records.parse(out).rows[0]
         assert row["fano"] == pytest.approx(0.512, abs=1e-3)
 
-    def test_thermal_uses_pmf_moments(self, capsys):
+    def test_thermal_agrees_with_pmf_moments(self, capsys):
         code, out, _ = run(capsys, "moments", "--stat", "thermal", *REF_FLAGS)
         row = records.parse(out).rows[0]
-        assert row["source"] == "pmf"
         assert row["fano"] < 1.0
+        params = SourceParams(0.01, 0.5, 0.5, 1e-4)
+        assert row == dataclasses.asdict(moments_closed_form(params, PairStatistics.THERMAL))
+        direct = moments_from_pmf(signal_pmf(PairStatistics.THERMAL, params, tol=1e-13))
+        for key in ("mean", "variance", "fano", "g2"):
+            assert row[key] == pytest.approx(getattr(direct, key), rel=1e-9)
+
+    @pytest.mark.parametrize("config", [
+        ["--stat", "poisson"], ["--stat", "thermal"],
+        ["--filter", "signal", "--f", "0.5"], ["--filter", "herald", "--f", "0.5"]])
+    def test_subnormal_pump_stays_finite(self, capsys, config):
+        # mu*eta_h subnormal with d_h = 0: the herald is a pair; the mean
+        # once overflowed to inf and g2 to nan
+        code, out, _ = run(capsys, "moments", "--mu", "1e-310", "--eta-h", "0.5",
+                           "--eta-s", "0.5", "--dark", "0", *config)
+        assert code == 0
+        row = records.parse(out).rows[0]
+        mean, variance = (0.25, 0.1875) if "signal" in config else (0.5, 0.25)
+        assert row["mean"] == pytest.approx(mean, rel=1e-12)
+        assert row["variance"] == pytest.approx(variance, rel=1e-12)
+        assert row["fano"] == pytest.approx(variance / mean, rel=1e-12)
+        assert 0.0 <= row["g2"] < 1e-300
 
 
 class TestOptimizeCommand:

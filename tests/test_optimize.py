@@ -5,15 +5,18 @@ from hspstats import (
     FilterBranch,
     FilterSpec,
     PairStatistics,
+    SeriesOverflowError,
     SourceParams,
     ValidationError,
+    analytic,
     fano_ratio,
-    moments_from_pmf,
+    moments_closed_form,
+    optimize,
     optimize_mu,
     signal_pmf,
     sweep,
 )
-from hspstats.optimize import SWEEP_AXES
+from hspstats.optimize import PMF_HEAD, SWEEP_AXES
 
 
 class TestFano:
@@ -130,7 +133,9 @@ class TestSweep:
                              FilterSpec(FilterBranch.HERALD, c["f"]))
             assert row.error is None
             assert row.pmf_head == pmf.probs[:4]
-            assert row.moments == moments_from_pmf(pmf)
+            assert row.moments == moments_closed_form(
+                SourceParams(c["mu"], c["eta_h"], c["eta_s"], c["d_h"]), PairStatistics.POISSON,
+                FilterSpec(FilterBranch.HERALD, c["f"]))
 
     def test_out_of_range_value_marks_its_row_failed(self):
         result = sweep(SourceParams(0.01, 0.5, 0.5, 1e-4), axis="eta_h", grid=(0.5, 1.0, 1.5))
@@ -151,8 +156,8 @@ class TestSweep:
             sweep(SourceParams(0.01, 0.5, 0.5, 1e-4), axis="mu", grid=(0.1, 0.1))
 
     def test_thermal_dimming_curve_same_shape(self):
-        # no closed-form thermal variance: pmf moments must still show the
-        # dip below 1 with recovery on both sides
+        # the thermal closed moments must show the same dip below 1 with
+        # recovery on both sides
         grid = tuple(1e-6 * (1e6 ** (i / 39)) for i in range(40))
         result = sweep(
             SourceParams(0.01, 0.5, 0.5, 1e-4),
@@ -165,3 +170,39 @@ class TestSweep:
         assert 0 < k < len(fanos) - 1
         assert min(fanos) < 0.6
         assert fanos[0] > 0.95
+
+    def test_rows_never_build_a_truncated_pmf(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep called signal_pmf")
+
+        monkeypatch.setattr(analytic, "signal_pmf", refuse)
+        monkeypatch.setattr(optimize, "signal_pmf", refuse, raising=False)
+        params = SourceParams(0.01, 0.5, 0.5, 1e-4)
+        for stat, filt in ((PairStatistics.POISSON, FilterSpec()),
+                           (PairStatistics.THERMAL, FilterSpec()),
+                           (PairStatistics.POISSON, FilterSpec(FilterBranch.SIGNAL, 0.3)),
+                           (PairStatistics.POISSON, FilterSpec(FilterBranch.HERALD, 0.3))):
+            result = sweep(params, stat, filt, axis="mu", grid=(1e-3, 0.1, 10.0))
+            assert all(row.error is None for row in result.rows)
+
+    def test_row_beyond_the_pmf_length_limit(self):
+        # a thermal pmf at mu = 1e4 needs more than 100,001 terms, which
+        # signal_pmf refuses; the row needs none of them
+        params = SourceParams(1.0, 0.5, 0.5, 1e-4)
+        result = sweep(params, PairStatistics.THERMAL, axis="mu", grid=(100.0, 1e4))
+        with pytest.raises(SeriesOverflowError):
+            signal_pmf(PairStatistics.THERMAL, SourceParams(1e4, 0.5, 0.5, 1e-4))
+        for row in result.rows:
+            assert row.error is None
+            assert row.moments == moments_closed_form(
+                SourceParams(row.value, 0.5, 0.5, 1e-4), PairStatistics.THERMAL)
+        assert result.rows[1].moments.mean == pytest.approx(0.5 * 1e4, rel=1e-3)
+
+    @pytest.mark.parametrize("branch", [FilterBranch.SIGNAL, FilterBranch.HERALD])
+    def test_full_fraction_rows_are_thermal_bit_for_bit(self, branch):
+        params = SourceParams(0.3, 0.6, 0.7, 1e-4)
+        thermal = sweep(params, PairStatistics.THERMAL, FilterSpec(), axis="f", grid=(1.0,))
+        filtered = sweep(params, filt=FilterSpec(branch, 0.5), axis="f", grid=(0.5, 1.0))
+        assert filtered.rows[1] == thermal.rows[0]
+        pmf = signal_pmf(PairStatistics.POISSON, params, FilterSpec(branch, 0.5))
+        assert filtered.rows[0].pmf_head == pmf.probs[:PMF_HEAD]
