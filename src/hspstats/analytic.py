@@ -316,16 +316,18 @@ def _thermal_tail(q: float, n: int) -> float:
 
 
 def _thin(weights: list, eta: float) -> list:
-    """sum_N w[N] Binomial(N, eta) as a vector over survivors: the generating
-    function sum_N w[N] (1-eta + eta*z)^N in Horner form.  Every step is a
-    positive combination of positive floats, so nothing cancels or
-    overflows and no binomial coefficient is formed."""
-    lose = 1.0 - eta
-    poly = [weights[-1]]
+    """sum_N w[N] Binomial(N, eta) as a list over survivors: sum_N w[N] (1-eta + eta*z)^N
+    in Horner form, each step one two-tap convolution with (1-eta, eta), run as
+    ``numpy.correlate`` on the reversed taps to skip ``numpy.convolve``'s argument
+    conversion.  Only positive floats are combined, so nothing cancels or overflows.
+    numpy is imported here so that importing this module does not import numpy."""
+    import numpy as np
+    taps = np.array([eta, 1.0 - eta])
+    poly = np.array(weights[-1:])
     for w in reversed(weights[:-1]):
-        poly = [lose * a + eta * b for a, b in zip(poly + [0.0], [0.0] + poly)]
+        poly = np.correlate(poly, taps, "full")
         poly[0] += w
-    return poly
+    return poly.tolist()
 
 
 def _cut(probs: list, keep_tol: float, reserve: float) -> Pmf:
@@ -468,10 +470,11 @@ def herald_filter_convolution_oracle(
     (extraneous heralding photons are filtered out before the detector);
     the extraneous signal photons are Poisson with mean mu*(1-f).  Both
     populations are thinned by eta_s through their binomial sums in Horner
-    form (:func:`_thin`), convolved, and normalized by the summed herald
-    probability.  Entirely independent of the closed-form correcting
-    factors.
+    form (:func:`_thin`), convolved by ``numpy.convolve`` (imported here so
+    that importing this module does not import numpy), and normalized by the
+    summed herald probability.  Never reads the closed-form correcting factors.
     """
+    import numpy as np
     if not tol >= MIN_TOL:
         raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
     if not 0.0 < f <= 1.0:
@@ -510,14 +513,7 @@ def herald_filter_convolution_oracle(
 
     p1 = _thin(kept_w, eta_s)     # unnormalized: includes the herald weight
     p2 = _thin(ex_w, eta_s)
-
-    probs = [0.0] * (len(p1) + len(p2) - 1)
-    for k, a in enumerate(p1):
-        if a == 0.0:
-            continue
-        for j, b in enumerate(p2):
-            probs[k + j] += a * b
-    return _cut([x / p_h for x in probs], 0.7 * tol, 0.3 * tol)
+    return _cut((np.convolve(p1, p2) / p_h).tolist(), 0.7 * tol, 0.3 * tol)
 
 
 def moments_closed_form(params: SourceParams, stat: PairStatistics = PairStatistics.POISSON,
@@ -540,9 +536,6 @@ def moments_closed_form(params: SourceParams, stat: PairStatistics = PairStatist
     e^(-x) - 1 + x from its Taylor series at small x; x/z is carried whole,
     so the moments stay finite at a subnormal x.
     """
-    # optimize_mu's unfiltered Poisson source skips the description's enum lookups
-    if filt is NO_FILTER and stat is PairStatistics.POISSON:
-        return _moments(params, True, params.mu, params.d_h, 0.0)
     base, m, d, lam = _describe(xi_kind_for(stat, filt), params, filt)
     return _moments(params, base is PairStatistics.POISSON, m, d, lam)
 

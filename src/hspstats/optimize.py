@@ -10,7 +10,7 @@ pmf terms along one parameter axis.
 import math
 from dataclasses import dataclass, replace
 
-from .analytic import heralded_head, moments_closed_form
+from .analytic import _moments, heralded_head
 from .errors import BracketError, HspsError, ValidationError
 from .model import (
     NO_FILTER,
@@ -58,10 +58,15 @@ class SweepResult:
 
 def fano_ratio(mu: float, eta_h: float, eta_s: float, d_h: float) -> float:
     """(Delta n)^2 / <n> for a Poisson source at pump level mu."""
-    summary = moments_closed_form(SourceParams(mu, eta_h, eta_s, d_h))
-    if summary.fano is None:
+    return _fano(SourceParams(mu, eta_h, eta_s, d_h), mu)
+
+
+def _fano(point: SourceParams, mu: float) -> float:
+    """:func:`fano_ratio` at point's eta_h, eta_s and d_h, mu not validated."""
+    fano = _moments(point, True, mu, point.d_h, 0.0).fano
+    if fano is None:
         raise ValidationError("Fano ratio undefined: the mean photon number is zero")
-    return summary.fano
+    return fano
 
 
 def optimize_mu(
@@ -90,13 +95,14 @@ def optimize_mu(
         )
     if not rel_tol > 0.0:
         raise ValidationError(f"rel_tol must be > 0, got {rel_tol!r}")
+    point = SourceParams(mu_hi, eta_h, eta_s, d_h)   # validated once: every probed mu <= mu_hi
 
     evaluations = 0
 
     def objective(log_mu: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return fano_ratio(math.exp(log_mu), eta_h, eta_s, d_h)
+        return _fano(point, math.exp(log_mu))
 
     a, b = math.log(mu_lo), math.log(mu_hi)
     f_lo, f_hi = objective(a), objective(b)
@@ -145,7 +151,7 @@ def optimize_mu(
     mu_opt = math.exp(log_opt)
     return OptimizeResult(
         mu_opt=mu_opt,
-        fano_opt=fano_ratio(mu_opt, eta_h, eta_s, d_h),
+        fano_opt=_fano(point, mu_opt),
         evaluations=evaluations,
     )
 

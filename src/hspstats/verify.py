@@ -7,6 +7,7 @@ simulation.  ``run_verification`` exercises all of them over randomized
 configurations and returns one report row per check.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,8 +72,8 @@ def sample_configurations(count: int, seed: int = 20260809) -> list:
 
 
 def _max_term_deviation(pmf_a, pmf_b) -> float:
-    n = max(len(pmf_a), len(pmf_b))
-    return max(abs(pmf_a.prob(i) - pmf_b.prob(i)) for i in range(n))
+    pairs = itertools.zip_longest(pmf_a.probs, pmf_b.probs, fillvalue=0.0)
+    return max(abs(a - b) for a, b in pairs)
 
 
 def _series_checks(configs) -> dict:

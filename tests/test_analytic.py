@@ -10,6 +10,7 @@ import math
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from scipy import stats
@@ -422,6 +423,36 @@ class TestThinning:
             assert len(got) == len(weights)
             for a, b in zip(got, expected):
                 assert a == pytest.approx(b, rel=1e-13, abs=1e-16)
+
+    def test_matches_exact_binomial_sum_at_300_weights(self):
+        # exact in integers: w[N] = W[N]/scale and eta = a/2^k, so that
+        # sum_N w[N] C(N,n) eta^n (1-eta)^(N-n) is a^n sum_N W[N] C(N,n)
+        # (2^k-a)^(N-n) 2^(k(top-N)) over scale 2^(k top)
+        rng = random.Random(7)
+        weights = [rng.uniform(0.5, 1.0) * 0.97**N for N in range(300)]
+        scale = max(Fraction(w).denominator for w in weights)
+        ints = [int(Fraction(w) * scale) for w in weights]
+        top = len(weights) - 1
+        for eta in (0.0, 0.3, 1.0):
+            a, d = eta.as_integer_ratio()
+            k = d.bit_length() - 1
+            lose = [(d - a) ** j for j in range(top + 1)]
+            got = _thin(weights, eta)
+            assert len(got) == len(weights)
+            for n, value in enumerate(got):
+                total = sum(ints[N] * math.comb(N, n) * lose[N - n] << k * (top - N)
+                            for N in range(n, top + 1))
+                exact = float(Fraction(a**n * total, scale << k * top))
+                assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_single_weight_is_returned_as_is(self):
+        assert _thin([0.375], 0.3) == [0.375]
+
+    def test_returns_a_list_of_python_floats(self):
+        # _cut slices the result and Pmf stores it
+        got = _thin([0.5, 0.25, 0.125], 0.3)
+        assert type(got) is list
+        assert all(type(x) is float for x in got)
 
     def test_high_mu_oracles_stay_finite(self):
         # about 1200 pairs: C(N, n) no longer fits in a double

@@ -6,8 +6,8 @@ Each draw must either agree term by term within ``verify.SERIES_TOL`` or
 raise a documented :class:`HspsError` subclass; a bare ``OverflowError``
 or ``ValueError`` fails the test, and so does a closed-form
 :class:`SeriesOverflowError` where the oracle returns a pmf.  The
-herald-filtered route draws fewer examples: its convolution oracle takes
-up to about 0.1 s at mu = 30.
+herald-filtered route draws 100 examples: its convolution oracle takes
+up to about 6 ms at mu = 30, and the 100 draws under half a second.
 """
 
 import math
@@ -78,7 +78,7 @@ def test_closed_forms_match_series_at_corners(route, mu, eta_h, eta_s, d_h, f):
     _check(route, h.SourceParams(mu, eta_h, eta_s, d_h), f)
 
 
-@settings(max_examples=20)
+@settings(max_examples=100)
 @given(mus, fractions, fractions, darks, fractions)
 def test_herald_filtered_matches_convolution_at_corners(mu, eta_h, eta_s, d_h, f):
     _check(HERALD_ROUTE, h.SourceParams(mu, eta_h, eta_s, d_h), f)
