@@ -1,4 +1,10 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,13 @@ REF = SourceParams(0.01, 0.5, 0.5, 1e-4)
 POISSON = PairStatistics.POISSON
 THERMAL = PairStatistics.THERMAL
 
+CONFIGS = [
+    (POISSON, NO_FILTER),
+    (THERMAL, NO_FILTER),
+    (POISSON, FilterSpec(FilterBranch.SIGNAL, 0.1)),
+    (POISSON, FilterSpec(FilterBranch.HERALD, 0.1)),
+]
+
 
 class TestConfig:
     def test_rejects_zero_trials(self):
@@ -42,6 +55,18 @@ class TestConfig:
         McConfig(params=SourceParams(mc.MAX_MU, 0.5, 0.5, 0.0))
         with pytest.raises(ValidationError):
             McConfig(params=SourceParams(1e300, 0.5, 0.5, 0.0))
+
+    @pytest.mark.parametrize("field,value", [("trials", 2.5e5), ("trials", 1000.0),
+                                             ("n_cap", 8.5), ("seed", 1.5), ("seed", "1")])
+    def test_rejects_non_integral_counts_and_seed(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            McConfig(params=REF, **{field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = McConfig(params=REF, trials=np.int64(1000), n_cap=np.int32(8),
+                           seed=np.uint64(2**64 - 1))
+        assert simulate(config) == simulate(McConfig(params=REF, trials=1000, n_cap=8,
+                                                     seed=2**64 - 1))
 
     def test_rejects_thermal_filter(self):
         with pytest.raises(ValidationError):
@@ -78,6 +103,94 @@ class TestDeterminism:
                     heralds += pieces[i][1]
             assert heralds == est.heralded
             assert (hist / heralds == np.asarray(est.pmf_hat)).all()
+
+    @pytest.mark.parametrize("stat,filt", CONFIGS)
+    def test_threaded_run_equals_serial_fold(self, monkeypatch, stat, filt):
+        # three workers, eight chunks, the last one partial: whatever the
+        # machine, simulate() must equal the in-order fold of its chunks
+        monkeypatch.setattr(mc, "CHUNK_TRIALS", 1000)
+        monkeypatch.setattr(mc, "_cpus", lambda: 3)
+        config = McConfig(params=SourceParams(0.5, 0.5, 0.5, 1e-2), stat=stat, filt=filt,
+                          trials=7321, seed=88)
+        assert [size for _, size in mc._chunks(config.trials)] == [1000] * 7 + [321]
+
+        hist = np.zeros(config.n_cap + 1, dtype=np.int64)
+        heralds = 0
+        for index, size in mc._chunks(config.trials):
+            h, k = mc._simulate_chunk(config, index, size)
+            hist += h
+            heralds += k
+        est = simulate(config)
+        assert est.heralded == heralds
+        assert est.pmf_hat == tuple((hist / heralds).tolist())
+
+
+def _run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; on timeout kill its whole process group, forks included, and
+    fail."""
+    src = str(Path(mc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"no exit within {timeout} s")
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+class TestThreads:
+    FORK = """
+import os, sys
+import hspstats.montecarlo as mc
+from hspstats import McConfig, SourceParams, simulate
+mc.CHUNK_TRIALS = 4096
+mc._cpus = lambda: 2
+config = McConfig(params=SourceParams(0.5, 0.5, 0.5, 1e-3), trials=5 * 4096 + 7, seed=21)
+parent = simulate(config)
+pid = os.fork()
+if pid == 0:
+    try:
+        os._exit(0 if simulate(config) == parent else 1)
+    finally:
+        os._exit(2)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_still_simulates(self):
+        # the child inherits the parent's pool object but none of its threads
+        proc = _run_python(self.FORK, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_one_chunk_stays_on_the_calling_thread(self):
+        # what a CLI call pays for: no concurrent.futures import, no thread
+        proc = _run_python("""
+import sys, threading
+from hspstats import McConfig, SourceParams, simulate
+simulate(McConfig(params=SourceParams(0.01, 0.5, 0.5, 1e-4), trials=200_000, seed=1))
+print("concurrent.futures" in sys.modules, threading.active_count())
+""", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "1"]
+
+    def test_bright_chunk_working_set(self):
+        # each chunk in flight holds its peak; at the parent it was 25.1 MiB
+        _, stat, params, filt = next(c for c in mc_acceptance_matrix()
+                                     if c[0] == "bright_source")
+        config = McConfig(params=params, stat=stat, filt=filt, trials=1 << 20, seed=3)
+        tracemalloc.start()
+        try:
+            mc._simulate_chunk(config, 0, 1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestExactCases:
@@ -163,14 +276,6 @@ class TestHeraldRate:
         rate, err = self.rate_and_error(config)
         expected = herald_click_probability(POISSON, REF)
         assert abs(rate - expected) <= 5 * max(err, 1e-9)
-
-
-CONFIGS = [
-    (POISSON, NO_FILTER),
-    (THERMAL, NO_FILTER),
-    (POISSON, FilterSpec(FilterBranch.SIGNAL, 0.1)),
-    (POISSON, FilterSpec(FilterBranch.HERALD, 0.1)),
-]
 
 
 class TestSparseSampler:
