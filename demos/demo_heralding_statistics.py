@@ -14,7 +14,6 @@ from hspstats import (
     NO_FILTER,
     PairStatistics,
     SourceParams,
-    XiKind,
     g2_from_pmf,
     herald_click_probability,
     signal_pmf,
@@ -35,10 +34,10 @@ print(f"herald click probability per bin: {rate:.4e}\n")
 print(f"{'n':>2} {'unheralded':>13} {'heralded':>13} {'xi(n)':>10}")
 for n in range(7):
     base = unconditioned_pmf(stat, params, NO_FILTER, n)
-    factor = xi(XiKind.POISSON_UNFILTERED, n, params)
+    factor = xi(stat, params, NO_FILTER, n)
     print(f"{n:>2} {base:13.6e} {base * factor:13.6e} {factor:10.4f}")
 
-limit = xi_limit(XiKind.POISSON_UNFILTERED, params)
+limit = xi_limit(stat, params)
 print(f"\nxi grows with n but stays below its limit {limit:.2f}: the")
 print("heralded tail keeps the exponential suppression of the base law.")
 

@@ -20,7 +20,6 @@ from hspstats import (
     signal_pmf,
     unconditioned_pmf,
     xi,
-    xi_kind_for,
 )
 
 params = SourceParams(mu=0.01, eta_h=0.5, eta_s=0.5, d_h=1e-4)
@@ -29,8 +28,7 @@ POISSON = PairStatistics.POISSON
 
 
 def term(filt, n):
-    kind = xi_kind_for(POISSON, filt)
-    return unconditioned_pmf(POISSON, params, filt, n) * xi(kind, n, params, filt)
+    return unconditioned_pmf(POISSON, params, filt, n) * xi(POISSON, params, filt, n)
 
 
 sig_filter = FilterSpec(FilterBranch.SIGNAL, F)

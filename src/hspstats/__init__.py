@@ -8,7 +8,6 @@ form.
 """
 
 from .analytic import (
-    XiKind,
     asymptotic_tail_check,
     conditional_pmf_series,
     effective_dark_count,
@@ -21,7 +20,6 @@ from .analytic import (
     signal_pmf,
     unconditioned_pmf,
     xi,
-    xi_kind_for,
     xi_limit,
 )
 from .errors import (

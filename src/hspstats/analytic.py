@@ -27,7 +27,6 @@ import bisect
 import itertools
 import math
 import sys
-from enum import Enum
 
 from .errors import (
     NoHeraldError,
@@ -38,6 +37,7 @@ from .errors import (
 )
 from .model import (
     NO_FILTER,
+    TERM_CAP,
     FilterBranch,
     FilterSpec,
     MomentSummary,
@@ -47,8 +47,6 @@ from .model import (
 )
 
 __all__ = [
-    "XiKind",
-    "xi_kind_for",
     "effective_dark_count",
     "xi",
     "xi_limit",
@@ -69,38 +67,6 @@ DEFAULT_TOL = 1e-12
 # Requested tail tolerances below this cannot be honored in double precision
 # (the builders account mass by floating-point summation).
 MIN_TOL = 1e-13
-
-
-class XiKind(Enum):
-    """Which correcting factor applies to a configuration."""
-
-    POISSON_UNFILTERED = "xi_p"
-    THERMAL_UNFILTERED = "xi_t"
-    SIGNAL_FILTERED = "xi_s"
-    HERALD_FILTERED = "xi_h"
-
-
-# the filter branch of each filtered kind; the others take none
-_FILTERED = {
-    XiKind.SIGNAL_FILTERED: FilterBranch.SIGNAL,
-    XiKind.HERALD_FILTERED: FilterBranch.HERALD,
-}
-
-
-def xi_kind_for(stat: PairStatistics, filt: FilterSpec) -> XiKind:
-    """Correcting-factor kind uniquely determined by (statistics, filter)."""
-    if filt.branch is FilterBranch.NONE:
-        if stat is PairStatistics.POISSON:
-            return XiKind.POISSON_UNFILTERED
-        return XiKind.THERMAL_UNFILTERED
-    if stat is not PairStatistics.POISSON:
-        raise ValidationError(
-            "a mode filter requires Poisson pair statistics; the kept mode is "
-            "then thermal and the remainder Poisson"
-        )
-    if filt.branch is FilterBranch.SIGNAL:
-        return XiKind.SIGNAL_FILTERED
-    return XiKind.HERALD_FILTERED
 
 
 def _oms(x: float, d_h: float) -> float:
@@ -161,20 +127,18 @@ def _log_ratio(mu: float, eta_h: float, eta_s: float) -> float:
     return math.log1p(mu * eta_h * (1.0 - eta_s) / (1.0 + mu * eta_s))
 
 
-def _describe(kind: XiKind, params: SourceParams, filt: FilterSpec) -> tuple:
+def _describe(stat: PairStatistics, params: SourceParams, filt: FilterSpec) -> tuple:
     """(base law, kept-mode mean m, effective dark count, extraneous signal
-    mean lam) of a configuration whose filter branch matches its kind."""
-    branch = _FILTERED.get(kind, FilterBranch.NONE)
-    if filt.branch is not branch:
-        raise ValidationError(
-            f"{kind.name} needs filter branch {branch.value!r}, got {filt.branch.value!r}"
-        )
+    mean lam) of a configuration."""
     mu, d_h = params.mu, params.d_h
-    if kind is XiKind.POISSON_UNFILTERED:
-        return PairStatistics.POISSON, mu, d_h, 0.0
-    if kind is XiKind.THERMAL_UNFILTERED:
-        return PairStatistics.THERMAL, mu, d_h, 0.0
-    if kind is XiKind.SIGNAL_FILTERED:
+    if filt.branch is FilterBranch.NONE:
+        return stat, mu, d_h, 0.0
+    if stat is not PairStatistics.POISSON:
+        raise ValidationError(
+            "a mode filter requires Poisson pair statistics; the kept mode is "
+            "then thermal and the remainder Poisson"
+        )
+    if filt.branch is FilterBranch.SIGNAL:
         return PairStatistics.THERMAL, mu * filt.f, effective_dark_count(params, filt.f), 0.0
     return PairStatistics.THERMAL, mu * filt.f, d_h, mu * params.eta_s * (1.0 - filt.f)
 
@@ -265,33 +229,32 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     return sup, terms, xis
 
 
-def xi_values(kind: XiKind, n_top: int, params: SourceParams,
-              filt: FilterSpec = NO_FILTER) -> list:
+def xi_values(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_FILTER,
+              n_top: int = 0) -> list:
     """xi(0), ..., xi(n_top) from one evaluation of the factor: O(1) each,
     or one pass of the recurrence behind a herald filter."""
-    xis = _factor(_describe(kind, params, filt), params)[2]
+    xis = _factor(_describe(stat, params, filt), params)[2]
     return list(itertools.islice(xis(0), n_top + 1))
 
 
-def xi(kind: XiKind, n: int, params: SourceParams, filt: FilterSpec = NO_FILTER) -> float:
+def xi(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_FILTER,
+       n: int = 0) -> float:
     """Correcting factor xi(n): heralded probability over unconditioned
-    probability of n signal photons, for the given configuration kind."""
+    probability of n signal photons in the given configuration."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
-    return next(_factor(_describe(kind, params, filt), params)[2](n))
+    return next(_factor(_describe(stat, params, filt), params)[2](n))
 
 
-def xi_limit(kind: XiKind, params: SourceParams) -> float:
-    """Large-n limit of the unfiltered correcting factors: 1/P_click."""
-    if kind in _FILTERED:
-        raise ValidationError(f"no finite large-n limit is defined for {kind.name}")
-    return _factor(_describe(kind, params, NO_FILTER), params)[0]
+def xi_limit(stat: PairStatistics, params: SourceParams) -> float:
+    """Large-n limit of the unfiltered correcting factor: 1/P_click."""
+    return _factor(_describe(stat, params, NO_FILTER), params)[0]
 
 
 def herald_gain_ratio(stat: PairStatistics, params: SourceParams) -> float:
     """xi(1)/xi(0): the factor by which heralding boosts one photon over
     vacuum.  Tends to 1 - eta_h + eta_h/d_h as mu -> 0 for both laws."""
-    xi0, xi1 = xi_values(xi_kind_for(stat, NO_FILTER), 1, params)
+    xi0, xi1 = xi_values(stat, params, NO_FILTER, 1)
     if xi0 == 0.0:
         raise PerfectHeraldError(
             "xi(0) = 0 (perfect herald eliminates vacuum); the gain is infinite"
@@ -393,7 +356,7 @@ def signal_pmf(
     truncated so the stored tail_bound <= tol."""
     if not tol >= MIN_TOL:
         raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
-    desc = _describe(xi_kind_for(stat, filt), params, filt)
+    desc = _describe(stat, params, filt)
     base, m, _, lam = desc
     sup, terms, _ = _factor(desc, params)
     a = m * params.eta_s
@@ -409,12 +372,12 @@ def signal_pmf(
         # count > n forces the kept-mode part > n//2 or the extraneous
         # part > n - n//2; both tails have analytic bounds
         tail = lambda n: sup * (_thermal_tail(q, n // 2) + po_tail(lam, n - n // 2))
-    if tail(100_000) > 0.9 * tol:
+    if tail(TERM_CAP) > 0.9 * tol:
         # refused before any term is summed; the Poisson mean and the exact
         # thermal tail bound the length from below
         need = (a if base is PairStatistics.POISSON
                 else math.log(sup / (0.9 * tol)) / math.log1p(1.0 / a))
-        need = math.ceil(min(max(need, 100_002.0), 2.0**63))
+        need = math.ceil(min(max(need, TERM_CAP + 2.0), 2.0**63))
         raise SeriesOverflowError(f"pmf truncation needs at least {need} terms", order=need)
     # tail is non-increasing, so the first n that meets the tolerance lies
     # between a galloped bound and its half, where bisection finds it
@@ -436,7 +399,7 @@ def heralded_head(stat: PairStatistics, params: SourceParams, filt: FilterSpec,
                   count: int) -> tuple:
     """Moments and p(0), ..., p(count - 1) of the heralded signal law as
     :func:`moments_closed_form` and :func:`signal_pmf` give them, from one description."""
-    desc = _describe(xi_kind_for(stat, filt), params, filt)
+    desc = _describe(stat, params, filt)
     return (_moments(params, desc[0] is PairStatistics.POISSON, *desc[1:]),
             _clamped(_factor(desc, params)[1](), count))
 
@@ -448,7 +411,7 @@ def unconditioned_pmf(
     distribution that the correcting factor xi multiplies."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
-    base, m, _, _ = _describe(xi_kind_for(stat, filt), params, filt)
+    base, m, _, _ = _describe(stat, params, filt)
     return input_pmf(base, m * params.eta_s, n)
 
 
@@ -457,7 +420,7 @@ def herald_click_probability(
 ) -> float:
     """Closed form of the herald rate sum_N P_in(N) H(N) (the normalizer of
     the conditional law), for any supported configuration."""
-    num, den = _click_fraction(_describe(xi_kind_for(stat, filt), params, filt), params.eta_h)
+    num, den = _click_fraction(_describe(stat, params, filt), params.eta_h)
     return num / den
 
 
@@ -536,7 +499,7 @@ def moments_closed_form(params: SourceParams, stat: PairStatistics = PairStatist
     e^(-x) - 1 + x from its Taylor series at small x; x/z is carried whole,
     so the moments stay finite at a subnormal x.
     """
-    base, m, d, lam = _describe(xi_kind_for(stat, filt), params, filt)
+    base, m, d, lam = _describe(stat, params, filt)
     return _moments(params, base is PairStatistics.POISSON, m, d, lam)
 
 
@@ -601,8 +564,7 @@ def asymptotic_tail_check(params: SourceParams, f: float, n: int) -> tuple[float
     multi-photon tail the approximation captures its n-dependence."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
-    filt = FilterSpec(FilterBranch.HERALD, f)
-    desc = _describe(XiKind.HERALD_FILTERED, params, filt)
+    desc = _describe(PairStatistics.POISSON, params, FilterSpec(FilterBranch.HERALD, f))
     _, m, _, lam = desc
     sup, terms, _ = _factor(desc, params)
     exact = next(itertools.islice(terms(), n, None))

@@ -18,6 +18,7 @@ import numpy
 from . import analytic, optimize as opt, records
 from .errors import HspsError, SeriesOverflowError
 from .model import (
+    TERM_CAP,
     FilterBranch,
     FilterSpec,
     PairStatistics,
@@ -183,19 +184,18 @@ def _echo_inputs(stat, params, filt, extra: dict | None = None) -> dict:
 
 def cmd_pmf(s: dict) -> records.OutputRecord:
     stat, params, filt = _physics(s)
-    if s["nmax"] is not None and s["nmax"] < 0:
-        raise UsageError(f"--nmax must be >= 0, got {s['nmax']}")
-    kind = analytic.xi_kind_for(stat, filt)
+    if s["nmax"] is not None and not 0 <= s["nmax"] <= TERM_CAP:
+        raise UsageError(f"--nmax must lie in [0, {TERM_CAP}], got {s['nmax']}")
     pmf = analytic.signal_pmf(stat, params, filt, s["tol"])
     n_top = len(pmf) - 1 if s["nmax"] is None else s["nmax"]
     # rows beyond the truncated pmf take the exact terms that continue it
     heralded = (pmf.probs if n_top < len(pmf)
                 else analytic.heralded_head(stat, params, filt, n_top + 1)[1])
     try:
-        factors = analytic.xi_values(kind, n_top, params, filt)
+        factors = analytic.xi_values(stat, params, filt, n_top)
     except SeriesOverflowError as exc:
         # xi(n) leaves double range from n = exc.order on: those rows print it as null
-        factors = analytic.xi_values(kind, exc.order - 1, params, filt)
+        factors = analytic.xi_values(stat, params, filt, exc.order - 1)
     rows = []
     for n in range(n_top + 1):
         rows.append({"n": n, "p_heralded": heralded[n],
@@ -247,8 +247,8 @@ def _parse_grid(s: dict) -> tuple:
         start, stop, points = float(start), float(stop), int(points)
     except ValueError as exc:
         raise UsageError(f"bad --logspace: {exc}") from None
-    if start <= 0 or stop <= start or points < 2:
-        raise UsageError("--logspace needs 0 < START < STOP and POINTS >= 2")
+    if start <= 0 or stop <= start or not 2 <= points <= TERM_CAP:
+        raise UsageError(f"--logspace needs 0 < START < STOP and 2 <= POINTS <= {TERM_CAP}")
     ratio = (stop / start) ** (1.0 / (points - 1))
     return tuple(start * ratio**i for i in range(points))
 

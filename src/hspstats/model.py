@@ -26,6 +26,11 @@ __all__ = [
 # divide by f, so f = 0 is rejected rather than extrapolated.
 MIN_MODE_FRACTION = 1e-6
 
+# Largest photon number of a pmf term, a pmf table row or a Monte Carlo
+# histogram bin, and the most points of a log-spaced sweep: larger sizes are
+# refused before any work, so no table outgrows the longest pmf.
+TERM_CAP = 100_000
+
 # Rounding slack allowed above exact normalization of a stored pmf.
 PMF_ROUND_EPS = 1e-12
 

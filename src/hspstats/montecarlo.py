@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoHeraldSamplesError, ValidationError
-from .model import FilterBranch, FilterSpec, NO_FILTER, PairStatistics, SourceParams
+from .model import TERM_CAP, FilterBranch, FilterSpec, NO_FILTER, PairStatistics, SourceParams
 
 __all__ = ["McConfig", "simulate"]
 
@@ -68,8 +68,8 @@ class McConfig:
                 raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.n_cap < 8:
-            raise ValidationError(f"n_cap must be >= 8, got {self.n_cap}")
+        if not 8 <= self.n_cap <= TERM_CAP:
+            raise ValidationError(f"n_cap must lie in [8, {TERM_CAP}], got {self.n_cap}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if self.params.mu > MAX_MU:

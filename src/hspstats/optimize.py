@@ -10,7 +10,7 @@ pmf terms along one parameter axis.
 import math
 from dataclasses import dataclass, replace
 
-from .analytic import _moments, heralded_head
+from .analytic import _describe, _moments, heralded_head
 from .errors import BracketError, HspsError, ValidationError
 from .model import (
     NO_FILTER,
@@ -168,7 +168,8 @@ def sweep(
     Each point costs O(1): closed moments and the first PMF_HEAD terms of
     the heralded law, with no pmf truncation.  Points are evaluated
     independently and in grid order; a point that raises a domain error is
-    marked failed instead of aborting the sweep.
+    marked failed instead of aborting the sweep.  A configuration that fails
+    at every point (a thermal source behind a mode filter) is refused.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -177,6 +178,7 @@ def sweep(
         raise ValidationError("sweep grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("sweep grid must be strictly increasing")
+    _describe(stat, params, filt)   # raises for a configuration no point can take
 
     rows = []
     for value in grid:

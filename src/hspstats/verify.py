@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .analytic import XiKind
 from .errors import ValidationError
 from .model import FilterBranch, FilterSpec, NO_FILTER, PairStatistics, SourceParams
 from .montecarlo import McConfig, simulate
@@ -114,15 +113,14 @@ def _series_checks(configs) -> dict:
 
 def _reduction_check(configs) -> float:
     """xi_s and xi_h at f = 1 against xi_t, n = 0..50, scale-aware."""
-    filtered = ((XiKind.SIGNAL_FILTERED, FilterSpec(FilterBranch.SIGNAL, 1.0)),
-                (XiKind.HERALD_FILTERED, FilterSpec(FilterBranch.HERALD, 1.0)))
     worst = 0.0
     for params, _ in configs:
         if params.d_h == 0.0 and params.mu * params.eta_h == 0.0:
             continue
-        refs = analytic.xi_values(XiKind.THERMAL_UNFILTERED, 50, params)
-        for kind, filt in filtered:
-            for ref, x in zip(refs, analytic.xi_values(kind, 50, params, filt)):
+        refs = analytic.xi_values(PairStatistics.THERMAL, params, NO_FILTER, 50)
+        for branch in (FilterBranch.SIGNAL, FilterBranch.HERALD):
+            filt = FilterSpec(branch, 1.0)
+            for ref, x in zip(refs, analytic.xi_values(PairStatistics.POISSON, params, filt, 50)):
                 worst = max(worst, abs(x - ref) / max(1.0, abs(ref)))
     return worst
 

@@ -73,7 +73,7 @@ def test_criterion_3_heralding_gain_three_routes():
     lo, hi = 90.0, 110.0
     base1 = math.exp(-0.005) * 0.005           # unheralded Poisson p(1)
 
-    xi_closed = h.xi(h.XiKind.POISSON_UNFILTERED, 1, REF)
+    xi_closed = h.xi(POISSON, REF, h.NO_FILTER, 1)
 
     series = h.conditional_pmf_series(POISSON, REF)
     xi_series = series.prob(1) / base1
@@ -137,20 +137,20 @@ def test_criterion_5_reduction_and_limit_identities():
     dev_red = 0.0
     for params in configs:
         for n in range(51):
-            ref = h.xi(h.XiKind.THERMAL_UNFILTERED, n, params)
+            ref = h.xi(THERMAL, params, h.NO_FILTER, n)
             dev_red = max(
                 dev_red,
-                abs(h.xi(h.XiKind.SIGNAL_FILTERED, n, params, sig1) - ref),
-                abs(h.xi(h.XiKind.HERALD_FILTERED, n, params, her1) - ref),
+                abs(h.xi(POISSON, params, sig1, n) - ref),
+                abs(h.xi(POISSON, params, her1, n) - ref),
             )
 
     bounded = True
     for params in configs:
-        for kind in (h.XiKind.POISSON_UNFILTERED, h.XiKind.THERMAL_UNFILTERED):
-            limit = h.xi_limit(kind, params)
+        for stat in (POISSON, THERMAL):
+            limit = h.xi_limit(stat, params)
             slack = 1e-12 * max(1.0, limit)
             bounded = bounded and all(
-                h.xi(kind, n, params) <= limit + slack for n in range(201)
+                h.xi(stat, params, h.NO_FILTER, n) <= limit + slack for n in range(201)
             )
 
     p_tiny = h.SourceParams(1e-12, 0.5, 0.5, 1e-4)

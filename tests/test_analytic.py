@@ -27,7 +27,6 @@ from hspstats import (
     SourceParams,
     UndefinedMomentError,
     ValidationError,
-    XiKind,
     asymptotic_tail_check,
     conditional_pmf_series,
     effective_dark_count,
@@ -40,7 +39,6 @@ from hspstats import (
     signal_pmf,
     unconditioned_pmf,
     xi,
-    xi_kind_for,
     xi_limit,
 )
 from hspstats import analytic
@@ -109,9 +107,9 @@ class TestInputPmf:
 
 class TestXi:
     def test_poisson_values_reference(self):
-        assert xi(XiKind.POISSON_UNFILTERED, 0, REF) == pytest.approx(
+        assert xi(POISSON, REF, NO_FILTER, 0) == pytest.approx(
             0.51044164672069037, rel=1e-13)
-        assert xi(XiKind.POISSON_UNFILTERED, 1, REF) == pytest.approx(
+        assert xi(POISSON, REF, NO_FILTER, 1) == pytest.approx(
             98.544552886558932, rel=1e-13)
 
     def test_perfect_source_single_photon_factors(self):
@@ -119,29 +117,23 @@ class TestXi:
         # xi_t(1) = (1 + mu)/mu
         for mu in (0.001, 0.01, 0.1, 1.0):
             p = SourceParams(mu, 1.0, 1.0, 0.0)
-            assert xi(XiKind.POISSON_UNFILTERED, 1, p) == pytest.approx(
+            assert xi(POISSON, p, NO_FILTER, 1) == pytest.approx(
                 math.exp(mu) / math.expm1(mu), rel=1e-13)
-            assert xi(XiKind.THERMAL_UNFILTERED, 1, p) == pytest.approx(
+            assert xi(THERMAL, p, NO_FILTER, 1) == pytest.approx(
                 (1.0 + mu) / mu, rel=1e-13)
 
     def test_vacuum_elimination_is_exact(self):
         p = SourceParams(0.37, 1.0, 1.0, 0.0)
-        assert xi(XiKind.POISSON_UNFILTERED, 0, p) == 0.0
-        assert xi(XiKind.THERMAL_UNFILTERED, 0, p) == 0.0
-
-    def test_filtered_kinds_require_matching_branch(self):
-        with pytest.raises(ValidationError):
-            xi(XiKind.SIGNAL_FILTERED, 0, REF, NO_FILTER)
-        with pytest.raises(ValidationError):
-            xi(XiKind.POISSON_UNFILTERED, 0, REF, FilterSpec(FilterBranch.HERALD, 0.5))
+        assert xi(POISSON, p, NO_FILTER, 0) == 0.0
+        assert xi(THERMAL, p, NO_FILTER, 0) == 0.0
 
     def test_reduction_to_thermal_at_full_fraction(self):
         sig = FilterSpec(FilterBranch.SIGNAL, 1.0)
         her = FilterSpec(FilterBranch.HERALD, 1.0)
         for n in range(51):
-            ref = xi(XiKind.THERMAL_UNFILTERED, n, REF)
-            assert xi(XiKind.SIGNAL_FILTERED, n, REF, sig) == pytest.approx(ref, rel=1e-12)
-            assert xi(XiKind.HERALD_FILTERED, n, REF, her) == pytest.approx(ref, rel=1e-12)
+            ref = xi(THERMAL, REF, NO_FILTER, n)
+            assert xi(POISSON, REF, sig, n) == pytest.approx(ref, rel=1e-12)
+            assert xi(POISSON, REF, her, n) == pytest.approx(ref, rel=1e-12)
 
     def test_herald_filtered_survives_perfect_heralding_branch(self):
         # (1-eta_h)^n multiplies a divergent factor at eta_h = 1; the
@@ -152,21 +144,21 @@ class TestXi:
         oracle = herald_filter_convolution_oracle(p, 0.5)
         assert max_term_dev(closed, oracle) < 1e-12
 
-    @pytest.mark.parametrize("kind, filt", [
-        (XiKind.POISSON_UNFILTERED, NO_FILTER),
-        (XiKind.THERMAL_UNFILTERED, NO_FILTER),
-        (XiKind.SIGNAL_FILTERED, FilterSpec(FilterBranch.SIGNAL, 0.3)),
-        (XiKind.HERALD_FILTERED, FilterSpec(FilterBranch.HERALD, 0.3)),
+    @pytest.mark.parametrize("stat, filt", [
+        (POISSON, NO_FILTER),
+        (THERMAL, NO_FILTER),
+        (POISSON, FilterSpec(FilterBranch.SIGNAL, 0.3)),
+        (POISSON, FilterSpec(FilterBranch.HERALD, 0.3)),
     ])
-    def test_values_equal_single_factors(self, kind, filt):
+    def test_values_equal_single_factors(self, stat, filt):
         p = SourceParams(0.8, 0.6, 0.7, 1e-3)
-        single = [xi(kind, n, p, filt) for n in range(40)]
-        assert xi_values(kind, 39, p, filt) == single
+        single = [xi(stat, p, filt, n) for n in range(40)]
+        assert xi_values(stat, p, filt, 39) == single
 
     def test_herald_filtered_factor_is_term_over_base(self):
         filt = FilterSpec(FilterBranch.HERALD, 0.3)
         pmf = signal_pmf(POISSON, REF, filt)
-        for n, factor in enumerate(xi_values(XiKind.HERALD_FILTERED, len(pmf) - 1, REF, filt)):
+        for n, factor in enumerate(xi_values(POISSON, REF, filt, len(pmf) - 1)):
             base = unconditioned_pmf(POISSON, REF, filt, n)
             assert base * factor == pytest.approx(pmf.probs[n], rel=1e-15)
 
@@ -181,41 +173,59 @@ class TestXi:
         for n, p in enumerate(pmf.probs):
             log_xi = math.log(p) + math.log1p(a) - n * math.log(a / (1.0 + a))
             if log_xi < 709.0:
-                assert xi(XiKind.HERALD_FILTERED, n, params, filt) == pytest.approx(
+                assert xi(POISSON, params, filt, n) == pytest.approx(
                     math.exp(log_xi), rel=1e-12)
             elif log_xi > 710.0:
                 with pytest.raises(SeriesOverflowError):
-                    xi(XiKind.HERALD_FILTERED, n, params, filt)
+                    xi(POISSON, params, filt, n)
                 raised += 1
         assert 0 < raised < len(pmf)
 
     def test_no_herald_error(self):
         with pytest.raises(NoHeraldError):
-            xi(XiKind.POISSON_UNFILTERED, 0, SourceParams(0.0, 0.5, 0.5, 0.0))
+            xi(POISSON, SourceParams(0.0, 0.5, 0.5, 0.0), NO_FILTER, 0)
 
 
 class TestXiLimit:
     def test_certain_dark_counts(self):
-        assert xi_limit(XiKind.POISSON_UNFILTERED, SourceParams(0.01, 0.5, 0.5, 1.0)) == 1.0
+        assert xi_limit(POISSON, SourceParams(0.01, 0.5, 0.5, 1.0)) == 1.0
 
     def test_thermal_value_reference(self):
-        assert xi_limit(XiKind.THERMAL_UNFILTERED, REF) == pytest.approx(
+        assert xi_limit(THERMAL, REF) == pytest.approx(
             197.05882352941176, rel=1e-13)
 
     def test_bounds_xi_over_range(self):
-        lim_p = xi_limit(XiKind.POISSON_UNFILTERED, REF)
-        lim_t = xi_limit(XiKind.THERMAL_UNFILTERED, REF)
+        lim_p = xi_limit(POISSON, REF)
+        lim_t = xi_limit(THERMAL, REF)
         for n in range(201):
-            assert xi(XiKind.POISSON_UNFILTERED, n, REF) <= lim_p * (1 + 1e-12)
-            assert xi(XiKind.THERMAL_UNFILTERED, n, REF) <= lim_t * (1 + 1e-12)
+            assert xi(POISSON, REF, NO_FILTER, n) <= lim_p * (1 + 1e-12)
+            assert xi(THERMAL, REF, NO_FILTER, n) <= lim_t * (1 + 1e-12)
 
     def test_no_herald(self):
         with pytest.raises(NoHeraldError):
-            xi_limit(XiKind.POISSON_UNFILTERED, SourceParams(0.0, 0.5, 0.5, 0.0))
+            xi_limit(POISSON, SourceParams(0.0, 0.5, 0.5, 0.0))
 
-    def test_filtered_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            xi_limit(XiKind.HERALD_FILTERED, REF)
+
+# every closed form that takes a configuration as (stat, params, filt)
+CONFIGURATION_ENTRY_POINTS = {
+    "signal_pmf": lambda stat, filt: signal_pmf(stat, REF, filt),
+    "unconditioned_pmf": lambda stat, filt: unconditioned_pmf(stat, REF, filt, 1),
+    "herald_click_probability": lambda stat, filt: herald_click_probability(stat, REF, filt),
+    "moments_closed_form": lambda stat, filt: moments_closed_form(REF, stat, filt),
+    "heralded_head": lambda stat, filt: analytic.heralded_head(stat, REF, filt, 4),
+    "xi": lambda stat, filt: xi(stat, REF, filt, 1),
+    "xi_values": lambda stat, filt: xi_values(stat, REF, filt, 5),
+}
+
+
+@pytest.mark.parametrize("branch", [FilterBranch.SIGNAL, FilterBranch.HERALD])
+@pytest.mark.parametrize("entry", sorted(CONFIGURATION_ENTRY_POINTS))
+def test_mode_filter_refuses_a_thermal_source(entry, branch):
+    call = CONFIGURATION_ENTRY_POINTS[entry]
+    filt = FilterSpec(branch, 0.5)
+    with pytest.raises(ValidationError, match="requires Poisson pair statistics"):
+        call(THERMAL, filt)
+    call(POISSON, filt)
 
 
 class TestHeraldGainRatio:
@@ -284,10 +294,6 @@ class TestSignalPmf:
         for mu in (0.001, 0.01, 0.1, 1.0):
             pmf = signal_pmf(THERMAL, SourceParams(mu, 1.0, 1.0, 0.0))
             assert abs(pmf.prob(1) - 1.0 / (1.0 + mu)) < 1e-12
-
-    def test_thermal_filter_rejected(self):
-        with pytest.raises(ValidationError):
-            signal_pmf(THERMAL, REF, FilterSpec(FilterBranch.SIGNAL, 0.5))
 
     def test_tail_bound_honored(self):
         for tol in (1e-6, 1e-9, 1e-12):
@@ -666,10 +672,6 @@ class TestClosedMomentsEveryConfiguration:
         spec = FilterSpec(FilterBranch.NONE, 1.0)
         assert moments_closed_form(REF) == moments_closed_form(REF, POISSON, spec)
 
-    def test_filter_needs_poisson_pairs(self):
-        with pytest.raises(ValidationError):
-            moments_closed_form(REF, THERMAL, FilterSpec(FilterBranch.HERALD, 0.5))
-
     def test_thermal_beyond_double_range_is_a_domain_error(self):
         # the thermal variance ~ mu^2 leaves double range; no nan escapes
         with pytest.raises(SeriesOverflowError):
@@ -743,8 +745,7 @@ class TestUnconditioned:
 
     def test_xi_times_base_recovers_pmf(self):
         filt = FilterSpec(FilterBranch.HERALD, 0.1)
-        kind = xi_kind_for(POISSON, filt)
         pmf = signal_pmf(POISSON, REF, filt)
         for n in range(len(pmf)):
-            recon = unconditioned_pmf(POISSON, REF, filt, n) * xi(kind, n, REF, filt)
+            recon = unconditioned_pmf(POISSON, REF, filt, n) * xi(POISSON, REF, filt, n)
             assert recon == pytest.approx(pmf.prob(n), rel=1e-12, abs=1e-300)

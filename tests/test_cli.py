@@ -6,8 +6,7 @@ import numpy
 import pytest
 
 from hspstats import (FilterBranch, FilterSpec, PairStatistics, SourceParams,
-                      moments_closed_form, moments_from_pmf, records, signal_pmf, xi,
-                      xi_kind_for)
+                      moments_closed_form, moments_from_pmf, records, signal_pmf, xi)
 from hspstats.analytic import heralded_head
 from hspstats.cli import main
 from hspstats.montecarlo import STREAM_VERSION
@@ -65,9 +64,8 @@ class TestPmfCommand:
         assert code == 0
         params = SourceParams(0.01, 0.5, 0.5, 1e-4)
         spec = FilterSpec(FilterBranch(filt), 0.1 if filt != "none" else 1.0)
-        kind = xi_kind_for(PairStatistics.POISSON, spec)
         for n, row in enumerate(records.parse(out).rows):
-            assert row["xi"] == xi(kind, n, params, spec)
+            assert row["xi"] == xi(PairStatistics.POISSON, params, spec, n)
 
     @pytest.mark.parametrize("filt", ["none", "herald"])
     def test_rows_beyond_the_pmf(self, capsys, filt):
@@ -83,8 +81,9 @@ class TestPmfCommand:
         assert tuple(row["p_heralded"] for row in rows[: len(pmf)]) == pmf.probs
         assert all(math.isfinite(row["xi"]) and row["xi"] > 0.0 for row in rows)
 
-    def test_negative_nmax_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "pmf", *REF_FLAGS, "--nmax", "-2")
+    @pytest.mark.parametrize("nmax", [-2, 100_001, 10**20])
+    def test_negative_nmax_is_usage_error(self, capsys, nmax):
+        code, out, err = run(capsys, "pmf", *REF_FLAGS, "--nmax", str(nmax))
         assert code == 1 and out == "" and "--nmax" in err
 
     def test_xi_null_where_it_leaves_double_range(self, capsys):
@@ -99,9 +98,9 @@ class TestPmfCommand:
         pmf = signal_pmf(PairStatistics.POISSON, SourceParams(30, 0.5, 0.5, 1e-4), spec)
         assert len(rows) == len(pmf) > 70
         assert tuple(row["p_heralded"] for row in rows) == pmf.probs
-        kind = xi_kind_for(PairStatistics.POISSON, spec)
         assert [row["xi"] for row in rows[:69]] == [
-            xi(kind, n, SourceParams(30, 0.5, 0.5, 1e-4), spec) for n in range(69)]
+            xi(PairStatistics.POISSON, SourceParams(30, 0.5, 0.5, 1e-4), spec, n)
+            for n in range(69)]
         assert all(row["xi"] is None for row in rows[69:])
 
         # beyond the pmf, p_heralded continues with the exact terms, which
@@ -137,6 +136,14 @@ class TestPmfCommand:
         code, _, err = run(capsys, "pmf")
         assert code == 1
         assert "--mu" in err
+
+
+@pytest.mark.parametrize("argv", [["pmf"], ["moments"], ["sweep", "--grid", "0.01,0.1"]],
+                         ids=["pmf", "moments", "sweep"])
+def test_thermal_source_behind_a_filter_is_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv, *REF_FLAGS, "--stat", "thermal",
+                         "--filter", "herald", "--f", "0.5")
+    assert code == 2 and out == "" and "requires Poisson pair statistics" in err
 
 
 class TestFormats:
@@ -341,6 +348,12 @@ class TestSweepCommand:
                            "--logspace", "a", "1", "5")
         assert code == 1 and "logspace" in err
 
+    @pytest.mark.parametrize("points", [100_001, 10**20])
+    def test_logspace_points_above_the_cap_usage_error(self, capsys, points):
+        code, out, err = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu",
+                             "--logspace", "1e-3", "1", str(points))
+        assert code == 1 and out == "" and "POINTS" in err
+
 
 class TestSimulateCommand:
     def test_fixed_seed_bit_identical(self, capsys):
@@ -383,6 +396,12 @@ class TestSimulateCommand:
         code, _, _ = run(capsys, "simulate", "--mu", "0", "--dark", "0",
                          "--trials", "1000")
         assert code == 2
+
+    @pytest.mark.parametrize("n_cap", [100_001, 10**15])
+    def test_huge_cap_domain_error(self, capsys, n_cap):
+        code, out, err = run(capsys, "simulate", *REF_FLAGS, "--trials", "10",
+                             "--n-cap", str(n_cap))
+        assert code == 2 and out == "" and "n_cap" in err and "Traceback" not in err
 
     def test_negative_seed_domain_error(self, capsys):
         code, out, err = run(capsys, "simulate", *REF_FLAGS,

@@ -3,8 +3,10 @@ status and never lets an exception escape.
 
 Flags come from the real parser, values mix valid and invalid ones.  Work
 is bounded: --trials <= 1e5, --n-cap <= 256, --nmax <= 500, at most 8 sweep
-points, and verify runs only as ``--matrix tiny --no-mc``.  ``--help``
-leaves through ``SystemExit(0)``, as argparse does; ``test_cli`` covers it.
+points, and verify runs only as ``--matrix tiny --no-mc``.  --n-cap, --nmax
+and the --logspace point count are also drawn above the 100,000 cap, where
+they are refused before any work.  ``--help`` leaves through
+``SystemExit(0)``, as argparse does; ``test_cli`` covers it.
 """
 
 import argparse
@@ -15,10 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hspstats import cli
+from hspstats.model import TERM_CAP
 
 VALID = ["0", "1e-6", "0.01", "0.3", "0.5", "1"]
 INVALID = ["-1", "1.5", "30", "1e300", "nan", "inf", "-inf", "abc", ""]
 INT_BOUNDS = {"--trials": 100_000, "--n-cap": 256, "--nmax": 500, "--seed": 2**65}
+ABOVE_CAP = st.integers(TERM_CAP + 1, 10**20).map(str)
 VERIFY_FIXED = ["--matrix", "tiny", "--no-mc"]
 
 
@@ -30,7 +34,8 @@ def floats():
 def ints(flag):
     top = INT_BOUNDS.get(flag, 100)
     return st.one_of(st.integers(-(2**65), top).map(str), st.integers(-2, 12).map(str),
-                     st.sampled_from(["abc", "1.5", "", "1e3"]))
+                     st.sampled_from(["abc", "1.5", "", "1e3"]),
+                     *([ABOVE_CAP] if flag in ("--n-cap", "--nmax") else []))
 
 
 def values(flag, action, paths):
@@ -39,7 +44,7 @@ def values(flag, action, paths):
     if action.nargs == 0:
         return st.just([flag])
     if flag == "--logspace":
-        points = st.one_of(st.integers(-1, 8).map(str), st.sampled_from(["x", "2.5"]))
+        points = st.one_of(st.integers(-1, 8).map(str), st.sampled_from(["x", "2.5"]), ABOVE_CAP)
         return st.tuples(floats(), floats(), points).map(lambda v: [flag, *v])
     if flag == "--grid":
         return st.lists(floats(), max_size=8).map(lambda v: [flag, ",".join(v)])

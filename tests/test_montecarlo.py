@@ -46,6 +46,14 @@ class TestConfig:
         with pytest.raises(ValidationError):
             McConfig(params=REF, n_cap=4)
 
+    @pytest.mark.parametrize("n_cap", [100_001, 10**15])
+    def test_rejects_cap_above_the_term_cap(self, n_cap):
+        with pytest.raises(ValidationError, match="n_cap"):
+            McConfig(params=REF, n_cap=n_cap)
+
+    def test_accepts_the_term_cap(self):
+        assert McConfig(params=REF, n_cap=100_000).n_cap == 100_000
+
     def test_rejects_seed_outside_unsigned_64_bits(self):
         for seed in (-1, 2**64):
             with pytest.raises(ValidationError):

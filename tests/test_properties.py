@@ -57,9 +57,9 @@ def test_herald_prob_monotone_and_bounded(params, N):
 
 @given(source_params())
 def test_xi_growth_concavity_and_limit(params):
-    for kind in (h.XiKind.POISSON_UNFILTERED, h.XiKind.THERMAL_UNFILTERED):
-        limit = h.xi_limit(kind, params)
-        values = [h.xi(kind, n, params) for n in range(102)]
+    for stat in (h.PairStatistics.POISSON, h.PairStatistics.THERMAL):
+        limit = h.xi_limit(stat, params)
+        values = [h.xi(stat, params, h.NO_FILTER, n) for n in range(102)]
         slack = 1e-12 * max(1.0, limit)
         for a, b in zip(values, values[1:]):
             assert b >= a - slack             # growing with n
@@ -82,9 +82,10 @@ def test_effective_dark_count_dominates(params, f):
 
 @given(source_params(), st.integers(0, 50))
 def test_filtered_factors_reduce_at_full_fraction(params, n):
-    ref = h.xi(h.XiKind.THERMAL_UNFILTERED, n, params)
-    xs = h.xi(h.XiKind.SIGNAL_FILTERED, n, params, h.FilterSpec(h.FilterBranch.SIGNAL, 1.0))
-    xh = h.xi(h.XiKind.HERALD_FILTERED, n, params, h.FilterSpec(h.FilterBranch.HERALD, 1.0))
+    pois = h.PairStatistics.POISSON
+    ref = h.xi(h.PairStatistics.THERMAL, params, h.NO_FILTER, n)
+    xs = h.xi(pois, params, h.FilterSpec(h.FilterBranch.SIGNAL, 1.0), n)
+    xh = h.xi(pois, params, h.FilterSpec(h.FilterBranch.HERALD, 1.0), n)
     scale = max(1.0, abs(ref))
     assert abs(xs - ref) <= 1e-12 * scale
     assert abs(xh - ref) <= 1e-12 * scale
@@ -127,6 +128,5 @@ def test_serialization_round_trip(params, fmt):
 def test_xi_times_base_is_a_probability(mu, n):
     params = h.SourceParams(mu, 0.5, 0.5, 1e-4)
     stat = h.PairStatistics.POISSON
-    p = h.unconditioned_pmf(stat, params, h.NO_FILTER, n) * h.xi(
-        h.xi_kind_for(stat, h.NO_FILTER), n, params)
+    p = h.unconditioned_pmf(stat, params, h.NO_FILTER, n) * h.xi(stat, params, h.NO_FILTER, n)
     assert 0.0 <= p <= 1.0

@@ -62,7 +62,7 @@ def _reference(params, f, n_top, per_base=False):
 
 def _closed_terms(params, f, n_top):
     filt = h.FilterSpec(h.FilterBranch.HERALD, f)
-    desc = analytic._describe(h.XiKind.HERALD_FILTERED, params, filt)
+    desc = analytic._describe(h.PairStatistics.POISSON, params, filt)
     return list(itertools.islice(analytic._factor(desc, params)[1](), n_top + 1))
 
 
@@ -108,7 +108,7 @@ def test_herald_filtered_factors_match_reference_beyond_underflow(params, f, n_t
     for n, ref in enumerate(_reference(params, f, n_top, per_base=True)):
         if math.isinf(ref):
             with pytest.raises(h.SeriesOverflowError):
-                h.xi(h.XiKind.HERALD_FILTERED, n, params, filt)
+                h.xi(h.PairStatistics.POISSON, params, filt, n)
             break
-        assert h.xi(h.XiKind.HERALD_FILTERED, n, params, filt) == pytest.approx(
+        assert h.xi(h.PairStatistics.POISSON, params, filt, n) == pytest.approx(
             ref, rel=RELATIVE_BOUND, abs=0.0), n
