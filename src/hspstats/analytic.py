@@ -24,6 +24,7 @@ All functions are pure and safe for concurrent use.
 """
 
 import bisect
+import functools
 import itertools
 import math
 import sys
@@ -79,11 +80,16 @@ def herald_prob(N: int, params: SourceParams) -> float:
     1 - (1-d_h)(1-eta_h)^N.  Monotone non-decreasing in N."""
     if N < 0:
         raise ValidationError(f"pair count must be >= 0, got {N}")
-    if N == 0:
-        return params.d_h
+    return _clicks(params)(N)
+
+
+def _clicks(params: SourceParams):
+    """N -> herald_prob(N, params), with log(1 - eta_h) taken once."""
+    d_h = params.d_h
     if params.eta_h == 1.0:
-        return 1.0
-    return _oms(-N * math.log1p(-params.eta_h), params.d_h)
+        return lambda N: 1.0 if N else d_h
+    log_miss = math.log1p(-params.eta_h)
+    return lambda N: _oms(-N * log_miss, d_h) if N else d_h
 
 
 def input_pmf(stat: PairStatistics, mu: float, N: int) -> float:
@@ -92,13 +98,19 @@ def input_pmf(stat: PairStatistics, mu: float, N: int) -> float:
         raise ValidationError(f"pair count must be >= 0, got {N}")
     if mu < 0.0:
         raise ValidationError(f"mu must be >= 0, got {mu!r}")
+    return _pair_law(stat, mu)(N)
+
+
+def _pair_law(stat: PairStatistics, mu: float):
+    """N -> input_pmf(stat, mu, N) for mu >= 0, with its constants taken once."""
     if mu == 0.0:
-        return 1.0 if N == 0 else 0.0
+        return lambda N: 1.0 if N == 0 else 0.0
     if stat is PairStatistics.POISSON:
-        if N <= 32 and mu <= 32.0:
-            return math.exp(-mu) * mu**N / math.factorial(N)
-        return math.exp(N * math.log(mu) - mu - math.lgamma(N + 1))
-    return (mu / (1.0 + mu)) ** N / (1.0 + mu)
+        e_mu, log_mu, small = math.exp(-mu), math.log(mu), mu <= 32.0
+        return lambda N: (e_mu * mu**N / math.factorial(N) if N <= 32 and small
+                          else math.exp(N * log_mu - mu - math.lgamma(N + 1)))
+    q, den = mu / (1.0 + mu), 1.0 + mu
+    return lambda N: q**N / den
 
 
 def effective_dark_count(params: SourceParams, f: float) -> float:
@@ -190,7 +202,8 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
         l_ratio = _log_ratio(m, eta_h, eta_s)
         factor = lambda n: sup * _oms((n + 1) * l_ratio + (n * lq if n else 0.0), dark)
     if lam == 0.0:
-        terms = lambda: (input_pmf(base, a, n) * factor(n) for n in itertools.count())
+        law = _pair_law(base, a)
+        terms = lambda: (law(n) * factor(n) for n in itertools.count())
         return sup, terms, lambda start: map(factor, itertools.count(start))
 
     q = a / (1.0 + a)
@@ -233,6 +246,8 @@ def xi_values(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_
               n_top: int = 0) -> list:
     """xi(0), ..., xi(n_top) from one evaluation of the factor: O(1) each,
     or one pass of the recurrence behind a herald filter."""
+    if n_top < 0:
+        raise ValidationError(f"photon number must be >= 0, got {n_top}")
     xis = _factor(_describe(stat, params, filt), params)[2]
     return list(itertools.islice(xis(0), n_top + 1))
 
@@ -278,19 +293,47 @@ def _thermal_tail(q: float, n: int) -> float:
     return q ** (n + 1)
 
 
-def _thin(weights: list, eta: float) -> list:
-    """sum_N w[N] Binomial(N, eta) as a list over survivors: sum_N w[N] (1-eta + eta*z)^N
-    in Horner form, each step one two-tap convolution with (1-eta, eta), run as
-    ``numpy.correlate`` on the reversed taps to skip ``numpy.convolve``'s argument
-    conversion.  Only positive floats are combined, so nothing cancels or overflows.
-    numpy is imported here so that importing this module does not import numpy."""
+_BLOCK = 32  # pair numbers per block of _thin: C(j, n), j <= _BLOCK, is exact in doubles
+
+
+@functools.cache
+def _pascal() -> tuple:
+    """C(j, n) and max(j - n, 0) for j, n = 0.._BLOCK, as numpy arrays."""
     import numpy as np
-    taps = np.array([eta, 1.0 - eta])
-    poly = np.array(weights[-1:])
-    for w in reversed(weights[:-1]):
-        poly = np.correlate(poly, taps, "full")
-        poly[0] += w
-    return poly.tolist()
+    j, n = np.ogrid[:_BLOCK + 1, :_BLOCK + 1]
+    comb = [[math.comb(r, c) for c in range(_BLOCK + 1)] for r in range(_BLOCK + 1)]
+    return np.array(comb, dtype=float), np.maximum(j - n, 0)
+
+
+@functools.lru_cache(maxsize=16)
+def _binomial_rows(eta: float):
+    """M[j, n] = C(j, n) eta^n (1-eta)^(j-n) for j, n = 0.._BLOCK, zero above
+    the diagonal; read-only and cached, since the oracles thin each of their
+    populations by the same eta_s."""
+    import numpy as np
+    comb, gap = _pascal()
+    powers = np.arange(_BLOCK + 1)
+    rows = comb * eta**powers * ((1.0 - eta) ** powers)[gap]
+    rows.flags.writeable = False
+    return rows
+
+
+def _thin(weights: list, eta: float) -> list:
+    """sum_N w[N] Binomial(N, eta) as a list over survivors, in blocks of _BLOCK
+    pair numbers: with M from :func:`_binomial_rows`, one matrix product thins
+    every block, and Horner over blocks combines them, since
+    (1-eta + eta*z)^_BLOCK has the coefficients M[_BLOCK].  Only positive floats
+    are combined, so nothing cancels or overflows.  numpy is imported here so
+    that importing this module does not import numpy."""
+    import numpy as np
+    rows = _binomial_rows(eta)
+    padded = np.array(weights + [0.0] * (-len(weights) % _BLOCK)).reshape(-1, _BLOCK)
+    blocks = padded @ rows[:_BLOCK, :_BLOCK]
+    poly = blocks[-1]
+    for block in blocks[-2::-1]:
+        poly = np.convolve(poly, rows[_BLOCK])
+        poly[:_BLOCK] += block
+    return poly[:len(weights)].tolist()
 
 
 def _cut(probs: list, keep_tol: float, reserve: float) -> Pmf:
@@ -305,45 +348,42 @@ def _cut(probs: list, keep_tol: float, reserve: float) -> Pmf:
     return Pmf(tuple(probs), max(1.0 - math.fsum(probs), 0.0) + reserve)
 
 
+def _herald_weights(stat: PairStatistics, mu: float, params: SourceParams,
+                    stop: float) -> tuple:
+    """The herald-weighted pair law w(N) = P_in(N) H(N), N = 0, 1, ..., as
+    input_pmf(stat, mu, N) * herald_prob(N, params) gives it, and its sum, up to
+    the first N >= 8 whose remaining input mass is at most stop times the sum."""
+    law, click = _pair_law(stat, mu), _clicks(params)
+    tail = (functools.partial(_poisson_tail_bound, mu) if stat is PairStatistics.POISSON
+            else functools.partial(_thermal_tail, mu / (1.0 + mu)))
+    weights, total = [], 0.0
+    for N in range(100_001):
+        w = law(N) * click(N)
+        weights.append(w)
+        total += w
+        if N >= 8 and total > 0.0 and tail(N) <= stop * total:
+            return weights, total
+    raise SeriesOverflowError(
+        f"pair sum failed to converge within 100000 terms (mu={mu!r})", order=N + 1)
+
+
 def conditional_pmf_series(
     stat: PairStatistics, params: SourceParams, tol: float = DEFAULT_TOL
 ) -> Pmf:
     """Signal-count pmf conditioned on a herald, by direct summation.
 
     Evaluates numerator(n) = sum_{N>=n} C(N,n) P_in(N) H(N) eta_s^n
-    (1-eta_s)^(N-n) by Horner thinning of the herald-weighted pair law
-    (:func:`_thin`) and normalizes by sum_N P_in(N) H(N), truncating the
-    pair sum once the remaining input mass cannot move any term by more
-    than tol/10.  This is the oracle route: it never touches the closed
-    forms.
+    (1-eta_s)^(N-n) by blocked binomial thinning (:func:`_thin`) of the
+    herald-weighted pair law (:func:`_herald_weights`) and normalizes by
+    sum_N P_in(N) H(N), truncating the pair sum once the remaining input mass
+    cannot move any term by more than tol/10.  This is the oracle route: it
+    never touches the closed forms.
     """
     if not tol >= MIN_TOL:
         raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
     _check_heraldable(params.d_h, params.mu * params.eta_h)
-    mu, eta_s = params.mu, params.eta_s
-    q_in = mu / (1.0 + mu)
-
-    weights = []
-    denom = 0.0
-    N = 0
-    while True:
-        w = input_pmf(stat, mu, N) * herald_prob(N, params)
-        weights.append(w)
-        denom += w
-        if stat is PairStatistics.POISSON:
-            in_tail = _poisson_tail_bound(mu, N)
-        else:
-            in_tail = _thermal_tail(q_in, N)
-        if N >= 8 and denom > 0.0 and in_tail <= 0.1 * tol * denom:
-            break
-        N += 1
-        if N > 100_000:
-            raise SeriesOverflowError(
-                f"pair sum failed to converge within 100000 terms (mu={mu!r})",
-                order=N,
-            )
-
-    return _cut([x / denom for x in _thin(weights, eta_s)], 0.9 * tol, 0.1 * tol)
+    weights, denom = _herald_weights(stat, params.mu, params, 0.1 * tol)
+    return _cut([x / denom for x in _thin(weights, params.eta_s)], 0.9 * tol, 0.1 * tol)
 
 
 def signal_pmf(
@@ -399,6 +439,8 @@ def heralded_head(stat: PairStatistics, params: SourceParams, filt: FilterSpec,
                   count: int) -> tuple:
     """Moments and p(0), ..., p(count - 1) of the heralded signal law as
     :func:`moments_closed_form` and :func:`signal_pmf` give them, from one description."""
+    if count < 0:
+        raise ValidationError(f"term count must be >= 0, got {count}")
     desc = _describe(stat, params, filt)
     return (_moments(params, desc[0] is PairStatistics.POISSON, *desc[1:]),
             _clamped(_factor(desc, params)[1](), count))
@@ -432,9 +474,10 @@ def herald_filter_convolution_oracle(
     The kept mode is thermal with mean mu*f and alone drives the herald
     (extraneous heralding photons are filtered out before the detector);
     the extraneous signal photons are Poisson with mean mu*(1-f).  Both
-    populations are thinned by eta_s through their binomial sums in Horner
-    form (:func:`_thin`), convolved by ``numpy.convolve`` (imported here so
-    that importing this module does not import numpy), and normalized by the
+    populations, the kept one weighted by the herald probability
+    (:func:`_herald_weights`), are thinned by eta_s in blocks of pair numbers
+    (:func:`_thin`), convolved by ``numpy.convolve`` (imported here so that
+    importing this module does not import numpy) and normalized by the
     summed herald probability.  Never reads the closed-form correcting factors.
     """
     import numpy as np
@@ -442,37 +485,23 @@ def herald_filter_convolution_oracle(
         raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
     if not 0.0 < f <= 1.0:
         raise ValidationError(f"mode fraction f must lie in (0, 1], got {f!r}")
-    mu, eta_s, d_h = params.mu, params.eta_s, params.d_h
+    mu, eta_s = params.mu, params.eta_s
     muf = mu * f
-    _check_heraldable(d_h, muf * params.eta_h)
-    q_kept = muf / (1.0 + muf)
+    _check_heraldable(params.d_h, muf * params.eta_h)
     mu_ex = mu * (1.0 - f)
     inner = 0.05 * tol
 
-    # herald-weighted kept-mode pair weights, truncated by the exact
-    # thermal tail relative to the accumulating herald probability
-    kept_w = []
-    p_h = 0.0
-    N = 0
-    while True:
-        w = input_pmf(PairStatistics.THERMAL, muf, N) * herald_prob(N, params)
-        kept_w.append(w)
-        p_h += w
-        if N >= 8 and p_h > 0.0 and _thermal_tail(q_kept, N) <= inner * p_h:
-            break
-        N += 1
-        if N > 100_000:
-            raise SeriesOverflowError("kept-mode sum failed to converge", order=N)
+    # truncated by the exact thermal tail relative to the herald probability
+    kept_w, p_h = _herald_weights(PairStatistics.THERMAL, muf, params, inner)
 
+    law = _pair_law(PairStatistics.POISSON, mu_ex)
     ex_w = []
-    N = 0
-    while True:
-        ex_w.append(input_pmf(PairStatistics.POISSON, mu_ex, N))
+    for N in range(100_001):
+        ex_w.append(law(N))
         if N >= 8 and _poisson_tail_bound(mu_ex, N) <= inner:
             break
-        N += 1
-        if N > 100_000:
-            raise SeriesOverflowError("extraneous sum failed to converge", order=N)
+    else:
+        raise SeriesOverflowError("extraneous sum failed to converge", order=N + 1)
 
     p1 = _thin(kept_w, eta_s)     # unnormalized: includes the herald weight
     p2 = _thin(ex_w, eta_s)

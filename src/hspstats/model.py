@@ -121,11 +121,11 @@ class Pmf:
     tail_bound: float
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(map(float, self.probs))
         if not probs:
             raise ValidationError("a pmf needs at least one term")
         for n, p in enumerate(probs):
-            if not math.isfinite(p) or not 0.0 <= p <= 1.0:
+            if not 0.0 <= p <= 1.0:  # also false for nan
                 raise ValidationError(f"p({n}) = {p!r} is not a probability")
         tail = float(self.tail_bound)
         if not math.isfinite(tail) or tail < 0.0:

@@ -5,12 +5,14 @@ expressions (and, for the pmfs, from the direct conditional series), so a
 regression in any closed form shows up against a value it did not produce.
 """
 
+import ast
 import itertools
 import math
 import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from scipy import stats
@@ -185,6 +187,12 @@ class TestXi:
         with pytest.raises(NoHeraldError):
             xi(POISSON, SourceParams(0.0, 0.5, 0.5, 0.0), NO_FILTER, 0)
 
+    @pytest.mark.parametrize("filt", [NO_FILTER, FilterSpec(FilterBranch.HERALD, 0.3)])
+    def test_negative_table_length_is_validation_error(self, filt):
+        with pytest.raises(ValidationError, match="must be >= 0"):
+            xi_values(POISSON, REF, filt, -5)
+        assert xi_values(POISSON, REF, filt, 0) == [xi(POISSON, REF, filt, 0)]
+
 
 class TestXiLimit:
     def test_certain_dark_counts(self):
@@ -226,6 +234,13 @@ def test_mode_filter_refuses_a_thermal_source(entry, branch):
     with pytest.raises(ValidationError, match="requires Poisson pair statistics"):
         call(THERMAL, filt)
     call(POISSON, filt)
+
+
+@pytest.mark.parametrize("filt", [NO_FILTER, FilterSpec(FilterBranch.HERALD, 0.3)])
+def test_heralded_head_refuses_a_negative_count(filt):
+    with pytest.raises(ValidationError, match="must be >= 0"):
+        analytic.heralded_head(POISSON, REF, filt, -1)
+    assert analytic.heralded_head(POISSON, REF, filt, 0)[1] == ()
 
 
 class TestHeraldGainRatio:
@@ -451,6 +466,43 @@ class TestThinning:
                 exact = float(Fraction(a**n * total, scale << k * top))
                 assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
 
+    @staticmethod
+    def exact_thin(weights, eta):
+        """sum_N w[N] Binomial(N, eta), each term rounded once from exact
+        integers.  With eta = a/d, V_N = w[N] scale (d-a)^N d^(top-N) and
+        Q_n = sum_N V_N C(N, n), summed by Pascal's rule in integer additions,
+        term n is Q_n a^n / (scale d^top (d-a)^n)."""
+        a, d = eta.as_integer_ratio()
+        if a == d:  # Binomial(N, 1) keeps every photon
+            return list(weights)
+        scale = max(Fraction(w).denominator for w in weights)
+        top = len(weights) - 1
+        v = [int(Fraction(w) * scale) * (d - a) ** N * d ** (top - N)
+             for N, w in enumerate(weights)]
+        q = [v[top]]
+        for N in range(top - 1, -1, -1):
+            q = [q[0] + v[N]] + [x + y for x, y in zip(q[1:], q)] + [q[-1]]
+        num, den, exact = 1, scale * d**top, []
+        for c in q:
+            exact.append(c * num / den)   # int true division rounds once
+            num, den = num * a, den * (d - a)
+        return exact
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-3, 0.3, 0.97, 1.0])
+    def test_matches_exact_binomial_sum_across_block_edges(self, eta):
+        # lengths at and around the 32-pair block and the 616 pair terms of
+        # the thermal series at mu = 20; below the smallest normal double
+        # the format holds fewer than 53 bits, so there the relative bound
+        # is taken of that double
+        rng = random.Random(11)
+        weights = [rng.uniform(0.5, 1.0) * 0.97**N for N in range(616)]
+        for size in (1, 31, 32, 33, 64, 65, 616):
+            got = _thin(weights[:size], eta)
+            exact = self.exact_thin(weights[:size], eta)
+            assert len(got) == size
+            for value, ref in zip(got, exact):
+                assert value == pytest.approx(ref, rel=1e-13, abs=1e-13 * sys.float_info.min)
+
     def test_single_weight_is_returned_as_is(self):
         assert _thin([0.375], 0.3) == [0.375]
 
@@ -470,6 +522,38 @@ class TestThinning:
         assert all(math.isfinite(x) for x in oracle.probs)
         closed = signal_pmf(POISSON, p, FilterSpec(FilterBranch.HERALD, 1.0))
         assert max_term_dev(oracle, closed) < SERIES_TOL
+
+
+class TestHeraldWeights:
+    @staticmethod
+    def pair_sum(stat, mu, params, stop):
+        # one input_pmf and herald_prob call per pair number, stopping at the
+        # first N >= 8 whose input tail is at most stop times the running sum
+        weights, total, N = [], 0.0, 0
+        while True:
+            w = input_pmf(stat, mu, N) * herald_prob(N, params)
+            weights.append(w)
+            total += w
+            tail = (_poisson_tail_bound(mu, N) if stat is POISSON
+                    else (mu / (1.0 + mu)) ** (N + 1))
+            if N >= 8 and total > 0.0 and tail <= stop * total:
+                return weights, total
+            N += 1
+
+    @pytest.mark.parametrize("stat", [POISSON, THERMAL])
+    @pytest.mark.parametrize("mu,eta_h,d_h", [
+        (mu, eta_h, d_h)
+        for mu in (0.0, 1e-3, 0.3, 5.0, 20.0, 30.0)
+        for eta_h in (0.6, 1.0)
+        for d_h in (1e-4, 0.0)
+        if mu > 0.0 or d_h > 0.0   # else the herald never fires: the oracles refuse first
+    ])
+    def test_equal_to_the_pair_sum_bit_for_bit(self, stat, mu, eta_h, d_h):
+        params = SourceParams(mu, eta_h, 0.5, d_h)
+        # the convolution oracle weights the kept mode, of mean mu*f
+        for law_mu, stop in itertools.product((mu, 0.3 * mu), (0.1 * 1e-12, 0.05 * 1e-12, 1e-7)):
+            weights, total = analytic._herald_weights(stat, law_mu, params, stop)
+            assert (weights, total) == self.pair_sum(stat, law_mu, params, stop)
 
 
 class TestEffectiveDarkCount:
@@ -749,3 +833,22 @@ class TestUnconditioned:
         for n in range(len(pmf)):
             recon = unconditioned_pmf(POISSON, REF, filt, n) * xi(POISSON, REF, filt, n)
             assert recon == pytest.approx(pmf.prob(n), rel=1e-12, abs=1e-300)
+
+
+def test_numpy_is_imported_only_inside_functions():
+    # importing hspstats.analytic must not import numpy: the oracles, the
+    # only numpy users, import it inside their functions
+    def module_level(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from module_level(child)
+
+    modules = []
+    for node in module_level(ast.parse(Path(analytic.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.append(node.module)
+    assert "math" in modules
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []

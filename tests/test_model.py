@@ -82,6 +82,15 @@ class TestPmf:
         with pytest.raises(ValidationError):
             Pmf((1.1, -0.1), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0 + 2**-52, -5e-324])
+    def test_rejects_non_probability_naming_the_first_bad_term(self, bad):
+        with pytest.raises(ValidationError, match=r"^p\(1\) = "):
+            Pmf((0.5, bad, 0.25, bad), 0.5)
+
+    def test_accepts_the_unit_interval_ends(self):
+        assert Pmf((0.0, 1.0, -0.0), 0.0).probs == (0.0, 1.0, -0.0)
+        assert Pmf(["0.25", 0.75], 0.0).probs == (0.25, 0.75)
+
     def test_rejects_mass_outside_window(self):
         with pytest.raises(ValidationError):
             Pmf((0.5, 0.25), 0.1)  # mass 0.75 but tail bound only 0.1

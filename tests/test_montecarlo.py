@@ -132,6 +132,21 @@ class TestDeterminism:
         assert est.heralded == heralds
         assert est.pmf_hat == tuple((hist / heralds).tolist())
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_every_thread_count_gives_the_serial_estimate(self, monkeypatch, cpus):
+        # batches of one chunk per thread, from one to more than the chunks
+        monkeypatch.setattr(mc, "CHUNK_TRIALS", 1000)
+        config = McConfig(params=SourceParams(0.5, 0.5, 0.5, 1e-2),
+                          filt=FilterSpec(FilterBranch.HERALD, 0.1), trials=7321, seed=88)
+        hist, heralds = np.zeros(config.n_cap + 1, dtype=np.int64), 0
+        for index, size in mc._chunks(config.trials):
+            h, k = mc._simulate_chunk(config, index, size)
+            hist, heralds = hist + h, heralds + k
+        monkeypatch.setattr(mc, "_cpus", lambda: cpus)
+        est = simulate(config)
+        assert est.heralded == heralds
+        assert est.pmf_hat == tuple((hist / heralds).tolist())
+
 
 def _run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this checkout's
