@@ -11,7 +11,7 @@ from hspstats import SourceParams, fano_ratio, optimize_mu, sweep
 ETA_H = ETA_S = 0.5
 DARK = 1e-4
 
-result = optimize_mu(ETA_H, ETA_S, DARK, bounds=(1e-6, 1.0), pre_scan=True)
+result = optimize_mu(ETA_H, ETA_S, DARK, bounds=(1e-6, 1.0))
 print(f"eta_h = eta_s = {ETA_H}, d_h = {DARK}")
 print(f"optimal pump: mu = {result.mu_opt:.4f} pairs per bin "
       f"(Fano ratio {result.fano_opt:.4f}, {result.evaluations} evaluations)\n")

@@ -17,8 +17,9 @@ filter (THERMAL, mu*f, d_h, mu*eta_s*(1-f)).  The unconditioned signal law
 is the base law at mean m*eta_s, and :func:`_factor` gives 1/P_click, xi(n)
 and the pmf terms; behind a herald filter the terms follow a positive
 two-sequence recurrence in natural scale, O(1) per term at any f.  The
-series and convolution oracles never read a description, so each closed
-form is cross-checked against an independent route.
+oracle pair sum behind the series and convolution entry points never reads
+a description, so each closed form is cross-checked against an independent
+route.
 
 All functions are pure and safe for concurrent use.
 """
@@ -118,11 +119,10 @@ def effective_dark_count(params: SourceParams, f: float) -> float:
 
     Extraneous heralding photons (twins of filtered-out signal photons) act
     as extra detector noise: nu_h = 1 - (1-d_h)*exp(-mu*eta_h*(1-f)).
-    Always >= d_h, with equality iff f = 1 or mu*eta_h = 0.
+    Always >= d_h, with equality iff f = 1 or mu*eta_h = 0.  f is validated
+    by :class:`FilterSpec`.
     """
-    if not 0.0 < f <= 1.0:
-        raise ValidationError(f"mode fraction f must lie in (0, 1], got {f!r}")
-    return _oms(params.mu * params.eta_h * (1.0 - f), params.d_h)
+    return _describe(PairStatistics.POISSON, params, FilterSpec(FilterBranch.SIGNAL, f))[2]
 
 
 def _check_heraldable(d_h: float, rate: float):
@@ -151,7 +151,8 @@ def _describe(stat: PairStatistics, params: SourceParams, filt: FilterSpec) -> t
             "then thermal and the remainder Poisson"
         )
     if filt.branch is FilterBranch.SIGNAL:
-        return PairStatistics.THERMAL, mu * filt.f, effective_dark_count(params, filt.f), 0.0
+        nu_h = _oms(mu * params.eta_h * (1.0 - filt.f), d_h)
+        return PairStatistics.THERMAL, mu * filt.f, nu_h, 0.0
     return PairStatistics.THERMAL, mu * filt.f, d_h, mu * params.eta_s * (1.0 - filt.f)
 
 
@@ -336,24 +337,12 @@ def _thin(weights: list, eta: float) -> list:
     return poly[:len(weights)].tolist()
 
 
-def _cut(probs: list, keep_tol: float, reserve: float) -> Pmf:
-    """Oracle pmf cut where the remaining mass first drops to keep_tol; the
-    tail bound is the summed deficit plus reserve."""
-    cum = 0.0
-    for n, p in enumerate(probs):
-        cum += p
-        if 1.0 - cum <= keep_tol:
-            probs = probs[: n + 1]
-            break
-    return Pmf(tuple(probs), max(1.0 - math.fsum(probs), 0.0) + reserve)
-
-
-def _herald_weights(stat: PairStatistics, mu: float, params: SourceParams,
-                    stop: float) -> tuple:
-    """The herald-weighted pair law w(N) = P_in(N) H(N), N = 0, 1, ..., as
-    input_pmf(stat, mu, N) * herald_prob(N, params) gives it, and its sum, up to
-    the first N >= 8 whose remaining input mass is at most stop times the sum."""
-    law, click = _pair_law(stat, mu), _clicks(params)
+def _herald_weights(stat: PairStatistics, mu: float, click, stop: float) -> tuple:
+    """The weighted pair law w(N) = P_in(N) click(N), N = 0, 1, ..., as
+    input_pmf(stat, mu, N) * click(N) gives it, and its sum, up to the first
+    N >= 8 whose remaining input mass is at most stop times the sum.  click is
+    :func:`_clicks` for the herald-weighted law, or 1 for an unweighted one."""
+    law = _pair_law(stat, mu)
     tail = (functools.partial(_poisson_tail_bound, mu) if stat is PairStatistics.POISSON
             else functools.partial(_thermal_tail, mu / (1.0 + mu)))
     weights, total = [], 0.0
@@ -367,23 +356,52 @@ def _herald_weights(stat: PairStatistics, mu: float, params: SourceParams,
         f"pair sum failed to converge within 100000 terms (mu={mu!r})", order=N + 1)
 
 
+def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourceParams,
+              tol: float) -> Pmf:
+    """Heralded signal pmf of a stat source of mean mu that alone drives the
+    herald, plus independent Poisson(extra_mu) signal photons, by direct
+    summation: sum_N P_in(N) H(N) Binomial(N, eta_s), from the herald-weighted
+    pair law (:func:`_herald_weights`) thinned in blocks (:func:`_thin`),
+    convolved with the thinned extra law when extra_mu > 0 and divided by the
+    herald sum.
+
+    One truncation rule: each pair law stops once its remaining input mass is
+    at most tol/10 of its sum, and tail_bound is the mass the stored terms
+    miss, 1 - sum p(n) (the dropped tail, the extraneous law's remainder and
+    rounding), plus tol/10 for the kept law's remainder, which moves the
+    normalized law by at most that.  The pmf keeps the fewest terms whose
+    tail_bound is within tol.  numpy is imported here so that importing this
+    module does not import numpy."""
+    import numpy as np
+    if not tol >= MIN_TOL:
+        raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
+    _check_heraldable(params.d_h, mu * params.eta_h)
+    stop = 0.1 * tol
+    weights, herald_sum = _herald_weights(stat, mu, _clicks(params), stop)
+    probs = _thin(weights, params.eta_s)
+    if extra_mu > 0.0:
+        extra = _herald_weights(PairStatistics.POISSON, extra_mu, lambda N: 1.0, stop)[0]
+        probs = np.convolve(probs, _thin(extra, params.eta_s)).tolist()
+    probs = [x / herald_sum for x in probs]
+    missing = max(1.0 - math.fsum(probs), 0.0)
+    bound = lambda dropped: missing + dropped + stop
+    # beyond[k] is the mass of the last k terms, summed from the smallest up
+    beyond = [0.0, *itertools.accumulate(reversed(probs[1:]))]
+    cut = max(bisect.bisect_right(beyond, tol, key=bound) - 1, 0)
+    return Pmf(tuple(probs[:len(probs) - cut]), bound(beyond[cut]))
+
+
 def conditional_pmf_series(
     stat: PairStatistics, params: SourceParams, tol: float = DEFAULT_TOL
 ) -> Pmf:
     """Signal-count pmf conditioned on a herald, by direct summation.
 
-    Evaluates numerator(n) = sum_{N>=n} C(N,n) P_in(N) H(N) eta_s^n
-    (1-eta_s)^(N-n) by blocked binomial thinning (:func:`_thin`) of the
-    herald-weighted pair law (:func:`_herald_weights`) and normalizes by
-    sum_N P_in(N) H(N), truncating the pair sum once the remaining input mass
-    cannot move any term by more than tol/10.  This is the oracle route: it
-    never touches the closed forms.
+    numerator(n) = sum_{N>=n} C(N,n) P_in(N) H(N) eta_s^n (1-eta_s)^(N-n),
+    normalized by sum_N P_in(N) H(N): the pair sum :func:`_pair_sum` with no
+    extra photons, whose tail_bound never exceeds tol.  This is the oracle
+    route: it never touches the closed forms.
     """
-    if not tol >= MIN_TOL:
-        raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
-    _check_heraldable(params.d_h, params.mu * params.eta_h)
-    weights, denom = _herald_weights(stat, params.mu, params, 0.1 * tol)
-    return _cut([x / denom for x in _thin(weights, params.eta_s)], 0.9 * tol, 0.1 * tol)
+    return _pair_sum(stat, params.mu, 0.0, params, tol)
 
 
 def signal_pmf(
@@ -473,39 +491,14 @@ def herald_filter_convolution_oracle(
 
     The kept mode is thermal with mean mu*f and alone drives the herald
     (extraneous heralding photons are filtered out before the detector);
-    the extraneous signal photons are Poisson with mean mu*(1-f).  Both
-    populations, the kept one weighted by the herald probability
-    (:func:`_herald_weights`), are thinned by eta_s in blocks of pair numbers
-    (:func:`_thin`), convolved by ``numpy.convolve`` (imported here so that
-    importing this module does not import numpy) and normalized by the
-    summed herald probability.  Never reads the closed-form correcting factors.
+    the extraneous signal photons are Poisson with mean mu*(1-f).  So this
+    is the pair sum :func:`_pair_sum` of the kept mode convolved with the
+    thinned extraneous law, with the same truncation rule (tail_bound <= tol);
+    at f = 1 it equals the thermal :func:`conditional_pmf_series`.  f is
+    validated by :class:`FilterSpec`.  Never reads the closed-form factors.
     """
-    import numpy as np
-    if not tol >= MIN_TOL:
-        raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
-    if not 0.0 < f <= 1.0:
-        raise ValidationError(f"mode fraction f must lie in (0, 1], got {f!r}")
-    mu, eta_s = params.mu, params.eta_s
-    muf = mu * f
-    _check_heraldable(params.d_h, muf * params.eta_h)
-    mu_ex = mu * (1.0 - f)
-    inner = 0.05 * tol
-
-    # truncated by the exact thermal tail relative to the herald probability
-    kept_w, p_h = _herald_weights(PairStatistics.THERMAL, muf, params, inner)
-
-    law = _pair_law(PairStatistics.POISSON, mu_ex)
-    ex_w = []
-    for N in range(100_001):
-        ex_w.append(law(N))
-        if N >= 8 and _poisson_tail_bound(mu_ex, N) <= inner:
-            break
-    else:
-        raise SeriesOverflowError("extraneous sum failed to converge", order=N + 1)
-
-    p1 = _thin(kept_w, eta_s)     # unnormalized: includes the herald weight
-    p2 = _thin(ex_w, eta_s)
-    return _cut((np.convolve(p1, p2) / p_h).tolist(), 0.7 * tol, 0.3 * tol)
+    f = FilterSpec(FilterBranch.HERALD, f).f
+    return _pair_sum(PairStatistics.THERMAL, params.mu * f, params.mu * (1.0 - f), params, tol)
 
 
 def moments_closed_form(params: SourceParams, stat: PairStatistics = PairStatistics.POISSON,

@@ -47,11 +47,11 @@ class Parser(argparse.ArgumentParser):
 
 
 def _add_physics_flags(p: Parser):
-    p.add_argument("--stat", choices=["poisson", "thermal"], default="poisson",
+    p.add_argument("--stat", choices=[s.value for s in PairStatistics], default="poisson",
                    help="pair-number law")
     p.add_argument("--mu", type=float, help="mean pairs per time bin")
     _add_detection_flags(p)
-    p.add_argument("--filter", choices=["none", "signal", "herald"], default="none",
+    p.add_argument("--filter", choices=[b.value for b in FilterBranch], default="none",
                    help="filtered branch")
     p.add_argument("--f", type=float, default=1.0, help="transmitted mode fraction")
 
@@ -91,8 +91,6 @@ def build_parser() -> Parser:
     p.add_argument("--mu-hi", dest="mu_hi", type=float, default=10.0, help="bracket upper end")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-4,
                    help="relative tolerance on mu")
-    p.add_argument("--pre-scan", dest="pre_scan", action="store_true",
-                   help="16-point grid scan before the search")
     _add_output_flags(p)
 
     p = sub.add_parser("sweep", help="moments and leading pmf terms along one axis")
@@ -144,8 +142,8 @@ def _config_argv(path: str, command: str, commands: dict) -> list:
     """The config file's ``key = value`` lines as flags of ``command``.
 
     A key that only another command takes is dropped; one that no command
-    takes is a usage error.  A true ``pre_scan`` or ``no_mc`` becomes the
-    bare flag, and ``logspace`` takes comma-separated values.
+    takes is a usage error.  A true ``no_mc`` becomes the bare flag, and
+    ``logspace`` takes comma-separated values.
     """
     defaults = {name: vars(p.parse_args([])) for name, p in commands.items()}
     known = set().union(*defaults.values()) - {"config"}
@@ -217,7 +215,6 @@ def cmd_optimize(s: dict) -> records.OutputRecord:
         s["eta_h"], s["eta_s"], s["dark"],
         bounds=(s["mu_lo"], s["mu_hi"]),
         rel_tol=s["rel_tol"],
-        pre_scan=s["pre_scan"],
     )
     inputs = {
         "eta_h": s["eta_h"], "eta_s": s["eta_s"], "d_h": s["dark"],

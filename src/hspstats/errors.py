@@ -47,5 +47,6 @@ class NoHeraldSamplesError(HspsError):
 
 
 class BracketError(HspsError):
-    """The optimizer bracket failed its unimodality probe.  Run a grid
-    pre-scan (``pre_scan=True``) or supply a tighter bracket."""
+    """The optimizer bracket holds no interior minimum: its unimodality probe
+    failed and the 16-point scan that follows is minimal at an end.  Supply
+    a bracket that encloses the minimum."""

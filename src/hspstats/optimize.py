@@ -75,15 +75,14 @@ def optimize_mu(
     d_h: float,
     bounds: tuple[float, float] = (1e-6, 10.0),
     rel_tol: float = 1e-4,
-    pre_scan: bool = False,
 ) -> OptimizeResult:
     """Minimize the Fano ratio over the pump level mu.
 
     Golden-section search on log(mu) down to a relative width rel_tol.
     The bracket is validated first: an interior probe must beat both ends,
-    otherwise the search would silently slide to a boundary.  With
-    ``pre_scan`` a 16-point log-spaced scan picks the probe and shrinks the
-    bracket before validation.
+    otherwise the search would silently slide to a boundary.  When the probe
+    fails, a 16-point log-spaced scan picks the probe and shrinks the bracket
+    around its minimum; only a scan minimal at an end raises BracketError.
     """
     mu_lo, mu_hi = float(bounds[0]), float(bounds[1])
     if not 0.0 < mu_lo < mu_hi:
@@ -106,36 +105,25 @@ def optimize_mu(
 
     a, b = math.log(mu_lo), math.log(mu_hi)
     f_lo, f_hi = objective(a), objective(b)
-
-    if pre_scan:
+    probe = b - (b - a) * _INV_PHI
+    f_probe = objective(probe)
+    if not (f_probe < f_lo and f_probe < f_hi):
+        # the probe cannot vouch for the bracket: scan it for the minimum
         grid = [a + (b - a) * i / 15 for i in range(16)]
         values = [f_lo] + [objective(x) for x in grid[1:-1]] + [f_hi]
         k = min(range(16), key=values.__getitem__)
         if k in (0, 15):
             raise BracketError(
-                f"no interior minimum in [{mu_lo!r}, {mu_hi!r}]: the 16-point "
-                "pre-scan is minimal at a boundary; widen the bracket"
+                f"no interior minimum in [{mu_lo!r}, {mu_hi!r}]: the probe failed and "
+                "a 16-point scan is minimal at an end; widen the bracket"
             )
         a, b = grid[k - 1], grid[k + 1]
-        f_lo, f_hi = values[k - 1], values[k + 1]
         probe, f_probe = grid[k], values[k]
-    else:
-        probe = b - (b - a) * _INV_PHI
-        f_probe = objective(probe)
-        if not (f_probe < f_lo and f_probe < f_hi):
-            raise BracketError(
-                f"bracket [{mu_lo!r}, {mu_hi!r}] failed the unimodality probe "
-                "(interior point does not beat both ends); run with "
-                "pre_scan=True or supply a bracket enclosing the minimum"
-            )
 
     # golden-section refinement on [a, b] with one interior point warm
     c = a + (b - a) * (1.0 - _INV_PHI)
     d = a + (b - a) * _INV_PHI
-    if pre_scan or not math.isclose(probe, c):
-        f_c = objective(c)
-    else:
-        f_c = f_probe
+    f_c = f_probe if math.isclose(probe, c) else objective(c)
     f_d = objective(d)
     # a rel_tol below the spacing of doubles ends where the points collapse
     while (b - a) > rel_tol and a < c < d < b:

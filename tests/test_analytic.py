@@ -432,6 +432,33 @@ class TestConvolutionOracle:
             herald_filter_convolution_oracle(SourceParams(0.0, 0.5, 0.5, 0.0), 0.5)
 
 
+# mu 5..40 at three (eta_h, eta_s) levels and three dark counts, where the
+# pair sums run to hundreds or thousands of terms
+HIGH_MU_GRID = [SourceParams(mu, eta_h, eta_s, d_h)
+                for mu in (5.0, 10.0, 20.0, 40.0)
+                for eta_h, eta_s in ((0.4, 0.9), (0.8, 0.2), (0.05, 1.0))
+                for d_h in (0.0, 1e-6, 1e-3)]
+
+
+class TestPairSumTruncation:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13])
+    def test_tail_bound_within_tol(self, tol):
+        # includes (mu 40, eta_h 0.4, eta_s 0.9, d_h 1e-6, f 1, tol 1e-13),
+        # where separate budget splits once reported 1.0039e-13
+        for p in HIGH_MU_GRID:
+            pmfs = [conditional_pmf_series(stat, p, tol) for stat in (POISSON, THERMAL)]
+            pmfs += [herald_filter_convolution_oracle(p, f, tol) for f in (1.0, 0.5, 0.1)]
+            for pmf in pmfs:
+                assert pmf.tail_bound <= tol, p
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
+    def test_full_fraction_is_the_thermal_series_exactly(self, tol):
+        # f = 1 leaves no extraneous photons: one pair sum, same terms and bound
+        for p in HIGH_MU_GRID[::3] + [p for p, _ in sample_configurations(12)]:
+            assert herald_filter_convolution_oracle(p, 1.0, tol) == \
+                conditional_pmf_series(THERMAL, p, tol), p
+
+
 class TestThinning:
     def test_matches_binomial_definition(self):
         weights = [0.0, 0.4, 0.0, 0.0, 1.5, 0.25, 0.0, 2.0e-3, 0.7, 0.0]
@@ -507,7 +534,7 @@ class TestThinning:
         assert _thin([0.375], 0.3) == [0.375]
 
     def test_returns_a_list_of_python_floats(self):
-        # _cut slices the result and Pmf stores it
+        # the pair sum divides and slices the result and Pmf stores it
         got = _thin([0.5, 0.25, 0.125], 0.3)
         assert type(got) is list
         assert all(type(x) is float for x in got)
@@ -526,12 +553,13 @@ class TestThinning:
 
 class TestHeraldWeights:
     @staticmethod
-    def pair_sum(stat, mu, params, stop):
-        # one input_pmf and herald_prob call per pair number, stopping at the
-        # first N >= 8 whose input tail is at most stop times the running sum
+    def pair_sum(stat, mu, click, stop):
+        # one input_pmf call per pair number, times click(N) for a weighted
+        # law, stopping at the first N >= 8 whose input tail is at most stop
+        # times the running sum
         weights, total, N = [], 0.0, 0
         while True:
-            w = input_pmf(stat, mu, N) * herald_prob(N, params)
+            w = input_pmf(stat, mu, N) if click is None else input_pmf(stat, mu, N) * click(N)
             weights.append(w)
             total += w
             tail = (_poisson_tail_bound(mu, N) if stat is POISSON
@@ -550,10 +578,18 @@ class TestHeraldWeights:
     ])
     def test_equal_to_the_pair_sum_bit_for_bit(self, stat, mu, eta_h, d_h):
         params = SourceParams(mu, eta_h, 0.5, d_h)
+        herald = lambda N: herald_prob(N, params)
         # the convolution oracle weights the kept mode, of mean mu*f
-        for law_mu, stop in itertools.product((mu, 0.3 * mu), (0.1 * 1e-12, 0.05 * 1e-12, 1e-7)):
-            weights, total = analytic._herald_weights(stat, law_mu, params, stop)
-            assert (weights, total) == self.pair_sum(stat, law_mu, params, stop)
+        for law_mu, stop in itertools.product((mu, 0.3 * mu), (0.1 * 1e-12, 0.1 * 1e-13, 1e-7)):
+            got = analytic._herald_weights(stat, law_mu, analytic._clicks(params), stop)
+            assert got == self.pair_sum(stat, law_mu, herald, stop)
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.3, 5.0, 20.0, 40.0])
+    def test_unweighted_extra_law_bit_for_bit(self, mu):
+        # the extraneous Poisson photons of the convolution oracle: click = 1
+        for stop in (0.1 * 1e-12, 0.1 * 1e-13, 1e-7):
+            got = analytic._herald_weights(POISSON, mu, lambda N: 1.0, stop)
+            assert got == self.pair_sum(POISSON, mu, None, stop)
 
 
 class TestEffectiveDarkCount:

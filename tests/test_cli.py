@@ -231,11 +231,12 @@ class TestConfigFile:
 
     def test_switches_and_logspace(self, capsys, tmp_path):
         cfg = tmp_path / "source.cfg"
-        cfg.write_text("eta_h = 0.5\neta_s = 0.5\ndark = 1e-4\npre_scan = yes\n"
+        cfg.write_text("eta_h = 0.5\neta_s = 0.5\ndark = 1e-4\nno_mc = yes\nmatrix = tiny\n"
                        "mu = 0.01\naxis = mu\nlogspace = 1e-3, 1, 4\n")
-        code, out, _ = run(capsys, "optimize", "--config", str(cfg))
-        flagged = run(capsys, "optimize", "--config", str(cfg), "--pre-scan")[1]
+        code, out, _ = run(capsys, "verify", "--config", str(cfg))
+        flagged = run(capsys, "verify", "--config", str(cfg), "--no-mc")[1]
         assert code == 0 and out == flagged
+        assert not any(r["check"].startswith("mc_") for r in records.parse(out).rows)
         code, out, _ = run(capsys, "sweep", "--config", str(cfg))
         assert code == 0 and len(records.parse(out).rows) == 4
 
@@ -306,6 +307,17 @@ class TestOptimizeCommand:
         a = records.parse(out1).rows[0]["mu_opt"]
         b = records.parse(out2).rows[0]["mu_opt"]
         assert b == pytest.approx(a, rel=1e-3)
+
+    def test_failed_probe_falls_back_to_the_scan(self, capsys):
+        code, out, _ = run(capsys, "optimize", "--eta-h", "0.5", "--eta-s", "0.5",
+                           "--dark", "1e-4", "--mu-lo", "1e-6", "--mu-hi", "1")
+        assert code == 0
+        assert 0.014 <= records.parse(out).rows[0]["mu_opt"] <= 0.018
+
+    def test_pre_scan_flag_is_gone(self, capsys):
+        code, _, err = run(capsys, "optimize", "--eta-h", "0.5", "--eta-s", "0.5",
+                           "--dark", "1e-4", "--pre-scan")
+        assert code == 1 and "--pre-scan" in err
 
     def test_zero_darks_documented_error(self, capsys):
         code, _, err = run(capsys, "optimize", "--eta-h", "0.5", "--eta-s", "0.5",

@@ -11,6 +11,8 @@ from hspstats import (
     Pmf,
     SourceParams,
     ValidationError,
+    effective_dark_count,
+    herald_filter_convolution_oracle,
 )
 from hspstats import records
 from hspstats.model import to_record
@@ -69,6 +71,17 @@ class TestFilterSpec:
     def test_rejects_fraction_above_one(self):
         with pytest.raises(ValidationError):
             FilterSpec(FilterBranch.SIGNAL, 1.5)
+
+    @pytest.mark.parametrize("f", [0.0, 1e-9, 1.5, math.nan])
+    @pytest.mark.parametrize("entry", [
+        lambda f: FilterSpec(FilterBranch.SIGNAL, f),
+        lambda f: effective_dark_count(SourceParams(0.3, 0.5, 0.5, 1e-4), f),
+        lambda f: herald_filter_convolution_oracle(SourceParams(0.3, 0.5, 0.5, 1e-4), f),
+    ], ids=["FilterSpec", "effective_dark_count", "herald_filter_convolution_oracle"])
+    def test_one_domain_and_message_for_f(self, entry, f):
+        # every entry point that takes a bare f validates it through FilterSpec
+        with pytest.raises(ValidationError, match=r"must lie in \[1e-06, 1\], got"):
+            entry(f)
 
 
 class TestPmf:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hspstats import (
@@ -59,18 +61,25 @@ class TestOptimizeMu:
         with pytest.raises(ValidationError, match="d_h"):
             optimize_mu(0.5, 0.5, 0.0)
 
-    def test_bad_bracket_reports_prescan_advice(self):
-        # both ends on the same side of the minimum: probe check must fire
-        with pytest.raises(BracketError, match="pre_scan|pre-scan|grid"):
+    def test_bad_bracket_reports_boundary_minimum(self):
+        # both ends on the same side of the minimum: the probe fails, and the
+        # scan that follows is minimal at an end
+        with pytest.raises(BracketError, match="scan is minimal at an end") as info:
             optimize_mu(0.5, 0.5, 1e-4, bounds=(0.5, 10.0))
+        assert "pre_scan" not in str(info.value)
 
-    def test_pre_scan_recovers_good_bracket(self):
-        result = optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-6, 5.0), pre_scan=True)
+    def test_failed_probe_falls_back_to_the_scan(self):
+        # the golden probe (mu about 2e-4) does not beat the upper end,
+        # although the bracket holds the minimum
+        bounds = (1e-6, 1.0)
+        a, b = (math.log(x) for x in bounds)
+        probe = math.exp(b - (b - a) * optimize._INV_PHI)
+        ends = [fano_ratio(mu, 0.5, 0.5, 1e-4) for mu in bounds]
+        assert fano_ratio(probe, 0.5, 0.5, 1e-4) >= min(ends)
+        result = optimize_mu(0.5, 0.5, 1e-4, bounds=bounds)
         assert 0.014 <= result.mu_opt <= 0.018
-
-    def test_pre_scan_rejects_boundary_minimum(self):
-        with pytest.raises(BracketError):
-            optimize_mu(0.5, 0.5, 1e-4, bounds=(0.5, 10.0), pre_scan=True)
+        assert result.fano_opt == pytest.approx(0.512, abs=2e-3)
+        assert result.evaluations == 40   # the probe, 14 scan points, the search
 
     def test_tolerance_below_double_spacing_terminates(self):
         # the bracket cannot shrink below the spacing of doubles, so the
@@ -79,9 +88,11 @@ class TestOptimizeMu:
         assert 0.014 <= result.mu_opt <= 0.018
         assert result.evaluations < 200
 
-    def test_evaluation_count_reported(self):
-        result = optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-5, 1.0))
-        assert result.evaluations >= 10
+    @pytest.mark.parametrize("bounds", [(1e-5, 1.0), (1e-6, 5.0), (1e-6, 10.0)])
+    def test_evaluation_count_reported(self, bounds):
+        # the probe passes on these brackets, so no scan runs
+        result = optimize_mu(0.5, 0.5, 1e-4, bounds=bounds)
+        assert result.evaluations == 29
 
 
 class TestSweep:
