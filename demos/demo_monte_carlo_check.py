@@ -1,7 +1,8 @@
 """End-to-end stochastic check of the closed forms.
 
-Simulates the physical model directly (pair draws, binomial branch losses,
-threshold detector with dark counts, herald conditioning) and compares the
+Simulates the physical model directly (pair draws; a threshold herald
+detector that fires unless it misses every photon and has no dark count;
+binomial signal-branch losses in the heralded bins) and compares the
 empirical histogram with the exact distribution, bin by bin, in units of
 the binomial standard error.  Run:  python demos/demo_monte_carlo_check.py
 """

@@ -1,28 +1,27 @@
 """Seeded Monte Carlo simulation of the physical heralding model.
 
-Each trial is one time bin: draw a pair count, thin each photon population
-through its branch losses, fire the threshold detector (dark count OR'd
-with any surviving heralding photon), and record the signal-side survivor
-count when the herald fired.  The estimator is the normalized histogram
-over heralded trials, an end-to-end oracle for every closed form.
+Each trial is one time bin: draw a pair count, fire the threshold herald
+detector unless it misses every heralding photon and has no dark count, and
+when it fires record the signal photons that survive their branch loss.  The
+normalized histogram over heralded trials is an end-to-end oracle for every
+closed form.
 
 A bin holds a thermal count of kept-mode pairs and a Poisson count of extra
 pairs, whose photons reach both branches (unfiltered source) or only the
-unfiltered one.  Dim bins are almost all empty, so each chunk splits its bins
-by occupation with one multinomial draw and draws and thins only the occupied
-ones; the empty bins' dark heralds are one binomial count.
+unfiltered one.  Each chunk splits its bins by occupation with one
+multinomial draw and draws only the occupied ones; the empty bins' dark
+heralds are one binomial count.
 
-Reproducibility contract: trials are processed in fixed chunks of
-``CHUNK_TRIALS``; chunk ``i`` uses ``numpy.random.Generator(PCG64(
-SeedSequence(seed, spawn_key=(i,))))`` and draws, in this order (stream
-``STREAM_VERSION``): the multinomial split into kept-only, extra-only, both
-and empty bins; the kept counts of the kept-only and both bins; the
-first-arrival uniforms, then the Poisson remainders, of the both and
-extra-only bins; the herald-branch thinning, the signal-branch thinning and
-the dark-count uniforms of the occupied bins; the dark heralds among the
+Reproducibility contract: chunk ``i`` of ``CHUNK_TRIALS`` trials uses
+``numpy.random.Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` and
+draws, in this order (stream ``STREAM_VERSION``): the multinomial split into
+kept-only, extra-only, both and empty bins; the kept counts of the kept-only
+and both bins; the first-arrival uniforms, then the Poisson remainders, of
+the both and extra-only bins; one herald uniform per occupied bin; the
+signal-branch thinning of the heralded ones; the dark heralds among the
 empty bins.  A (config, seed) pair therefore replays bit-identically for a
 given numpy version and stream version.  Chunks run on up to one thread per
-available CPU, one at a time per thread (about 13 MiB each at mu = 0.5),
+available CPU, one at a time per thread (about 11 MiB each at mu = 0.5),
 and merge in chunk order: the result does not depend on the thread count.
 """
 
@@ -43,9 +42,9 @@ __all__ = ["McConfig", "simulate"]
 CHUNK_TRIALS = 1 << 20
 
 # Version of the draw order above; it moves with every change to the numbers
-# a (config, seed) pair produces.  Stream 1, the dense sampler that drew every
-# bin, does not replay under stream 2.
-STREAM_VERSION = 2
+# a (config, seed) pair produces.  Streams 1 (every bin drawn) and 2 (herald
+# thinned by a binomial) do not replay under stream 3.
+STREAM_VERSION = 3
 
 # Largest simulated mu: pair counts stay far inside int64 and numpy's Poisson range.
 MAX_MU = 1e15
@@ -123,35 +122,36 @@ def _simulate_chunk(config: McConfig, index: int, size: int) -> tuple[np.ndarray
     # occupied bins in the order kept-only, both, extra-only
     occupied = n_kept + n_both + n_extra
     kept = np.zeros(occupied, dtype=np.int64)
-    extra = np.zeros(occupied, dtype=np.int64)
     # the geometric law is memoryless: thermal N given N >= 1 is geometric
     # on 1, 2, ... with the same success probability P(N = 0)
     kept[:n_kept + n_both] = rng.geometric(kept0, size=n_kept + n_both)
-    # Poisson N given N >= 1: the first arrival time T of the unit-time
-    # process, by inverse CDF given T < 1, then 1 + Poisson(m (1 - T)); the
-    # clip keeps rounding from taking m (1 - T) below 0
-    rest = np.maximum(extra_mean + np.log1p(-rng.random(n_both + n_extra) * extra1), 0.0)
-    extra[n_kept:] = 1 + rng.poisson(rest)
-    # free each array once drawn from: the chunks in flight hold their peaks
-    del rest
-    total = kept + extra
-    herald_fired = rng.binomial(total if extra_herald else kept, p.eta_h) >= 1
-    signal = rng.binomial(total if extra_signal else kept, p.eta_s)
-    del kept, extra, total
-    heralded = herald_fired | (rng.random(occupied) < p.d_h)
-    hist = np.bincount(np.minimum(signal[heralded], config.n_cap), minlength=config.n_cap + 1)
+    # Poisson N given N >= 1: 1 + Poisson(m (1 - T)), the first arrival time T
+    # by inverse CDF given T < 1, clipped so that rounding keeps m (1 - T) >= 0
+    extra = rng.poisson(np.maximum(
+        extra_mean + np.log1p(-rng.random(n_both + n_extra) * extra1), 0.0))
+    extra += 1
+    total = kept if extra_herald and extra_signal else kept.copy()
+    total[n_kept:] += extra
+    del extra  # free each array after its last use: chunks in flight hold their peaks
+    # one uniform against the no-click probability (1 - d_h)(1 - eta_h)^h: all h
+    # photons missed, no dark count; 0.0 ** 0 is 1, so eta_h = 1, h = 0 gives 1 - d_h
+    silent = (1.0 - p.d_h) * np.power(1.0 - p.eta_h, total if extra_herald else kept)
+    signal = total if extra_signal else kept
+    del kept, total
+    heralded = rng.random(occupied) >= silent
+    del silent
+    # given the counts the branches thin independently: heralded bins only
+    signal = rng.binomial(signal[heralded], p.eta_s)
+    hist = np.bincount(np.minimum(signal, config.n_cap, out=signal), minlength=config.n_cap + 1)
     # an empty bin heralds only by a dark count, and then with no signal photon
     dark = int(rng.binomial(n_empty, p.d_h))
     hist[0] += dark
-    return hist, int(heralded.sum()) + dark
+    return hist, len(signal) + dark
 
 
 def _chunks(trials: int):
-    full, rest = divmod(trials, CHUNK_TRIALS)
-    for i in range(full):
-        yield i, CHUNK_TRIALS
-    if rest:
-        yield full, rest
+    for i, start in enumerate(range(0, trials, CHUNK_TRIALS)):
+        yield i, min(CHUNK_TRIALS, trials - start)
 
 
 def _cpus() -> int:

@@ -43,7 +43,7 @@ from hspstats import (
     xi,
     xi_limit,
 )
-from hspstats import analytic
+from hspstats import analytic, errors, model, montecarlo, optimize, records
 from hspstats.analytic import _poisson_tail_bound, _thin, herald_prob, input_pmf, xi_values
 from hspstats.verify import MOMENT_TOL, SERIES_TOL, sample_configurations
 
@@ -871,9 +871,8 @@ class TestUnconditioned:
             assert recon == pytest.approx(pmf.prob(n), rel=1e-12, abs=1e-300)
 
 
-def test_numpy_is_imported_only_inside_functions():
-    # importing hspstats.analytic must not import numpy: the oracles, the
-    # only numpy users, import it inside their functions
+def _module_level_imports(module) -> list:
+    """The modules that ``module`` imports outside its functions."""
     def module_level(node):
         for child in ast.iter_child_nodes(node):
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -881,10 +880,22 @@ def test_numpy_is_imported_only_inside_functions():
                 yield from module_level(child)
 
     modules = []
-    for node in module_level(ast.parse(Path(analytic.__file__).read_text())):
+    for node in module_level(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.Import):
             modules += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules.append(node.module)
-    assert "math" in modules
-    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    return modules
+
+
+def test_import_walk_sees_module_level_imports():
+    assert "math" in _module_level_imports(analytic)
+    assert "numpy" in _module_level_imports(montecarlo)
+
+
+@pytest.mark.parametrize("module", [analytic, model, optimize, records, errors],
+                         ids=lambda m: m.__name__)
+def test_numpy_is_imported_only_inside_functions(module):
+    # the modules that pmf, moments, optimize and sweep need must not import
+    # numpy at module level; analytic's oracles import it inside themselves
+    assert [m for m in _module_level_imports(module) if m.split(".")[0] == "numpy"] == []
