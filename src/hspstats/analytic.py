@@ -13,13 +13,13 @@ Poisson signal count behind a herald filter.  So :func:`_describe` gives
 every configuration as (base law, kept-mode mean m, effective dark count,
 extraneous signal mean lam): Poisson (POISSON, mu, d_h, 0), thermal
 (THERMAL, mu, d_h, 0), signal filter (THERMAL, mu*f, nu_h, 0) and herald
-filter (THERMAL, mu*f, d_h, mu*eta_s*(1-f)).  The unconditioned signal law
-is the base law at mean m*eta_s, and :func:`_factor` gives 1/P_click, xi(n)
-and the pmf terms; behind a herald filter the terms follow a positive
-two-sequence recurrence in natural scale, O(1) per term at any f.  The
-oracle pair sum behind the series and convolution entry points never reads
-a description, so each closed form is cross-checked against an independent
-route.
+filter (THERMAL, mu*f, d_h, mu*eta_s*(1-f)).  xi(n) multiplies the base law
+at mean m*eta_s, which is the unconditioned signal law only while lam = 0,
+and :func:`_factor` gives 1/P_click, xi(n) and the pmf terms; behind a
+herald filter the terms follow a positive two-sequence recurrence in
+natural scale, O(1) per term at any f.  The oracle pair sum behind the
+series and convolution entry points never reads a description, so each
+closed form is cross-checked against an independent route.
 
 All functions are pure and safe for concurrent use.
 """
@@ -66,9 +66,19 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 
+# read once: an enum member read through its class costs about 0.1 us, a
+# tenth of the moment evaluation that the optimizer repeats per probe
+_POISSON = PairStatistics.POISSON
+
 # Requested tail tolerances below this cannot be honored in double precision
 # (the builders account mass by floating-point summation).
 MIN_TOL = 1e-13
+
+
+def _check_tol(tol: float):
+    """Refuse a pmf tail tolerance below MIN_TOL (or NaN)."""
+    if not tol >= MIN_TOL:
+        raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
 
 
 def _oms(x: float, d_h: float) -> float:
@@ -255,8 +265,10 @@ def xi_values(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_
 
 def xi(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_FILTER,
        n: int = 0) -> float:
-    """Correcting factor xi(n): heralded probability over unconditioned
-    probability of n signal photons in the given configuration."""
+    """Correcting factor xi(n): heralded probability of n signal photons over
+    :func:`unconditioned_pmf`, the base law it multiplies.  Behind a herald
+    filter that is the kept-mode law alone, so xi(n) is not the ratio of the
+    heralded to the unheralded signal law there."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
     return next(_factor(_describe(stat, params, filt), params)[2](n))
@@ -373,8 +385,7 @@ def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourcePa
     tail_bound is within tol.  numpy is imported here so that importing this
     module does not import numpy."""
     import numpy as np
-    if not tol >= MIN_TOL:
-        raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
+    _check_tol(tol)
     _check_heraldable(params.d_h, mu * params.eta_h)
     stop = 0.1 * tol
     weights, herald_sum = _herald_weights(stat, mu, _clicks(params), stop)
@@ -412,8 +423,7 @@ def signal_pmf(
 ) -> Pmf:
     """Exact heralded signal pmf from the closed forms (:func:`_factor`),
     truncated so the stored tail_bound <= tol."""
-    if not tol >= MIN_TOL:
-        raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
+    _check_tol(tol)
     desc = _describe(stat, params, filt)
     base, m, _, lam = desc
     sup, terms, _ = _factor(desc, params)
@@ -453,22 +463,34 @@ def _clamped(terms, count: int) -> tuple:
                   for p in itertools.islice(terms, count)])
 
 
+def heralded_terms(stat: PairStatistics, params: SourceParams, filt: FilterSpec,
+                   count: int) -> tuple:
+    """p(0), ..., p(count - 1) of the heralded signal law as :func:`signal_pmf`
+    gives them, with no truncation: the terms alone, so no moment can fail."""
+    return _head(_describe(stat, params, filt), params, count)
+
+
 def heralded_head(stat: PairStatistics, params: SourceParams, filt: FilterSpec,
                   count: int) -> tuple:
-    """Moments and p(0), ..., p(count - 1) of the heralded signal law as
-    :func:`moments_closed_form` and :func:`signal_pmf` give them, from one description."""
+    """:func:`moments_closed_form` and :func:`heralded_terms` from one description."""
+    desc = _describe(stat, params, filt)
+    return _moments(desc, params), _head(desc, params, count)
+
+
+def _head(desc: tuple, params: SourceParams, count: int) -> tuple:
+    """The first count pmf terms of a described configuration."""
     if count < 0:
         raise ValidationError(f"term count must be >= 0, got {count}")
-    desc = _describe(stat, params, filt)
-    return (_moments(params, desc[0] is PairStatistics.POISSON, *desc[1:]),
-            _clamped(_factor(desc, params)[1](), count))
+    return _clamped(_factor(desc, params)[1](), count)
 
 
 def unconditioned_pmf(
     stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_FILTER, n: int = 0
 ) -> float:
-    """Signal-count law at n without herald conditioning: the base
-    distribution that the correcting factor xi multiplies."""
+    """Base law at n that the correcting factor xi multiplies: the
+    kept-mode signal count, Poisson or thermal of mean m*eta_s, without herald
+    conditioning.  It is the unheralded signal law except behind a herald
+    filter, where that law is its convolution with Po(mu*eta_s*(1-f))."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
     base, m, _, _ = _describe(stat, params, filt)
@@ -521,16 +543,16 @@ def moments_closed_form(params: SourceParams, stat: PairStatistics = PairStatist
     e^(-x) - 1 + x from its Taylor series at small x; x/z is carried whole,
     so the moments stay finite at a subnormal x.
     """
-    base, m, d, lam = _describe(stat, params, filt)
-    return _moments(params, base is PairStatistics.POISSON, m, d, lam)
+    return _moments(_describe(stat, params, filt), params)
 
 
-def _moments(params: SourceParams, poisson: bool, m: float, d: float, lam: float) -> MomentSummary:
+def _moments(desc: tuple, params: SourceParams) -> MomentSummary:
     """:func:`moments_closed_form` of a described configuration."""
+    base, m, d, lam = desc
     eta_h, eta_s = params.eta_h, params.eta_s
     x = m * eta_h
     _check_heraldable(d, x)
-    if poisson:
+    if base is _POISSON:
         miss, w = math.exp(-x), -math.expm1(-x)
         z = d + (1.0 - d) * w
         t = (1.0 - d) * miss * (x / z)

@@ -1,7 +1,9 @@
 """Command-line surface: pmf, moments, optimize, sweep, simulate, verify.
 
-Every command emits an :class:`~hspstats.records.OutputRecord` as CSV or
-JSON (``--format``), to stdout or ``--out``.  Physical inputs are flags; a
+Each command is one ``cmd_<command>`` function that returns its echoed
+inputs and its rows; ``main`` looks it up by name when it runs and alone
+builds the :class:`~hspstats.records.OutputRecord`, written as CSV or JSON
+(``--format``) to stdout or ``--out``.  Physical inputs are flags; a
 flat ``key = value`` config file (``--config``) may supply defaults, with
 flags taking precedence.
 
@@ -180,7 +182,7 @@ def _echo_inputs(stat, params, filt, extra: dict | None = None) -> dict:
     return inputs
 
 
-def cmd_pmf(s: dict) -> records.OutputRecord:
+def cmd_pmf(s: dict) -> tuple[dict, list]:
     stat, params, filt = _physics(s)
     if s["nmax"] is not None and not 0 <= s["nmax"] <= TERM_CAP:
         raise UsageError(f"--nmax must lie in [0, {TERM_CAP}], got {s['nmax']}")
@@ -188,7 +190,7 @@ def cmd_pmf(s: dict) -> records.OutputRecord:
     n_top = len(pmf) - 1 if s["nmax"] is None else s["nmax"]
     # rows beyond the truncated pmf take the exact terms that continue it
     heralded = (pmf.probs if n_top < len(pmf)
-                else analytic.heralded_head(stat, params, filt, n_top + 1)[1])
+                else analytic.heralded_terms(stat, params, filt, n_top + 1))
     try:
         factors = analytic.xi_values(stat, params, filt, n_top)
     except SeriesOverflowError as exc:
@@ -199,33 +201,21 @@ def cmd_pmf(s: dict) -> records.OutputRecord:
         rows.append({"n": n, "p_heralded": heralded[n],
                      "p_unheralded": analytic.unconditioned_pmf(stat, params, filt, n),
                      "xi": factors[n] if n < len(factors) else None})
-    inputs = _echo_inputs(stat, params, filt, {"tol": s["tol"], "tail_bound": pmf.tail_bound})
-    return records.OutputRecord(records.SCHEMA_VERSION, "pmf", inputs, rows)
+    return _echo_inputs(stat, params, filt, {"tol": s["tol"], "tail_bound": pmf.tail_bound}), rows
 
 
-def cmd_moments(s: dict) -> records.OutputRecord:
+def cmd_moments(s: dict) -> tuple[dict, list]:
     stat, params, filt = _physics(s)
     rows = [dataclasses.asdict(analytic.moments_closed_form(params, stat, filt))]
-    return records.OutputRecord(records.SCHEMA_VERSION, "moments",
-                                _echo_inputs(stat, params, filt), rows)
+    return _echo_inputs(stat, params, filt), rows
 
 
-def cmd_optimize(s: dict) -> records.OutputRecord:
-    result = opt.optimize_mu(
-        s["eta_h"], s["eta_s"], s["dark"],
-        bounds=(s["mu_lo"], s["mu_hi"]),
-        rel_tol=s["rel_tol"],
-    )
-    inputs = {
-        "eta_h": s["eta_h"], "eta_s": s["eta_s"], "d_h": s["dark"],
-        "mu_lo": s["mu_lo"], "mu_hi": s["mu_hi"], "rel_tol": s["rel_tol"],
-    }
-    rows = [{
-        "mu_opt": result.mu_opt,
-        "fano_opt": result.fano_opt,
-        "evaluations": result.evaluations,
-    }]
-    return records.OutputRecord(records.SCHEMA_VERSION, "optimize", inputs, rows)
+def cmd_optimize(s: dict) -> tuple[dict, list]:
+    result = opt.optimize_mu(s["eta_h"], s["eta_s"], s["dark"],
+                             bounds=(s["mu_lo"], s["mu_hi"]), rel_tol=s["rel_tol"])
+    inputs = {"eta_h": s["eta_h"], "eta_s": s["eta_s"], "d_h": s["dark"],
+              "mu_lo": s["mu_lo"], "mu_hi": s["mu_hi"], "rel_tol": s["rel_tol"]}
+    return inputs, [dataclasses.asdict(result)]
 
 
 def _parse_grid(s: dict) -> tuple:
@@ -250,7 +240,7 @@ def _parse_grid(s: dict) -> tuple:
     return tuple(start * ratio**i for i in range(points))
 
 
-def cmd_sweep(s: dict) -> records.OutputRecord:
+def cmd_sweep(s: dict) -> tuple[dict, list]:
     stat, params, filt = _physics(s)
     if s["axis"] == "f" and filt.branch is FilterBranch.NONE:
         raise UsageError("--axis f needs a mode filter: --filter signal or herald")
@@ -265,11 +255,10 @@ def cmd_sweep(s: dict) -> records.OutputRecord:
             **{f"p{i}": p for i, p in enumerate(row.pmf_head or (None,) * opt.PMF_HEAD)},
             "error": row.error,
         })
-    inputs = _echo_inputs(stat, params, filt, {"axis": s["axis"]})
-    return records.OutputRecord(records.SCHEMA_VERSION, "sweep", inputs, rows)
+    return _echo_inputs(stat, params, filt, {"axis": s["axis"]}), rows
 
 
-def cmd_simulate(s: dict) -> records.OutputRecord:
+def cmd_simulate(s: dict) -> tuple[dict, list]:
     stat, params, filt = _physics(s)
     if s["trials"] < 1:
         raise UsageError(f"--trials must be >= 1, got {s['trials']}")
@@ -287,35 +276,21 @@ def cmd_simulate(s: dict) -> records.OutputRecord:
         }
         for n in range(len(est.pmf_hat))
     ]
-    inputs = _echo_inputs(stat, params, filt,
-                          {"trials": s["trials"], "seed": s["seed"], "n_cap": s["n_cap"],
-                           "stream": STREAM_VERSION, "numpy": numpy.__version__})
-    return records.OutputRecord(records.SCHEMA_VERSION, "simulate", inputs, rows)
+    return _echo_inputs(stat, params, filt,
+                        {"trials": s["trials"], "seed": s["seed"], "n_cap": s["n_cap"],
+                         "stream": STREAM_VERSION, "numpy": numpy.__version__}), rows
 
 
-def cmd_verify(s: dict) -> tuple[records.OutputRecord, bool]:
-    results = run_verification(
-        matrix=s["matrix"],
-        tolerance=s["tolerance"],
-        trials=s["trials"],
-        seed=s["seed"],
-        with_mc=not s["no_mc"],
-    )
-    rows = [
-        {
-            "check": r.check,
-            "cases": r.cases,
-            "max_deviation": r.max_deviation,
-            "tolerance": r.tolerance,
-            "status": "pass" if r.passed else "fail",
-        }
-        for r in results
-    ]
+def cmd_verify(s: dict) -> tuple[dict, list]:
+    results = run_verification(matrix=s["matrix"], tolerance=s["tolerance"], trials=s["trials"],
+                               seed=s["seed"], with_mc=not s["no_mc"])
+    rows = [{"check": r.check, "cases": r.cases, "max_deviation": r.max_deviation,
+             "tolerance": r.tolerance, "status": "pass" if r.passed else "fail"}
+            for r in results]
     inputs = {"matrix": s["matrix"], "seed": s["seed"]}
     if s["tolerance"] is not None:
         inputs["tolerance"] = s["tolerance"]
-    record = records.OutputRecord(records.SCHEMA_VERSION, "verify", inputs, rows)
-    return record, all(r.passed for r in results)
+    return inputs, rows
 
 
 def _emit(record: records.OutputRecord, s: dict):
@@ -344,22 +319,11 @@ def main(argv: list | None = None) -> int:
             except UsageError as exc:
                 raise UsageError(f"{args.config}: {exc}") from None
         s = vars(args)
-        if args.command == "pmf":
-            record = cmd_pmf(s)
-        elif args.command == "moments":
-            record = cmd_moments(s)
-        elif args.command == "optimize":
-            record = cmd_optimize(s)
-        elif args.command == "sweep":
-            record = cmd_sweep(s)
-        elif args.command == "simulate":
-            record = cmd_simulate(s)
-        else:
-            record, ok = cmd_verify(s)
-            _emit(record, s)
-            return EXIT_OK if ok else EXIT_VERIFY
-        _emit(record, s)
-        return EXIT_OK
+        # looked up at call time, so a wrapper put on a cmd_* attribute is the one called
+        inputs, rows = globals()["cmd_" + args.command](s)
+        _emit(records.OutputRecord(records.SCHEMA_VERSION, args.command, inputs, rows), s)
+        failed = args.command == "verify" and any(r["status"] == "fail" for r in rows)
+        return EXIT_VERIFY if failed else EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

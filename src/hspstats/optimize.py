@@ -10,7 +10,7 @@ pmf terms along one parameter axis.
 import math
 from dataclasses import dataclass, replace
 
-from .analytic import _describe, _moments, heralded_head
+from .analytic import _POISSON, _describe, _moments, heralded_head
 from .errors import BracketError, HspsError, ValidationError
 from .model import (
     NO_FILTER,
@@ -63,7 +63,7 @@ def fano_ratio(mu: float, eta_h: float, eta_s: float, d_h: float) -> float:
 
 def _fano(point: SourceParams, mu: float) -> float:
     """:func:`fano_ratio` at point's eta_h, eta_s and d_h, mu not validated."""
-    fano = _moments(point, True, mu, point.d_h, 0.0).fano
+    fano = _moments((_POISSON, mu, point.d_h, 0.0), point).fano
     if fano is None:
         raise ValidationError("Fano ratio undefined: the mean photon number is zero")
     return fano

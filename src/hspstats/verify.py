@@ -76,39 +76,33 @@ def _max_term_deviation(pmf_a, pmf_b) -> float:
 
 
 def _series_checks(configs) -> dict:
-    dev_p = dev_t = dev_s = dev_h = 0.0
+    """Worst per-term deviation of each closed form from its independent route."""
+    worst = {}
     tol = 1e-12
     for params, f in configs:
-        closed_p = analytic.signal_pmf(PairStatistics.POISSON, params, NO_FILTER, tol)
-        series_p = analytic.conditional_pmf_series(PairStatistics.POISSON, params, tol)
-        dev_p = max(dev_p, _max_term_deviation(closed_p, series_p))
-
-        closed_t = analytic.signal_pmf(PairStatistics.THERMAL, params, NO_FILTER, tol)
-        series_t = analytic.conditional_pmf_series(PairStatistics.THERMAL, params, tol)
-        dev_t = max(dev_t, _max_term_deviation(closed_t, series_t))
-
+        sig, her = FilterSpec(FilterBranch.SIGNAL, f), FilterSpec(FilterBranch.HERALD, f)
         # signal filter: the kept mode is a thermal source with mean mu*f
         # heralded against an inflated dark rate, so the generic series at
         # those substituted parameters is an independent route
-        sig = FilterSpec(FilterBranch.SIGNAL, f)
-        closed_s = analytic.signal_pmf(PairStatistics.POISSON, params, sig, tol)
-        sub = SourceParams(
-            params.mu * f, params.eta_h, params.eta_s,
-            analytic.effective_dark_count(params, f),
-        )
-        series_s = analytic.conditional_pmf_series(PairStatistics.THERMAL, sub, tol)
-        dev_s = max(dev_s, _max_term_deviation(closed_s, series_s))
-
-        her = FilterSpec(FilterBranch.HERALD, f)
-        closed_h = analytic.signal_pmf(PairStatistics.POISSON, params, her, tol)
-        oracle_h = analytic.herald_filter_convolution_oracle(params, f, tol)
-        dev_h = max(dev_h, _max_term_deviation(closed_h, oracle_h))
-    return {
-        "poisson_closed_vs_series": dev_p,
-        "thermal_closed_vs_series": dev_t,
-        "signal_filtered_vs_substituted_series": dev_s,
-        "herald_filtered_vs_convolution": dev_h,
-    }
+        sub = SourceParams(params.mu * f, params.eta_h, params.eta_s,
+                           analytic.effective_dark_count(params, f))
+        pairs = {
+            "poisson_closed_vs_series": (
+                analytic.signal_pmf(PairStatistics.POISSON, params, NO_FILTER, tol),
+                analytic.conditional_pmf_series(PairStatistics.POISSON, params, tol)),
+            "thermal_closed_vs_series": (
+                analytic.signal_pmf(PairStatistics.THERMAL, params, NO_FILTER, tol),
+                analytic.conditional_pmf_series(PairStatistics.THERMAL, params, tol)),
+            "signal_filtered_vs_substituted_series": (
+                analytic.signal_pmf(PairStatistics.POISSON, params, sig, tol),
+                analytic.conditional_pmf_series(PairStatistics.THERMAL, sub, tol)),
+            "herald_filtered_vs_convolution": (
+                analytic.signal_pmf(PairStatistics.POISSON, params, her, tol),
+                analytic.herald_filter_convolution_oracle(params, f, tol)),
+        }
+        for name, (closed, route) in pairs.items():
+            worst[name] = max(worst.get(name, 0.0), _max_term_deviation(closed, route))
+    return worst
 
 
 def _reduction_check(configs) -> float:

@@ -7,7 +7,8 @@ import pytest
 
 from hspstats import (FilterBranch, FilterSpec, PairStatistics, SourceParams,
                       moments_closed_form, moments_from_pmf, records, signal_pmf, xi)
-from hspstats.analytic import heralded_head
+from hspstats import cli
+from hspstats.analytic import heralded_terms
 from hspstats.cli import main
 from hspstats.montecarlo import STREAM_VERSION
 
@@ -110,11 +111,25 @@ class TestPmfCommand:
         rows = records.parse(out).rows
         assert len(rows) == 151
         params = SourceParams(30, 0.5, 0.5, 1e-4)
-        terms = heralded_head(PairStatistics.POISSON, params, spec, 151)[1]
+        terms = heralded_terms(PairStatistics.POISSON, params, spec, 151)
         assert tuple(row["p_heralded"] for row in rows) == terms
         assert terms[:len(pmf)] == pmf.probs
         assert all(0.0 <= p < 1e-12 for p in terms[len(pmf):])
         assert all(row["xi"] is None for row in rows[69:])
+
+    def test_rows_beyond_the_pmf_need_no_moments(self, capsys):
+        # the moments of this source leave double range, its pmf terms do not;
+        # the rows past the pmf used to take the moments along and exit 2
+        flags = ["--stat", "thermal", "--mu", "1e200", "--eta-s", "1e-200", "--eta-h", "0.5",
+                 "--dark", "1e-4"]
+        code, out, _ = run(capsys, "pmf", *flags)
+        assert code == 0
+        head = records.parse(out).rows
+        code, out, err = run(capsys, "pmf", *flags, "--nmax", "60")
+        assert (code, err) == (0, "")
+        rows = records.parse(out).rows
+        assert (len(head), len(rows)) == (41, 61)
+        assert rows[:41] == head
 
     def test_thermal_vacuum(self, capsys):
         code, out, _ = run(capsys, "pmf", "--stat", "thermal", "--mu", "0",
@@ -470,3 +485,23 @@ class TestHelp:
         _, out, _ = run(capsys, "moments", *REF_FLAGS, "--format", "json")
         payload = json.loads(out)
         assert payload["schema_version"] == "1"
+
+
+class TestCommandTable:
+    def test_every_subcommand_has_one_handler(self):
+        handlers = {name[len("cmd_"):] for name in vars(cli) if name.startswith("cmd_")}
+        assert handlers == set(cli.build_parser().commands)
+
+    def test_main_calls_the_handler_attribute(self, capsys, monkeypatch):
+        # tracers wrap cmd_* by replacing the module attribute: main must call the wrapper
+        seen = []
+        original = cli.cmd_moments
+
+        def wrapper(s):
+            seen.append(s["mu"])
+            return original(s)
+
+        monkeypatch.setattr(cli, "cmd_moments", wrapper)
+        code, out, _ = run(capsys, "moments", *REF_FLAGS)
+        assert (code, seen) == (0, [0.01])
+        assert records.parse(out).command == "moments"
