@@ -17,12 +17,14 @@ Reproducibility contract: chunk ``i`` of ``CHUNK_TRIALS`` trials uses
 draws, in this order (stream ``STREAM_VERSION``): the multinomial split into
 kept-only, extra-only, both and empty bins; the kept counts of the kept-only
 and both bins; the first-arrival uniforms, then the Poisson remainders, of
-the both and extra-only bins; one herald uniform per occupied bin; the
-signal-branch thinning of the heralded ones; the dark heralds among the
-empty bins.  A (config, seed) pair therefore replays bit-identically for a
-given numpy version and stream version.  Chunks run on up to one thread per
-available CPU, one at a time per thread (about 11 MiB each at mu = 0.5),
-and merge in chunk order: the result does not depend on the thread count.
+the both and extra-only bins; one herald exponential per occupied bin;
+the binomial count of heralded one-signal-photon bins that keep it, then
+the per-bin thinning of heralded bins with two or more; the dark heralds
+among the empty bins.  A (config, seed) pair therefore replays
+bit-identically for a given numpy version and stream version.  Chunks run
+on up to one thread per available CPU, one at a time per thread (about 11
+MiB each at mu = 0.5), and merge in chunk order: the result does not
+depend on the thread count.
 """
 
 import functools
@@ -42,9 +44,10 @@ __all__ = ["McConfig", "simulate"]
 CHUNK_TRIALS = 1 << 20
 
 # Version of the draw order above; it moves with every change to the numbers
-# a (config, seed) pair produces.  Streams 1 (every bin drawn) and 2 (herald
-# thinned by a binomial) do not replay under stream 3.
-STREAM_VERSION = 3
+# a (config, seed) pair produces.  Streams 1 (every bin drawn), 2 (herald
+# thinned by a binomial) and 3 (herald uniform, every heralded bin thinned on
+# its own) do not replay under stream 4.
+STREAM_VERSION = 4
 
 # Largest simulated mu: pair counts stay far inside int64 and numpy's Poisson range.
 MAX_MU = 1e15
@@ -127,26 +130,33 @@ def _simulate_chunk(config: McConfig, index: int, size: int) -> tuple[np.ndarray
     kept[:n_kept + n_both] = rng.geometric(kept0, size=n_kept + n_both)
     # Poisson N given N >= 1: 1 + Poisson(m (1 - T)), the first arrival time T
     # by inverse CDF given T < 1, clipped so that rounding keeps m (1 - T) >= 0
-    extra = rng.poisson(np.maximum(
-        extra_mean + np.log1p(-rng.random(n_both + n_extra) * extra1), 0.0))
+    extra = rng.random(n_both + n_extra)
+    np.log1p(np.multiply(extra, -extra1, out=extra), out=extra)
+    extra = rng.poisson(np.maximum(np.add(extra, extra_mean, out=extra), 0.0, out=extra))
     extra += 1
     total = kept if extra_herald and extra_signal else kept.copy()
     total[n_kept:] += extra
     del extra  # free each array after its last use: chunks in flight hold their peaks
-    # one uniform against the no-click probability (1 - d_h)(1 - eta_h)^h: all h
-    # photons missed, no dark count; 0.0 ** 0 is 1, so eta_h = 1, h = 0 gives 1 - d_h
-    silent = (1.0 - p.d_h) * np.power(1.0 - p.eta_h, total if extra_herald else kept)
+    # dark, with probability (1 - d_h)(1 - eta_h)^h, when one exponential outlasts
+    # the miss hazard c0 + h c1: c0 is inf at d_h = 1, and c1 = 1e3 at eta_h = 1
+    # misses with probability e^-1000, 0 in doubles, and keeps 0 * c1 = 0 at h = 0
+    c0 = -math.log1p(-p.d_h) if p.d_h < 1.0 else math.inf
+    c1 = -math.log1p(-p.eta_h) if p.eta_h < 1.0 else 1e3
+    heralded = rng.standard_exponential(occupied) < (total if extra_herald else kept) * c1 + c0
     signal = total if extra_signal else kept
     del kept, total
-    heralded = rng.random(occupied) >= silent
-    del silent
-    # given the counts the branches thin independently: heralded bins only
-    signal = rng.binomial(signal[heralded], p.eta_s)
-    hist = np.bincount(np.minimum(signal, config.n_cap, out=signal), minlength=config.n_cap + 1)
+    # the branches thin independently given the counts: one binomial count for the
+    # heralded one-photon bins, one per bin with more (np.compress beats a bool index)
+    heralds = int(np.count_nonzero(heralded))
+    ones = int(rng.binomial(np.count_nonzero(heralded & (signal == 1)), p.eta_s))
+    heralded &= signal > 1
+    many = rng.binomial(np.compress(heralded, signal), p.eta_s)
+    hist = np.bincount(np.minimum(many, config.n_cap, out=many), minlength=config.n_cap + 1)
     # an empty bin heralds only by a dark count, and then with no signal photon
     dark = int(rng.binomial(n_empty, p.d_h))
-    hist[0] += dark
-    return hist, len(signal) + dark
+    hist[1] += ones
+    hist[0] += heralds - len(many) - ones + dark
+    return hist, heralds + dark
 
 
 def _chunks(trials: int):
