@@ -16,15 +16,15 @@ Reproducibility contract: chunk ``i`` of ``CHUNK_TRIALS`` trials uses
 ``numpy.random.Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` and
 draws, in this order (stream ``STREAM_VERSION``): the multinomial split into
 kept-only, extra-only, both and empty bins; the kept counts of the kept-only
-and both bins; the first-arrival uniforms, then the Poisson remainders, of
-the both and extra-only bins; one herald exponential per occupied bin;
-the binomial count of heralded one-signal-photon bins that keep it, then
-the per-bin thinning of heralded bins with two or more; the dark heralds
-among the empty bins.  A (config, seed) pair therefore replays
-bit-identically for a given numpy version and stream version.  Chunks run
-on up to one thread per available CPU, one at a time per thread (about 11
-MiB each at mu = 0.5), and merge in chunk order: the result does not
-depend on the thread count.
+and both bins; the first-arrival uniforms, then the Poisson remainders, of the
+both and extra-only bins; one herald exponential per occupied bin; the
+binomial count of heralded one-signal-photon bins that keep it, then the
+per-bin thinning of heralded bins with two or more; the dark heralds among the
+empty bins.  The Poisson, exponential and thinning draws run over blocks of
+``BLOCK_BINS`` occupied bins and give the numbers of whole-array calls, so a
+(config, seed) pair replays bit-identically for a given numpy and stream
+version.  Chunks run at most one per CPU at a time, each holding 5 to 6 MiB
+at mu = 0.5; they merge in chunk order, independent of the thread count.
 """
 
 import functools
@@ -42,6 +42,8 @@ from .model import TERM_CAP, FilterBranch, FilterSpec, NO_FILTER, PairStatistics
 __all__ = ["McConfig", "simulate"]
 
 CHUNK_TRIALS = 1 << 20
+# Occupied bins per draw block; a dim verify chunk (up to ~50,000) is one block.
+BLOCK_BINS = 1 << 16
 
 # Version of the draw order above; it moves with every change to the numbers
 # a (config, seed) pair produces.  Streams 1 (every bin drawn), 2 (herald
@@ -109,10 +111,23 @@ def _describe(config: McConfig) -> tuple[float, float, bool, bool]:
     return mu * f, mu * (1.0 - f), branch is FilterBranch.SIGNAL, branch is FilterBranch.HERALD
 
 
+def _counts(kept: np.ndarray, extra: np.ndarray, n_kept: int, a: int, b: int, with_extra: bool):
+    """Pair counts of occupied bins a..b-1 in one branch: the kept pairs of bins
+    0.. and, when the branch sees them, the extra pairs of bins n_kept.."""
+    k = kept[a:b]
+    x = extra[max(a - n_kept, 0):max(b - n_kept, 0)] if with_extra else extra[:0]
+    if 0 in (len(k), len(x)) and len(k) + len(x) == b - a:
+        return x if len(x) else k  # one kind of pair: a view, no copy
+    out = np.zeros(b - a, dtype=np.int64)
+    out[:len(k)] = k
+    out[b - a - len(x):] += x
+    return out
+
+
 def _simulate_chunk(config: McConfig, index: int, size: int) -> tuple[np.ndarray, int]:
     """Histogram of clamped signal counts over heralded trials of one chunk,
     and the number of heralded trials; draws in the order of the module
-    docstring."""
+    docstring, the Poisson, herald and thinning draws over blocks of bins."""
     p = config.params
     seq = np.random.SeedSequence(entropy=int(config.seed), spawn_key=(index,))
     rng = np.random.Generator(np.random.PCG64(seq))
@@ -124,39 +139,48 @@ def _simulate_chunk(config: McConfig, index: int, size: int) -> tuple[np.ndarray
 
     # occupied bins in the order kept-only, both, extra-only
     occupied = n_kept + n_both + n_extra
-    kept = np.zeros(occupied, dtype=np.int64)
     # the geometric law is memoryless: thermal N given N >= 1 is geometric
     # on 1, 2, ... with the same success probability P(N = 0)
-    kept[:n_kept + n_both] = rng.geometric(kept0, size=n_kept + n_both)
+    kept = rng.geometric(kept0, size=n_kept + n_both)
     # Poisson N given N >= 1: 1 + Poisson(m (1 - T)), the first arrival time T
-    # by inverse CDF given T < 1, clipped so that rounding keeps m (1 - T) >= 0
+    # by inverse CDF given T < 1, clipped so that rounding keeps m (1 - T) >= 0;
+    # each block's counts overwrite its uniforms, as int64
     extra = rng.random(n_both + n_extra)
-    np.log1p(np.multiply(extra, -extra1, out=extra), out=extra)
-    extra = rng.poisson(np.maximum(np.add(extra, extra_mean, out=extra), 0.0, out=extra))
-    extra += 1
-    total = kept if extra_herald and extra_signal else kept.copy()
-    total[n_kept:] += extra
-    del extra  # free each array after its last use: chunks in flight hold their peaks
+    for u in (extra[a:a + BLOCK_BINS] for a in range(0, len(extra), BLOCK_BINS)):
+        np.log1p(np.multiply(u, -extra1, out=u), out=u)
+        np.add(rng.poisson(np.maximum(u + extra_mean, 0.0, out=u)), 1, out=u.view(np.int64))
+    extra = extra.view(np.int64)
     # dark, with probability (1 - d_h)(1 - eta_h)^h, when one exponential outlasts
     # the miss hazard c0 + h c1: c0 is inf at d_h = 1, and c1 = 1e3 at eta_h = 1
     # misses with probability e^-1000, 0 in doubles, and keeps 0 * c1 = 0 at h = 0
     c0 = -math.log1p(-p.d_h) if p.d_h < 1.0 else math.inf
     c1 = -math.log1p(-p.eta_h) if p.eta_h < 1.0 else 1e3
-    heralded = rng.standard_exponential(occupied) < (total if extra_herald else kept) * c1 + c0
-    signal = total if extra_signal else kept
-    del kept, total
+    blocks = [(a, min(a + BLOCK_BINS, occupied)) for a in range(0, occupied, BLOCK_BINS)]
+    exponentials, hazard = np.empty((2, min(occupied, BLOCK_BINS)))  # reused by each block
+    many = np.empty(occupied, dtype=bool)  # heralded with two or more signal photons
+    heralds = ones = 0
+    for a, b in blocks:
+        np.multiply(_counts(kept, extra, n_kept, a, b, extra_herald), c1, out=hazard[:b - a])
+        hazard[:b - a] += c0
+        heralded = rng.standard_exponential(out=exponentials[:b - a]) < hazard[:b - a]
+        signal = _counts(kept, extra, n_kept, a, b, extra_signal)
+        heralds += int(np.count_nonzero(heralded))
+        ones += int(np.count_nonzero(heralded & (signal == 1)))
+        np.logical_and(heralded, signal > 1, out=many[a:b])
+    del exponentials, hazard  # free before the thinning: chunks in flight hold their peaks
     # the branches thin independently given the counts: one binomial count for the
     # heralded one-photon bins, one per bin with more (np.compress beats a bool index)
-    heralds = int(np.count_nonzero(heralded))
-    ones = int(rng.binomial(np.count_nonzero(heralded & (signal == 1)), p.eta_s))
-    heralded &= signal > 1
-    many = rng.binomial(np.compress(heralded, signal), p.eta_s)
-    hist = np.bincount(np.minimum(many, config.n_cap, out=many), minlength=config.n_cap + 1)
-    # an empty bin heralds only by a dark count, and then with no signal photon
-    dark = int(rng.binomial(n_empty, p.d_h))
+    ones = int(rng.binomial(ones, p.eta_s))
+    hist = np.zeros(config.n_cap + 1, dtype=np.int64)
+    for a, b in blocks:
+        if len(blocks) > 1:  # a single block still holds its signal counts
+            signal = _counts(kept, extra, n_kept, a, b, extra_signal)
+        photons = rng.binomial(np.compress(many[a:b], signal), p.eta_s)
+        hist += np.bincount(np.minimum(photons, config.n_cap, out=photons), minlength=len(hist))
+    heralds += int(rng.binomial(n_empty, p.d_h))  # an empty bin heralds by a dark count
     hist[1] += ones
-    hist[0] += heralds - len(many) - ones + dark
-    return hist, heralds + dark
+    hist[0] = heralds - hist[1:].sum()  # every other herald is left with no signal photon
+    return hist, heralds
 
 
 def _chunks(trials: int):

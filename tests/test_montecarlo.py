@@ -202,20 +202,70 @@ print("concurrent.futures" in sys.modules, threading.active_count())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "1"]
 
-    def test_bright_chunk_working_set(self):
-        # each chunk in flight holds its peak: 13.7 MiB under stream 2, about
-        # 10.6 MiB under stream 3, which frees each array after its last use,
-        # and 10.6 MiB under stream 4 (10.57 MiB at this seed)
-        _, stat, params, filt = next(c for c in mc_acceptance_matrix()
-                                     if c[0] == "bright_source")
-        config = McConfig(params=params, stat=stat, filt=filt, trials=1 << 20, seed=3)
+    # (name, stat, params, filt, bound in MiB) of chunks at the verify box's
+    # brightest point and far above it
+    WORKING_SETS = [
+        ("bright_source",) + next(c for c in mc_acceptance_matrix()
+                                  if c[0] == "bright_source")[1:] + (6,),
+        ("herald_filtered_mu5", POISSON, SourceParams(5.0, 0.3, 0.5, 1e-3),
+         FilterSpec(FilterBranch.HERALD, 0.5), 18),
+    ]
+
+    @staticmethod
+    def traced_peak(config, run) -> int:
+        # a first small chunk imports numpy.random (0.7 MiB), which the
+        # bounds leave out: they bound the chunks' own arrays
+        mc._simulate_chunk(config, 0, 1000)
         tracemalloc.start()
         try:
-            mc._simulate_chunk(config, 0, 1 << 20)
-            peak = tracemalloc.get_traced_memory()[1]
+            run()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20
+
+    @pytest.mark.parametrize("name,stat,params,filt,bound", WORKING_SETS,
+                             ids=[w[0] for w in WORKING_SETS])
+    def test_chunk_working_set(self, name, stat, params, filt, bound):
+        # each chunk in flight holds its peak.  bright_source, traced with
+        # numpy.random's import: 13.7 MiB under stream 2, then 10.6 MiB under
+        # streams 3 and 4 drawn as whole arrays.  Without it: 9.85 MiB as
+        # whole arrays, 4.73 MiB drawn in blocks of bins.  The mu 5 herald
+        # filter: 32.2 MiB whole, 16.2 MiB in blocks, mostly the pair counts
+        config = McConfig(params=params, stat=stat, filt=filt, trials=1 << 20, seed=3)
+        peak = self.traced_peak(config, lambda: mc._simulate_chunk(config, 0, 1 << 20))
+        assert peak <= bound * 2**20
+
+    def test_two_chunks_in_flight(self, monkeypatch):
+        # two threads hold at most two bright chunks at once, which sets the
+        # resident peak of a multi-chunk run
+        monkeypatch.setattr(mc, "_cpus", lambda: 2)
+        mc._pool()  # thread pool and its imports outside the trace
+        _, stat, params, filt, bound = self.WORKING_SETS[0]
+        config = McConfig(params=params, stat=stat, filt=filt, trials=1 << 21, seed=3)
+        assert self.traced_peak(config, lambda: simulate(config)) <= 2 * bound * 2**20
+
+
+class TestBlocks:
+    """The Poisson, exponential and thinning draws of a chunk run over blocks
+    of BLOCK_BINS occupied bins with the numbers of whole-array draws: the
+    stream does not depend on the block size.  At mu = 0.5 a filtered chunk of 5,000 trials
+    holds about 150 kept-only, 90 both and 1,700 extra-only bins."""
+
+    @pytest.mark.parametrize("stat,filt", CONFIGS)
+    @pytest.mark.parametrize("params", [SourceParams(0.5, 0.5, 0.5, 1e-2),
+                                        SourceParams(0.5, 0.5, 0.5, 1.0),
+                                        SourceParams(0.5, 1.0, 0.5, 1e-2),
+                                        SourceParams(0.5, 0.5, 0.0, 1e-2)],
+                             ids=["mu0.5", "d_h1", "eta_h1", "eta_s0"])
+    def test_block_size_keeps_the_stream(self, monkeypatch, stat, filt, params):
+        config = McConfig(params=params, stat=stat, filt=filt, trials=5000, seed=31)
+        monkeypatch.setattr(mc, "BLOCK_BINS", 5000)
+        hist, heralds = mc._simulate_chunk(config, 2, 5000)
+        for block in (1, 7, 1000):
+            monkeypatch.setattr(mc, "BLOCK_BINS", block)
+            h, k = mc._simulate_chunk(config, 2, 5000)
+            assert k == heralds
+            assert h.tolist() == hist.tolist()
 
 
 class TestExactCases:
