@@ -3,8 +3,8 @@
 The Fano ratio (Delta n)^2/<n> of a heralded Poisson source tends to 1 both
 as mu -> 0 (dark counts dominate) and as mu grows (vacuum suppression is
 lost), with a single interior minimum.  ``optimize_mu`` locates it by
-golden-section search on log(mu); ``sweep`` tabulates moments and leading
-pmf terms along one parameter axis.
+Brent's method on log(mu), parabolic steps with golden-section fallback;
+``sweep`` tabulates moments and leading pmf terms along one parameter axis.
 """
 
 import math
@@ -78,11 +78,9 @@ def optimize_mu(
 ) -> OptimizeResult:
     """Minimize the Fano ratio over the pump level mu.
 
-    Golden-section search on log(mu) down to a relative width rel_tol.
-    The bracket is validated first: an interior probe must beat both ends,
-    otherwise the search would silently slide to a boundary.  When the probe
-    fails, a 16-point log-spaced scan picks the probe and shrinks the bracket
-    around its minimum; only a scan minimal at an end raises BracketError.
+    Brent's method on log(mu) down to a relative width rel_tol (see
+    :func:`_minimize`).  The ratio is 1 at every mu when the herald carries no
+    information (eta_h = 0 or d_h = 1): such a herald is refused.
     """
     mu_lo, mu_hi = float(bounds[0]), float(bounds[1])
     if not 0.0 < mu_lo < mu_hi:
@@ -92,56 +90,89 @@ def optimize_mu(
             "optimal dimming needs d_h > 0: without dark counts the Fano "
             "ratio has no interior minimum (its infimum sits at mu = 0)"
         )
+    if eta_h == 0.0 or d_h == 1.0:
+        raise ValidationError(
+            "optimal dimming needs eta_h > 0 and d_h < 1: otherwise the herald "
+            "does not depend on the pair number and the Fano ratio is 1 at every mu"
+        )
     if not rel_tol > 0.0:
         raise ValidationError(f"rel_tol must be > 0, got {rel_tol!r}")
     point = SourceParams(mu_hi, eta_h, eta_s, d_h)   # validated once: every probed mu <= mu_hi
+    mu_opt, fano_opt, evaluations = _minimize(lambda mu: _fano(point, mu), mu_lo, mu_hi, rel_tol)
+    return OptimizeResult(mu_opt=mu_opt, fano_opt=fano_opt, evaluations=evaluations)
 
+
+def _minimize(objective, mu_lo: float, mu_hi: float, rel_tol: float):
+    """(mu, objective(mu), evaluations) at the best mu evaluated on [mu_lo, mu_hi].
+
+    Brent's method on x = log(mu): parabolic steps through the three best
+    points, golden-section steps when a parabola would leave the bracket or
+    fail to halve the step before last.  The bracket is validated first: an
+    interior probe must beat both ends, otherwise the search would silently
+    slide to a boundary.  When the probe fails, a scan at least 16 points and
+    at most a decade apart picks the sub-bracket of its minimum; only a scan
+    minimal at an end raises BracketError.  The search stops once the bracket
+    is at most rel_tol wide, or a few double spacings of x when rel_tol is
+    below them.
+    """
     evaluations = 0
 
-    def objective(log_mu: float) -> float:
+    def f(x: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return _fano(point, math.exp(log_mu))
+        return objective(math.exp(x))
 
     a, b = math.log(mu_lo), math.log(mu_hi)
-    f_lo, f_hi = objective(a), objective(b)
-    probe = b - (b - a) * _INV_PHI
-    f_probe = objective(probe)
-    if not (f_probe < f_lo and f_probe < f_hi):
+    f_a, f_b = f(a), f(b)
+    x = b - (b - a) * _INV_PHI
+    f_x = f(x)
+    if not (f_x < f_a and f_x < f_b):
         # the probe cannot vouch for the bracket: scan it for the minimum
-        grid = [a + (b - a) * i / 15 for i in range(16)]
-        values = [f_lo] + [objective(x) for x in grid[1:-1]] + [f_hi]
-        k = min(range(16), key=values.__getitem__)
-        if k in (0, 15):
+        n = max(16, math.ceil((b - a) / math.log(10.0)) + 1)
+        grid = [a + (b - a) * i / (n - 1) for i in range(n)]
+        values = [f_a] + [f(g) for g in grid[1:-1]] + [f_b]
+        k = min(range(n), key=values.__getitem__)
+        if k in (0, n - 1):
             raise BracketError(
                 f"no interior minimum in [{mu_lo!r}, {mu_hi!r}]: the probe failed and "
-                "a 16-point scan is minimal at an end; widen the bracket"
+                f"a {n}-point scan is minimal at an end; widen the bracket"
             )
-        a, b = grid[k - 1], grid[k + 1]
-        probe, f_probe = grid[k], values[k]
+        a, b, x, f_x = grid[k - 1], grid[k + 1], grid[k], values[k]
 
-    # golden-section refinement on [a, b] with one interior point warm
-    c = a + (b - a) * (1.0 - _INV_PHI)
-    d = a + (b - a) * _INV_PHI
-    f_c = f_probe if math.isclose(probe, c) else objective(c)
-    f_d = objective(d)
-    # a rel_tol below the spacing of doubles ends where the points collapse
-    while (b - a) > rel_tol and a < c < d < b:
-        if f_c < f_d:
-            b, d, f_d = d, c, f_c
-            c = a + (b - a) * (1.0 - _INV_PHI)
-            f_c = objective(c)
+    # w, v: the second and third best points; step, prev: the last two steps
+    w = v = x
+    f_w = f_v = f_x
+    step = prev = 0.0
+    # mu = e^x resolves no finer step than a few double spacings of max(|x|, 1)
+    tol = max(rel_tol / 4.0, 4.0 * math.ulp(max(abs(a), abs(b), 1.0)))
+    while abs(x - (a + b) / 2.0) > 2.0 * tol - (b - a) / 2.0:
+        mid = (a + b) / 2.0
+        p = q = 0.0
+        if abs(prev) > tol:
+            r = (x - w) * (f_x - f_v)
+            q = (x - v) * (f_x - f_w)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+        if abs(p) < abs(q * prev / 2.0) and q * (a - x) < p < q * (b - x):
+            prev, step = step, p / q
+            if min(x + step - a, b - x - step) < 2.0 * tol:
+                step = math.copysign(tol, mid - x)
         else:
-            a, c, f_c = c, d, f_d
-            d = a + (b - a) * _INV_PHI
-            f_d = objective(d)
-    log_opt = (a + b) / 2.0
-    mu_opt = math.exp(log_opt)
-    return OptimizeResult(
-        mu_opt=mu_opt,
-        fano_opt=_fano(point, mu_opt),
-        evaluations=evaluations,
-    )
+            prev = (a if x >= mid else b) - x
+            step = (1.0 - _INV_PHI) * prev
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        f_u = f(u)
+        if f_u <= f_x:
+            a, b = (x, b) if u >= x else (a, x)
+            v, f_v, w, f_w, x, f_x = w, f_w, x, f_x, u, f_u
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if f_u <= f_w or w == x:
+                v, f_v, w, f_w = w, f_w, u, f_u
+            elif f_u <= f_v or v in (x, w):
+                v, f_v = u, f_u
+    return math.exp(x), f_x, evaluations
 
 
 def sweep(

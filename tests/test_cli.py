@@ -334,6 +334,14 @@ class TestOptimizeCommand:
                            "--dark", "1e-4", "--pre-scan")
         assert code == 1 and "--pre-scan" in err
 
+    @pytest.mark.parametrize("flags", [("--eta-h", "0.5", "--dark", "1"),
+                                       ("--eta-h", "0", "--dark", "1e-4")])
+    def test_herald_without_information_is_a_domain_error(self, capsys, flags):
+        code, _, err = run(capsys, "optimize", "--eta-s", "0.5", *flags)
+        assert code == 2
+        assert "does not depend on the pair number" in err
+        assert "widen the bracket" not in err
+
     def test_zero_darks_documented_error(self, capsys):
         code, _, err = run(capsys, "optimize", "--eta-h", "0.5", "--eta-s", "0.5",
                            "--dark", "0")

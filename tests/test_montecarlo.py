@@ -244,6 +244,18 @@ print("concurrent.futures" in sys.modules, threading.active_count())
         config = McConfig(params=params, stat=stat, filt=filt, trials=1 << 21, seed=3)
         assert self.traced_peak(config, lambda: simulate(config)) <= 2 * bound * 2**20
 
+    @pytest.mark.parametrize("name", ["dark_dominated", "bright_source"])
+    def test_thread_count_keeps_full_chunks(self, monkeypatch, name):
+        # full-size chunks, about 1,000 and 412,000 occupied bins each
+        _, stat, params, filt = next(c for c in mc_acceptance_matrix() if c[0] == name)
+        config = McConfig(params=params, stat=stat, filt=filt, trials=2 * mc.CHUNK_TRIALS,
+                          seed=4)
+        estimates = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(mc, "_cpus", lambda cpus=cpus: cpus)
+            estimates.append(simulate(config))
+        assert estimates[0] == estimates[1]
+
 
 class TestBlocks:
     """The Poisson, exponential and thinning draws of a chunk run over blocks

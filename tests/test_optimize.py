@@ -79,7 +79,7 @@ class TestOptimizeMu:
         result = optimize_mu(0.5, 0.5, 1e-4, bounds=bounds)
         assert 0.014 <= result.mu_opt <= 0.018
         assert result.fano_opt == pytest.approx(0.512, abs=2e-3)
-        assert result.evaluations == 40   # the probe, 14 scan points, the search
+        assert result.evaluations == 24   # the probe, 14 scan points, the search
 
     def test_tolerance_below_double_spacing_terminates(self):
         # the bracket cannot shrink below the spacing of doubles, so the
@@ -91,8 +91,48 @@ class TestOptimizeMu:
     @pytest.mark.parametrize("bounds", [(1e-5, 1.0), (1e-6, 5.0), (1e-6, 10.0)])
     def test_evaluation_count_reported(self, bounds):
         # the probe passes on these brackets, so no scan runs
+        counts = {(1e-5, 1.0): 11, (1e-6, 5.0): 11, (1e-6, 10.0): 13}
+        assert optimize_mu(0.5, 0.5, 1e-4, bounds=bounds).evaluations == counts[bounds]
+
+    @pytest.mark.parametrize("bounds", [(1e-5, 1.0), (1e-6, 1.0), (1e-100, 10.0)])
+    def test_evaluations_are_the_objective_calls(self, monkeypatch, bounds):
+        calls, fano = [], optimize._fano
+
+        def counted(point, mu):
+            calls.append(mu)
+            return fano(point, mu)
+
+        monkeypatch.setattr(optimize, "_fano", counted)
         result = optimize_mu(0.5, 0.5, 1e-4, bounds=bounds)
-        assert result.evaluations == 29
+        assert result.evaluations == len(calls)
+        # the optimum is an evaluated point, reported with its own value
+        assert result.mu_opt in calls
+        assert result.fano_opt == fano_ratio(result.mu_opt, 0.5, 0.5, 1e-4)
+
+    @pytest.mark.parametrize("eta_h", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("eta_s", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("d_h", [1e-5, 1e-4, 1e-3])
+    def test_certificate_over_a_grid(self, eta_h, eta_s, d_h):
+        rel_tol = 1e-4
+        result = optimize_mu(eta_h, eta_s, d_h, rel_tol=rel_tol)
+        for side in (1 + 2 * rel_tol, 1 - 2 * rel_tol):
+            assert result.fano_opt <= fano_ratio(result.mu_opt * side, eta_h, eta_s, d_h)
+        assert result.evaluations < 29   # golden-section search took 29
+
+    @pytest.mark.parametrize("mu_lo", [1e-100, 1e-200, 1e-300])
+    def test_scan_resolves_a_dip_in_a_wide_bracket(self, mu_lo):
+        # the dip spans about two decades: 16 points over 300 decades
+        # would step over it, so the scan steps at most a decade
+        result = optimize_mu(0.5, 0.5, 1e-4, bounds=(mu_lo, 10.0))
+        assert 0.014 <= result.mu_opt <= 0.018
+
+    @pytest.mark.parametrize("eta_h, d_h", [(0.0, 1e-4), (0.5, 1.0), (0.0, 1.0)])
+    def test_rejects_a_herald_without_information(self, monkeypatch, eta_h, d_h):
+        # the Fano ratio is exactly 1 at every mu: no bracket can help
+        assert fano_ratio(0.01, eta_h, 0.5, d_h) == 1.0
+        monkeypatch.setattr(optimize, "_fano", None)   # no evaluation may run
+        with pytest.raises(ValidationError, match="does not depend on the pair number"):
+            optimize_mu(eta_h, 0.5, d_h)
 
 
 class TestSweep:
