@@ -76,9 +76,9 @@ MIN_TOL = 1e-13
 
 
 def _check_tol(tol: float):
-    """Refuse a pmf tail tolerance below MIN_TOL (or NaN)."""
-    if not tol >= MIN_TOL:
-        raise ValidationError(f"tolerance must be >= {MIN_TOL}, got {tol!r}")
+    """Refuse a pmf tail tolerance below MIN_TOL, infinite or NaN."""
+    if not MIN_TOL <= tol < math.inf:
+        raise ValidationError(f"tolerance must be finite and >= {MIN_TOL}, got {tol!r}")
 
 
 def _oms(x: float, d_h: float) -> float:

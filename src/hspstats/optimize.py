@@ -95,8 +95,8 @@ def optimize_mu(
             "optimal dimming needs eta_h > 0 and d_h < 1: otherwise the herald "
             "does not depend on the pair number and the Fano ratio is 1 at every mu"
         )
-    if not rel_tol > 0.0:
-        raise ValidationError(f"rel_tol must be > 0, got {rel_tol!r}")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValidationError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     point = SourceParams(mu_hi, eta_h, eta_s, d_h)   # validated once: every probed mu <= mu_hi
     mu_opt, fano_opt, evaluations = _minimize(lambda mu: _fano(point, mu), mu_lo, mu_hi, rel_tol)
     return OptimizeResult(mu_opt=mu_opt, fano_opt=fano_opt, evaluations=evaluations)

@@ -298,6 +298,18 @@ class TestConditionalSeries:
         assert math.fsum(pmf.probs) >= 1.0 - pmf.tail_bound
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 1e-14])
+    @pytest.mark.parametrize("route", [
+        lambda tol: signal_pmf(POISSON, REF, NO_FILTER, tol),
+        lambda tol: conditional_pmf_series(THERMAL, REF, tol),
+        lambda tol: herald_filter_convolution_oracle(REF, 0.5, tol),
+    ], ids=["signal_pmf", "conditional_pmf_series", "herald_filter_convolution_oracle"])
+    def test_refused(self, route, tol):
+        with pytest.raises(ValidationError, match="tolerance must be finite and >= 1e-13"):
+            route(tol)
+
+
 class TestSignalPmf:
     def test_perfect_source_poisson(self):
         for mu in (0.001, 0.01, 0.1, 1.0):

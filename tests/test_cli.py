@@ -22,6 +22,12 @@ def run(capsys, *argv):
 
 
 class TestPmfCommand:
+    def test_infinite_tol_is_a_domain_error(self, capsys):
+        # refused as the tolerance it is, not by the tail_bound it would give
+        code, out, err = run(capsys, "pmf", "--mu", "0.1", "--tol", "inf")
+        assert code == 2 and out == ""
+        assert "tolerance must be finite" in err and "tail_bound" not in err
+
     def test_reference_source_table(self, capsys):
         code, out, _ = run(capsys, "pmf", "--stat", "poisson", *REF_FLAGS)
         assert code == 0
@@ -342,6 +348,11 @@ class TestOptimizeCommand:
         assert "does not depend on the pair number" in err
         assert "widen the bracket" not in err
 
+    def test_infinite_rel_tol_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "optimize", "--eta-h", "0.5", "--eta-s", "0.5",
+                             "--dark", "1e-4", "--rel-tol", "inf")
+        assert code == 2 and out == "" and "rel_tol" in err
+
     def test_zero_darks_documented_error(self, capsys):
         code, _, err = run(capsys, "optimize", "--eta-h", "0.5", "--eta-s", "0.5",
                            "--dark", "0")
@@ -464,6 +475,11 @@ class TestVerifyCommand:
         assert code == 3
         rows = records.parse(out).rows
         assert any(r["status"] == "fail" for r in rows)
+
+    def test_nan_tolerance_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--matrix", "tiny", "--tolerance", "nan",
+                             "--no-mc")
+        assert code == 2 and out == "" and "tolerance" in err
 
     def test_negative_seed_domain_error(self, capsys):
         code, out, err = run(capsys, "verify", "--matrix", "tiny", "--no-mc",

@@ -134,6 +134,13 @@ class TestOptimizeMu:
         with pytest.raises(ValidationError, match="does not depend on the pair number"):
             optimize_mu(eta_h, 0.5, d_h)
 
+    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, 0.0])
+    def test_rejects_a_rel_tol_out_of_range(self, monkeypatch, rel_tol):
+        # rel_tol = inf stopped after 3 evaluations, far from the optimum
+        monkeypatch.setattr(optimize, "_fano", None)   # no evaluation may run
+        with pytest.raises(ValidationError, match="rel_tol"):
+            optimize_mu(0.5, 0.5, 1e-4, rel_tol=rel_tol)
+
 
 class TestSweep:
     def test_fano_curve_has_interior_minimum(self):

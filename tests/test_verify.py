@@ -1,0 +1,136 @@
+"""The box checks of ``verify``: what they report, and that they see faults.
+
+Within one configuration ``verify`` evaluates each closed-form description
+and each series input once.  These tests recompute the box checks from the
+public closed forms and oracles, one call per check and configuration, and
+plant faults where reusing a result could hide them.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from hspstats import (FilterBranch, FilterSpec, NO_FILTER, PairStatistics, SourceParams,
+                      ValidationError, analytic, verify)
+from hspstats.verify import CheckResult, run_verification
+
+POISSON, THERMAL = PairStatistics.POISSON, PairStatistics.THERMAL
+
+
+def _deviation(pmf_a, pmf_b) -> float:
+    pairs = itertools.zip_longest(pmf_a.probs, pmf_b.probs, fillvalue=0.0)
+    return max(abs(a - b) for a, b in pairs)
+
+
+def _direct_box_checks(matrix: str) -> list:
+    """The box rows of ``run_verification(matrix, with_mc=False)``, every
+    closed form and oracle called afresh for every check."""
+    n_configs = verify.MATRIX_SIZES[matrix][0]
+    configs = verify.sample_configurations(n_configs)
+    tol = 1e-12
+    names = ("poisson_closed_vs_series", "thermal_closed_vs_series",
+             "signal_filtered_vs_substituted_series", "herald_filtered_vs_convolution")
+    series = dict.fromkeys(names, 0.0)
+    reduction = moments = 0.0
+    for params, f in configs:
+        sig, her = FilterSpec(FilterBranch.SIGNAL, f), FilterSpec(FilterBranch.HERALD, f)
+        sub = SourceParams(params.mu * f, params.eta_h, params.eta_s,
+                           analytic.effective_dark_count(params, f))
+        deviations = (
+            _deviation(analytic.signal_pmf(POISSON, params, NO_FILTER, tol),
+                       analytic.conditional_pmf_series(POISSON, params, tol)),
+            _deviation(analytic.signal_pmf(THERMAL, params, NO_FILTER, tol),
+                       analytic.conditional_pmf_series(THERMAL, params, tol)),
+            _deviation(analytic.signal_pmf(POISSON, params, sig, tol),
+                       analytic.conditional_pmf_series(THERMAL, sub, tol)),
+            _deviation(analytic.signal_pmf(POISSON, params, her, tol),
+                       analytic.herald_filter_convolution_oracle(params, f, tol)),
+        )
+        for name, dev in zip(names, deviations):
+            series[name] = max(series[name], dev)
+
+        refs = analytic.xi_values(THERMAL, params, NO_FILTER, 50)
+        for branch in (FilterBranch.SIGNAL, FilterBranch.HERALD):
+            xis = analytic.xi_values(POISSON, params, FilterSpec(branch, 1.0), 50)
+            for ref, x in zip(refs, xis):
+                reduction = max(reduction, abs(x - ref) / max(1.0, abs(ref)))
+
+        closed = analytic.moments_closed_form(params)
+        direct = analytic.moments_from_pmf(analytic.signal_pmf(POISSON, params, NO_FILTER, 1e-13))
+        moments = max(moments,
+                      abs(closed.mean - direct.mean) / max(abs(closed.mean), 1e-300),
+                      abs(closed.variance - direct.variance) / max(abs(closed.variance), 1e-300))
+
+    rows = [(name, dev, verify.SERIES_TOL) for name, dev in series.items()]
+    rows += [("filtered_reduction_at_f1", reduction, verify.REDUCTION_TOL),
+             ("moments_closed_vs_pmf", moments, verify.MOMENT_TOL)]
+    return [CheckResult(name, n_configs, dev, tol, dev <= tol) for name, dev, tol in rows]
+
+
+def _box_rows(matrix: str = "tiny") -> dict:
+    return {r.check: r for r in run_verification(matrix, with_mc=False)}
+
+
+@pytest.mark.parametrize("matrix", ["tiny", "default"])
+def test_box_checks_equal_a_direct_recomputation(matrix):
+    results = run_verification(matrix, with_mc=False)
+    assert results == _direct_box_checks(matrix)
+    # the box holds f = 1 draws, where the filtered results are reused
+    n_configs = verify.MATRIX_SIZES[matrix][0]
+    assert any(f == 1.0 for _, f in verify.sample_configurations(n_configs))
+
+
+def _faulty_describe(monkeypatch, fault):
+    """Replace analytic._describe by fault applied to its result."""
+    describe = analytic._describe
+
+    def faulty(stat, params, filt):
+        return fault(filt, *describe(stat, params, filt))
+
+    monkeypatch.setattr(analytic, "_describe", faulty)
+
+
+def test_reduction_sees_a_signal_filter_dark_count_fault(monkeypatch):
+    # the f = 1 signal-filter dark count moves by 1 part in 1e9: the filtered
+    # description differs from the thermal one and must be evaluated
+    def fault(filt, base, m, dark, lam):
+        if filt.branch is FilterBranch.SIGNAL and filt.f == 1.0:
+            dark *= 1.0 + 1e-9
+        return base, m, dark, lam
+
+    _faulty_describe(monkeypatch, fault)
+    rows = _box_rows()
+    assert not rows["filtered_reduction_at_f1"].passed
+    # the substituted series takes the same dark count, so only the
+    # reduction sees this fault
+    assert rows["signal_filtered_vs_substituted_series"].passed
+
+
+@pytest.mark.parametrize("at_f1_only", [False, True])
+def test_series_check_sees_a_signal_filter_fault(monkeypatch, at_f1_only):
+    # the signal-filtered closed form keeps a mean 1 + 1e-6 too large; at
+    # f = 1 its description then differs from the thermal one, so no
+    # thermal result stands in for it
+    def fault(filt, base, m, dark, lam):
+        if filt.branch is FilterBranch.SIGNAL and (filt.f == 1.0 or not at_f1_only):
+            m *= 1.0 + 1e-6
+        return base, m, dark, lam
+
+    _faulty_describe(monkeypatch, fault)
+    rows = _box_rows()
+    assert not rows["signal_filtered_vs_substituted_series"].passed
+    assert rows["poisson_closed_vs_series"].passed and rows["thermal_closed_vs_series"].passed
+
+
+def test_nan_tolerance_is_refused():
+    with pytest.raises(ValidationError, match="tolerance"):
+        run_verification("tiny", tolerance=math.nan, with_mc=False)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0])
+def test_impossible_tolerance_fails_every_check_that_deviates(tolerance):
+    rows = run_verification("tiny", tolerance=tolerance, with_mc=False)
+    assert all(r.tolerance == tolerance for r in rows)
+    assert all(r.passed == (r.max_deviation <= tolerance) for r in rows)
+    assert not all(r.passed for r in rows)
