@@ -14,12 +14,12 @@ every configuration as (base law, kept-mode mean m, effective dark count,
 extraneous signal mean lam): Poisson (POISSON, mu, d_h, 0), thermal
 (THERMAL, mu, d_h, 0), signal filter (THERMAL, mu*f, nu_h, 0) and herald
 filter (THERMAL, mu*f, d_h, mu*eta_s*(1-f)).  xi(n) multiplies the base law
-at mean m*eta_s, which is the unconditioned signal law only while lam = 0,
-and :func:`_factor` gives 1/P_click, xi(n) and the pmf terms; behind a
-herald filter the terms follow a positive two-sequence recurrence in
-natural scale, O(1) per term at any f.  The oracle pair sum behind the
-series and convolution entry points never reads a description, so each
-closed form is cross-checked against an independent route.
+at mean m*eta_s, which is the unconditioned signal law only while lam = 0.
+:func:`_pair_law` alone picks a law, with its tail bound, and
+:func:`_factor` gives 1/P_click, xi(n) from one exponent x_n for both laws
+and the pmf terms, by a positive recurrence behind a herald filter.  The
+oracle pair sum never reads a description, so each closed form is
+cross-checked against an independent route.
 
 All functions are pure and safe for concurrent use.
 """
@@ -109,19 +109,22 @@ def input_pmf(stat: PairStatistics, mu: float, N: int) -> float:
         raise ValidationError(f"pair count must be >= 0, got {N}")
     if mu < 0.0:
         raise ValidationError(f"mu must be >= 0, got {mu!r}")
-    return _pair_law(stat, mu)(N)
+    return _pair_law(stat, mu)[0](N)
 
 
-def _pair_law(stat: PairStatistics, mu: float):
-    """N -> input_pmf(stat, mu, N) for mu >= 0, with its constants taken once."""
+def _pair_law(stat: PairStatistics, mu: float) -> tuple:
+    """(N -> input_pmf(stat, mu, N), n -> bound on P(N > n)) for mu >= 0.  The
+    thermal tail is exact; the Poisson bound exceeds 1 just above n = mu - 2,
+    so it is capped at 1 to stay non-increasing for the truncation searches."""
     if mu == 0.0:
-        return lambda N: 1.0 if N == 0 else 0.0
+        return (lambda N: 1.0 if N == 0 else 0.0), lambda n: 0.0
     if stat is PairStatistics.POISSON:
         e_mu, log_mu, small = math.exp(-mu), math.log(mu), mu <= 32.0
-        return lambda N: (e_mu * mu**N / math.factorial(N) if N <= 32 and small
-                          else math.exp(N * log_mu - mu - math.lgamma(N + 1)))
+        return ((lambda N: (e_mu * mu**N / math.factorial(N) if N <= 32 and small
+                            else math.exp(N * log_mu - mu - math.lgamma(N + 1)))),
+                lambda n: min(_poisson_tail_bound(mu, n), 1.0))
     q, den = mu / (1.0 + mu), 1.0 + mu
-    return lambda N: q**N / den
+    return (lambda N: q**N / den), lambda n: q ** (n + 1)
 
 
 def effective_dark_count(params: SourceParams, f: float) -> float:
@@ -179,10 +182,10 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     """1/P_click, terms() over p(0), p(1), ... and xis(start) over xi(start),
     xi(start + 1), ... of a described configuration (fresh iterators).
 
-    With oms(x) = 1 - (1-d)e^(-x), lq = -log(1-eta_h) and L from
-    :func:`_log_ratio`, xi(n) is oms(m eta_h (1-eta_s) + n lq)/P_click for
-    a Poisson base and oms(x_n)/P_click, x_n = (n+1)L + n lq, for a thermal
-    one, and p(n) = base(a, n) xi(n) with a = m eta_s.
+    With oms(x) = 1 - (1-d)e^(-x) and lq = -log(1-eta_h), xi(n) =
+    oms(x_n)/P_click, x_n = (n+1)L + n lq + x0, with (L, x0) = (0, m eta_h
+    (1-eta_s)) for a Poisson base (K -> inf modes) and (:func:`_log_ratio`, 0)
+    for a thermal one (K = 1), and p(n) = base(a, n) xi(n) with a = m eta_s.
 
     With lam > 0 the signal count is the heralded kept-mode count plus an
     independent Poisson(lam) count, so p(n) = C(n)/P_click, C the
@@ -195,9 +198,9 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     xi(n) = X(n)/P_click with X = C/Th(a), Y = D/Th(a), w(n) = Po(lam, n)/q^n:
         X(n+1) = w(n+1) oms(L) + r X(n) + (1-r) Y(n),  Y(n+1) = w(n+1) + Y(n),
     carried with a binary exponent, so xi(n) stays exact where C(n) and
-    Th(a, n) underflow and raises only beyond double range.  Every step
-    adds positive terms, so nothing cancels, and eta_h = 1 (lq = inf,
-    r = 0) needs no special case.
+    Th(a, n) underflow and raises only beyond double range (for n >= 1 at
+    a = 0).  Every step adds positive terms, so nothing cancels, and
+    eta_h = 1 (lq = inf, r = 0) needs no special case.
     """
     base, m, dark, lam = desc
     eta_h, eta_s = params.eta_h, params.eta_s
@@ -206,14 +209,11 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     sup = den / num
     lq = math.inf if eta_h == 1.0 else -math.log1p(-eta_h)
     a = m * eta_s
-    if base is PairStatistics.POISSON:
-        x0 = m * eta_h * (1.0 - eta_s)
-        factor = lambda n: sup * _oms(x0 + (n * lq if n else 0.0), dark)
-    else:
-        l_ratio = _log_ratio(m, eta_h, eta_s)
-        factor = lambda n: sup * _oms((n + 1) * l_ratio + (n * lq if n else 0.0), dark)
+    l_ratio, x0 = ((0.0, m * eta_h * (1.0 - eta_s)) if base is _POISSON
+                   else (_log_ratio(m, eta_h, eta_s), 0.0))
+    factor = lambda n: sup * _oms((n + 1) * l_ratio + (n * lq if n else 0.0) + x0, dark)
     if lam == 0.0:
-        law = _pair_law(base, a)
+        law = _pair_law(base, a)[0]
         terms = lambda: (law(n) * factor(n) for n in itertools.count())
         return sup, terms, lambda start: map(factor, itertools.count(start))
 
@@ -245,6 +245,9 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
                     yield math.ldexp(sm * x, e + se)
                 except OverflowError:
                     raise SeriesOverflowError(f"xi({n}) leaves double range", order=n) from None
+            if q == 0.0:   # a underflowed: Th(a, n) = 0 beyond n = 0, so xi(n) is unbounded
+                order = max(n + 1, start)
+                raise SeriesOverflowError(f"xi({order}) leaves double range", order=order)
             w *= lam / (q * (n + 1))
             x, y = w * o0 + r * x + s * y, w + y
             if y > 2.0**600:
@@ -301,11 +304,6 @@ def _poisson_tail_bound(a: float, n: int) -> float:
     return head / (1.0 - a / (n + 2))
 
 
-def _thermal_tail(q: float, n: int) -> float:
-    """Exact P(X > n) for a thermal law with term ratio q = a/(1+a)."""
-    return q ** (n + 1)
-
-
 _BLOCK = 32  # pair numbers per block of _thin: C(j, n), j <= _BLOCK, is exact in doubles
 
 
@@ -354,18 +352,16 @@ def _herald_weights(stat: PairStatistics, mu: float, click, stop: float) -> tupl
     input_pmf(stat, mu, N) * click(N) gives it, and its sum, up to the first
     N >= 8 whose remaining input mass is at most stop times the sum.  click is
     :func:`_clicks` for the herald-weighted law, or 1 for an unweighted one."""
-    law = _pair_law(stat, mu)
-    tail = (functools.partial(_poisson_tail_bound, mu) if stat is PairStatistics.POISSON
-            else functools.partial(_thermal_tail, mu / (1.0 + mu)))
+    law, tail = _pair_law(stat, mu)
     weights, total = [], 0.0
-    for N in range(100_001):
+    for N in range(TERM_CAP + 1):
         w = law(N) * click(N)
         weights.append(w)
         total += w
         if N >= 8 and total > 0.0 and tail(N) <= stop * total:
             return weights, total
     raise SeriesOverflowError(
-        f"pair sum failed to converge within 100000 terms (mu={mu!r})", order=N + 1)
+        f"pair sum failed to converge within {TERM_CAP} terms (mu={mu!r})", order=N + 1)
 
 
 def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourceParams,
@@ -428,18 +424,10 @@ def signal_pmf(
     base, m, _, lam = desc
     sup, terms, _ = _factor(desc, params)
     a = m * params.eta_s
-    q = a / (1.0 + a)
-    # the Poisson bound exceeds 1 just above n = mean - 2; capped at 1,
-    # every tail bound below is non-increasing in n
-    po_tail = lambda mean, n: min(_poisson_tail_bound(mean, n), 1.0)
-    if base is PairStatistics.POISSON:
-        tail = lambda n: sup * po_tail(a, n)
-    elif lam == 0.0:
-        tail = lambda n: sup * _thermal_tail(q, n)
-    else:
-        # count > n forces the kept-mode part > n//2 or the extraneous
-        # part > n - n//2; both tails have analytic bounds
-        tail = lambda n: sup * (_thermal_tail(q, n // 2) + po_tail(lam, n - n // 2))
+    base_tail, extra_tail = _pair_law(base, a)[1], _pair_law(_POISSON, lam)[1]
+    # count > n forces the kept-mode part > n//2 or the extraneous part > n - n//2
+    tail = ((lambda n: sup * base_tail(n)) if lam == 0.0
+            else lambda n: sup * (base_tail(n // 2) + extra_tail(n - n // 2)))
     if tail(TERM_CAP) > 0.9 * tol:
         # refused before any term is summed; the Poisson mean and the exact
         # thermal tail bound the length from below

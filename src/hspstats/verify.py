@@ -102,11 +102,11 @@ def _series_pairs(params: SourceParams, f: float, tol: float) -> dict:
         return series_memo[stat, point]
 
     sig, her = FilterSpec(FilterBranch.SIGNAL, f), FilterSpec(FilterBranch.HERALD, f)
-    # signal filter: the kept mode is a thermal source with mean mu*f
-    # heralded against an inflated dark rate, so the generic series at
-    # those substituted parameters is an independent route
-    sub = SourceParams(params.mu * f, params.eta_h, params.eta_s,
-                       analytic.effective_dark_count(params, f))
+    # signal filter: the kept mode is a thermal source of mean mu*f heralded
+    # against nu_h, the dark rate inflated by the twins of the filtered
+    # photons, stated here in the closed form's operation order (d_h at f = 1)
+    nu_h = params.d_h + (1.0 - params.d_h) * -math.expm1(-params.mu * params.eta_h * (1.0 - f))
+    sub = SourceParams(params.mu * f, params.eta_h, params.eta_s, nu_h)
     return {
         "poisson_closed_vs_series": (
             closed(PairStatistics.POISSON, NO_FILTER), series(PairStatistics.POISSON, params)),
@@ -229,14 +229,15 @@ def run_verification(
 
     ``tolerance``, when given, overrides the default tolerance of every
     check (useful to prove the checks can fail: zero fails every check with
-    a nonzero deviation, a negative value every check); NaN is refused.
+    a nonzero deviation, a negative value every check); a non-finite one is
+    refused, since it would decide every check whatever the deviation.
     ``trials`` overrides the per-check Monte Carlo trial count of the chosen
     matrix.
     """
     if matrix not in MATRIX_SIZES:
         raise ValidationError(f"matrix must be one of {sorted(MATRIX_SIZES)}, got {matrix!r}")
-    if tolerance is not None and math.isnan(tolerance):
-        raise ValidationError("tolerance must be a number, got nan")
+    if tolerance is not None and not math.isfinite(tolerance):
+        raise ValidationError(f"tolerance must be finite, got {tolerance!r}")
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed!r}")
     n_configs, mc_trials = MATRIX_SIZES[matrix]

@@ -193,6 +193,24 @@ class TestXi:
             xi_values(POISSON, REF, filt, -5)
         assert xi_values(POISSON, REF, filt, 0) == [xi(POISSON, REF, filt, 0)]
 
+    @pytest.mark.parametrize("mu", [5e-324, 1e-318])
+    def test_underflowed_kept_mode_leaves_double_range_beyond_vacuum(self, mu):
+        # a = mu*f*eta_s underflows to 0 while the extraneous mean does not:
+        # Th(a, n) = 0 beyond n = 0, so xi(n >= 1) is unbounded
+        params = SourceParams(mu, 0.5, 1.0, 0.1)
+        filt = FilterSpec(FilterBranch.HERALD, 1e-6)
+        assert 0.0 < xi(POISSON, params, filt, 0) < math.inf
+        assert xi_values(POISSON, params, filt, 0) == [xi(POISSON, params, filt, 0)]
+        for n in (1, 2, 5):
+            with pytest.raises(SeriesOverflowError) as info:
+                xi(POISSON, params, filt, n)
+            assert info.value.order == n
+        with pytest.raises(SeriesOverflowError) as info:
+            xi_values(POISSON, params, filt, 3)
+        assert info.value.order == 1
+        # the pmf terms stay finite: the signal count is the extraneous one
+        assert signal_pmf(POISSON, params, filt).probs[0] == 1.0
+
 
 class TestXiLimit:
     def test_certain_dark_counts(self):
@@ -382,8 +400,10 @@ class TestSignalPmf:
     def test_capped_poisson_tail_bound_is_non_increasing(self, a):
         # signal_pmf gallops and bisects for its truncation order on this;
         # uncapped, the bound exceeds 1 just above n = a - 2
-        bounds = [min(_poisson_tail_bound(a, n), 1.0) for n in range(int(3 * a) + 20)]
+        tail = analytic._pair_law(POISSON, a)[1]
+        bounds = [tail(n) for n in range(int(3 * a) + 20)]
         assert all(x >= y for x, y in zip(bounds, bounds[1:]))
+        assert max(bounds) <= 1.0
 
     @pytest.mark.parametrize("n", [0, 3, 10, 60])
     @pytest.mark.parametrize("a", [1e-3, 0.5, 5.0])
@@ -602,6 +622,39 @@ class TestHeraldWeights:
         for stop in (0.1 * 1e-12, 0.1 * 1e-13, 1e-7):
             got = analytic._herald_weights(POISSON, mu, lambda N: 1.0, stop)
             assert got == self.pair_sum(POISSON, mu, None, stop)
+
+
+class TestPairLawTails:
+    """The tail bound that _pair_law returns beside each pair law."""
+
+    MEANS = [0.0, 1e-3, 0.3, 2.0, 7.5, 31.9, 32.5, 120.0]
+
+    @pytest.mark.parametrize("stat", [POISSON, THERMAL])
+    @pytest.mark.parametrize("mu", MEANS)
+    def test_bounds_the_remaining_mass(self, stat, mu):
+        law, tail = analytic._pair_law(stat, mu)
+        head = 0.0
+        for n in range(int(4 * mu) + 40):
+            head += law(n)
+            # 1 - sum_{N <= n} law(N), within the rounding of the running sum
+            assert tail(n) >= 1.0 - head - (n + 2) * sys.float_info.epsilon
+            assert 0.0 <= tail(n) <= 1.0
+            assert tail(n + 1) <= tail(n)
+
+    @pytest.mark.parametrize("mu", MEANS[1:])
+    def test_thermal_tail_is_exact(self, mu):
+        law, tail = analytic._pair_law(THERMAL, mu)
+        # the terms beyond n, summed until they drop below 1e-20 of the first
+        count = int(math.log(1e-20) / math.log(mu / (1.0 + mu))) + 1
+        for n in (0, 1, 4, 20, int(3 * mu)):
+            rest = math.fsum(law(N) for N in range(n + 1, n + 1 + count))
+            assert tail(n) == pytest.approx(rest, rel=1e-13)
+
+    def test_herald_weights_cap_is_the_term_cap(self):
+        # a thermal law that cannot meet its stop within model.TERM_CAP terms
+        with pytest.raises(SeriesOverflowError, match=f"within {model.TERM_CAP} terms") as info:
+            analytic._herald_weights(THERMAL, 1e5, lambda N: 1.0, 1e-14)
+        assert info.value.order == model.TERM_CAP + 1
 
 
 class TestEffectiveDarkCount:

@@ -123,6 +123,19 @@ class TestPmfCommand:
         assert all(0.0 <= p < 1e-12 for p in terms[len(pmf):])
         assert all(row["xi"] is None for row in rows[69:])
 
+    @pytest.mark.parametrize("mu", ["5e-324", "1e-318"])
+    def test_xi_null_where_the_kept_mode_underflows(self, capsys, mu):
+        # a = mu*f*eta_s underflows to 0 behind the herald filter: xi(n >= 1)
+        # is unbounded and prints as null; this used to raise ZeroDivisionError
+        flags = ["--mu", mu, "--eta-h", "0.5", "--eta-s", "1", "--dark", "0.1",
+                 "--filter", "herald", "--f", "1e-6", "--nmax", "3"]
+        code, out, err = run(capsys, "pmf", *flags)
+        assert code == 0 and err == ""
+        rows = records.parse(out).rows
+        assert len(rows) == 4
+        assert 0.0 < rows[0]["xi"] < math.inf
+        assert all(row["xi"] is None for row in rows[1:])
+
     def test_rows_beyond_the_pmf_need_no_moments(self, capsys):
         # the moments of this source leave double range, its pmf terms do not;
         # the rows past the pmf used to take the moments along and exit 2
@@ -480,6 +493,19 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--matrix", "tiny", "--tolerance", "nan",
                              "--no-mc")
         assert code == 2 and out == "" and "tolerance" in err
+
+    @pytest.mark.parametrize("tolerance", ["inf", "-inf"])
+    def test_infinite_tolerance_is_a_domain_error(self, capsys, tolerance):
+        # inf used to exit 0 with every check "pass"
+        code, out, err = run(capsys, "verify", "--matrix", "tiny", f"--tolerance={tolerance}",
+                             "--no-mc")
+        assert code == 2 and out == "" and "tolerance must be finite" in err
+
+    def test_finite_negative_tolerance_fails(self, capsys):
+        code, out, _ = run(capsys, "verify", "--matrix", "tiny", "--tolerance=-1e300",
+                           "--no-mc")
+        assert code == 3
+        assert all(r["status"] == "fail" for r in records.parse(out).rows)
 
     def test_negative_seed_domain_error(self, capsys):
         code, out, err = run(capsys, "verify", "--matrix", "tiny", "--no-mc",

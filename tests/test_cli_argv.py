@@ -12,6 +12,7 @@ they are refused before any work.  ``--help`` leaves through
 import argparse
 import contextlib
 import io
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,3 +98,26 @@ def test_random_argv_ends_in_a_documented_status(paths):
         assert "Traceback" not in err.getvalue()
 
     run()
+
+
+CORNER_COMMANDS = [["pmf", "--nmax", "4"], ["moments"], ["sweep", "--grid", "1e-318,0.1"]]
+
+
+@pytest.mark.parametrize("command", CORNER_COMMANDS, ids=lambda c: c[0])
+def test_subnormal_corners_end_in_a_documented_status(command):
+    # subnormal means and efficiencies, with and without dark counts, behind
+    # every filter: a kept-mode mean that underflows to 0 beside a nonzero
+    # extraneous one used to escape from pmf as ZeroDivisionError
+    codes = set()
+    for mu, eta_s, dark, branch, f in itertools.product(
+            ["5e-324", "1e-318"], ["1e-318", "1"], ["0", "0.1"],
+            ["none", "signal", "herald"], ["1e-6", "0.5"]):
+        argv = [*command, "--mu", mu, "--eta-h", "0.5", "--eta-s", eta_s, "--dark", dark,
+                "--filter", branch, "--f", f]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+        codes.add(code)
+    assert 0 in codes

@@ -82,11 +82,12 @@ def test_box_checks_equal_a_direct_recomputation(matrix):
 
 
 def _faulty_describe(monkeypatch, fault):
-    """Replace analytic._describe by fault applied to its result."""
+    """Replace analytic._describe by fault applied to its parameters, filter
+    and result."""
     describe = analytic._describe
 
     def faulty(stat, params, filt):
-        return fault(filt, *describe(stat, params, filt))
+        return fault(params, filt, *describe(stat, params, filt))
 
     monkeypatch.setattr(analytic, "_describe", faulty)
 
@@ -94,7 +95,7 @@ def _faulty_describe(monkeypatch, fault):
 def test_reduction_sees_a_signal_filter_dark_count_fault(monkeypatch):
     # the f = 1 signal-filter dark count moves by 1 part in 1e9: the filtered
     # description differs from the thermal one and must be evaluated
-    def fault(filt, base, m, dark, lam):
+    def fault(params, filt, base, m, dark, lam):
         if filt.branch is FilterBranch.SIGNAL and filt.f == 1.0:
             dark *= 1.0 + 1e-9
         return base, m, dark, lam
@@ -102,9 +103,26 @@ def test_reduction_sees_a_signal_filter_dark_count_fault(monkeypatch):
     _faulty_describe(monkeypatch, fault)
     rows = _box_rows()
     assert not rows["filtered_reduction_at_f1"].passed
-    # the substituted series takes the same dark count, so only the
-    # reduction sees this fault
+    # a change of 1 part in 1e9 in the dark count moves no pmf term by
+    # SERIES_TOL, so only the reduction sees this fault
     assert rows["signal_filtered_vs_substituted_series"].passed
+
+
+def test_series_check_sees_an_extraneous_heralding_fault(monkeypatch):
+    # the twins of the filtered photons herald 10% too often: nu_h takes
+    # mu*eta_h*(1 - f)*1.1.  The substituted series states nu_h itself, so
+    # the fault shows there; it vanishes at f = 1, where the reduction is blind
+    def fault(params, filt, base, m, dark, lam):
+        if filt.branch is FilterBranch.SIGNAL:
+            dark = analytic._oms(params.mu * params.eta_h * (1.0 - filt.f) * 1.1, params.d_h)
+        return base, m, dark, lam
+
+    _faulty_describe(monkeypatch, fault)
+    rows = _box_rows()
+    assert not rows["signal_filtered_vs_substituted_series"].passed
+    assert rows["signal_filtered_vs_substituted_series"].max_deviation > 1e3 * verify.SERIES_TOL
+    assert rows["filtered_reduction_at_f1"].passed
+    assert rows["poisson_closed_vs_series"].passed and rows["thermal_closed_vs_series"].passed
 
 
 @pytest.mark.parametrize("at_f1_only", [False, True])
@@ -112,7 +130,7 @@ def test_series_check_sees_a_signal_filter_fault(monkeypatch, at_f1_only):
     # the signal-filtered closed form keeps a mean 1 + 1e-6 too large; at
     # f = 1 its description then differs from the thermal one, so no
     # thermal result stands in for it
-    def fault(filt, base, m, dark, lam):
+    def fault(params, filt, base, m, dark, lam):
         if filt.branch is FilterBranch.SIGNAL and (filt.f == 1.0 or not at_f1_only):
             m *= 1.0 + 1e-6
         return base, m, dark, lam
@@ -126,6 +144,13 @@ def test_series_check_sees_a_signal_filter_fault(monkeypatch, at_f1_only):
 def test_nan_tolerance_is_refused():
     with pytest.raises(ValidationError, match="tolerance"):
         run_verification("tiny", tolerance=math.nan, with_mc=False)
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, -math.inf])
+def test_infinite_tolerance_is_refused(tolerance):
+    # inf would pass every check and -inf fail every one, whatever they measured
+    with pytest.raises(ValidationError, match="tolerance must be finite"):
+        run_verification("tiny", tolerance=tolerance, with_mc=False)
 
 
 @pytest.mark.parametrize("tolerance", [0.0, -1.0])
