@@ -13,13 +13,14 @@ Poisson signal count behind a herald filter.  So :func:`_describe` gives
 every configuration as (base law, kept-mode mean m, effective dark count,
 extraneous signal mean lam): Poisson (POISSON, mu, d_h, 0), thermal
 (THERMAL, mu, d_h, 0), signal filter (THERMAL, mu*f, nu_h, 0) and herald
-filter (THERMAL, mu*f, d_h, mu*eta_s*(1-f)).  xi(n) multiplies the base law
-at mean m*eta_s, which is the unconditioned signal law only while lam = 0.
-:func:`_pair_law` alone picks a law, with its tail bound, and
-:func:`_factor` gives 1/P_click, xi(n) from one exponent x_n for both laws
-and the pmf terms, by a positive recurrence behind a herald filter.  The
-oracle pair sum never reads a description, so each closed form is
-cross-checked against an independent route.
+filter (THERMAL, mu*f, d_h, mu*eta_s*(1-f)).  The unheralded signal law U
+of every configuration is its heralded law under a herald that always fires
+(d_h = 1), and xi(n) = p(n)/U(n).  :func:`_pair_law` alone picks a law, with
+its tail bound, and :func:`_factor` gives 1/P_click, xi(n) from one exponent
+x_n for both laws and the pmf terms; behind a herald filter the terms follow
+a positive recurrence and xi a bounded ratio recurrence.  The oracle pair
+sum never reads a description, so each closed form is cross-checked against
+an independent route.
 
 All functions are pure and safe for concurrent use.
 """
@@ -76,9 +77,9 @@ MIN_TOL = 1e-13
 
 
 def _check_tol(tol: float):
-    """Refuse a pmf tail tolerance below MIN_TOL, infinite or NaN."""
-    if not MIN_TOL <= tol < math.inf:
-        raise ValidationError(f"tolerance must be finite and >= {MIN_TOL}, got {tol!r}")
+    """Refuse a pmf tail tolerance below MIN_TOL, above 1 or NaN."""
+    if not MIN_TOL <= tol <= 1.0:
+        raise ValidationError(f"tolerance must be finite and >= {MIN_TOL} and <= 1, got {tol!r}")
 
 
 def _oms(x: float, d_h: float) -> float:
@@ -182,25 +183,30 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     """1/P_click, terms() over p(0), p(1), ... and xis(start) over xi(start),
     xi(start + 1), ... of a described configuration (fresh iterators).
 
-    With oms(x) = 1 - (1-d)e^(-x) and lq = -log(1-eta_h), xi(n) =
-    oms(x_n)/P_click, x_n = (n+1)L + n lq + x0, with (L, x0) = (0, m eta_h
-    (1-eta_s)) for a Poisson base (K -> inf modes) and (:func:`_log_ratio`, 0)
-    for a thermal one (K = 1), and p(n) = base(a, n) xi(n) with a = m eta_s.
+    With oms(x) = 1 - (1-d)e^(-x) and lq = -log(1-eta_h), n kept-mode signal
+    photons herald with probability oms(x_n), x_n = (n+1)L + n lq + x0, with
+    (L, x0) = (0, m eta_h (1-eta_s)) for a Poisson base (K -> inf modes) and
+    (:func:`_log_ratio`, 0) for a thermal one (K = 1).  So p(n) = base(a, n)
+    xi(n) with a = m eta_s and xi(n) = oms(x_n)/P_click, and at d = 1, where
+    oms = P_click = 1, the terms are the unheralded law base(a, n) itself.
 
     With lam > 0 the signal count is the heralded kept-mode count plus an
     independent Poisson(lam) count, so p(n) = C(n)/P_click, C the
     convolution of Po(lam) with h(j) = Th(a, j) oms(x_j).  Since
     oms(x_(j+1)) = r oms(x_j) + 1 - r with r = e^(-(L+lq)), C and the
-    unconditioned law D = Po(lam) * Th(a) follow, with q = a/(1+a),
+    unheralded law D = Po(lam) * Th(a), which is C at d = 1, follow, with
+    q = a/(1+a),
         C(n+1) = Po(lam, n+1) h(0) + q r C(n) + q (1-r) D(n),
         D(n+1) = Po(lam, n+1)/(1+a) + q D(n),
-    at O(1) per term.  Divided by Th(a, n+1) = q Th(a, n), it gives
-    xi(n) = X(n)/P_click with X = C/Th(a), Y = D/Th(a), w(n) = Po(lam, n)/q^n:
-        X(n+1) = w(n+1) oms(L) + r X(n) + (1-r) Y(n),  Y(n+1) = w(n+1) + Y(n),
-    carried with a binary exponent, so xi(n) stays exact where C(n) and
-    Th(a, n) underflow and raises only beyond double range (for n >= 1 at
-    a = 0).  Every step adds positive terms, so nothing cancels, and
-    eta_h = 1 (lq = inf, r = 0) needs no special case.
+    at O(1) per term.  xi(n) = rho(n)/P_click with rho = C/D, the herald
+    probability given n signal photons.  With beta(n) = Po(lam, n)/((1+a)
+    D(n)), the share of D(n) without kept photons, and alpha = 1 - beta,
+        beta(n) = lam beta(n-1)/(lam beta(n-1) + q n),
+        rho(n) = beta(n) oms(L) + alpha(n) (r rho(n-1) + 1 - r),
+    from beta(0) = 1 and rho(0) = oms(L).  Each step is a convex combination,
+    so rho stays within [oms(L), 1] where C(n) and D(n) underflow, and alpha
+    is its own quotient, since 1 - beta cancels.  eta_h = 1 (lq = inf, r = 0)
+    needs no special case.
     """
     base, m, dark, lam = desc
     eta_h, eta_s = params.eta_h, params.eta_s
@@ -233,33 +239,21 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
                   else input_pmf(PairStatistics.POISSON, lam, n))
             c, d = po * h0 + qr * c + qs * d, po / (1.0 + a) + q * d
 
-    def xis(start):
-        # x, y, w times 2^e are X, Y, w; e^(-lam) = 2^-k e^(k ln2 - lam)
-        k = round(lam / math.log(2.0)) if lam > 700.0 else 0
-        w, e = math.frexp(math.exp(k * math.log(2.0) - lam))
-        x, y, e = w * o0, w, e - k
-        sm, se = math.frexp(sup)
-        for n in itertools.count():
-            if n >= start:
-                try:
-                    yield math.ldexp(sm * x, e + se)
-                except OverflowError:
-                    raise SeriesOverflowError(f"xi({n}) leaves double range", order=n) from None
-            if q == 0.0:   # a underflowed: Th(a, n) = 0 beyond n = 0, so xi(n) is unbounded
-                order = max(n + 1, start)
-                raise SeriesOverflowError(f"xi({order}) leaves double range", order=order)
-            w *= lam / (q * (n + 1))
-            x, y = w * o0 + r * x + s * y, w + y
-            if y > 2.0**600:
-                w, x, y, e = w * 2.0**-600, x * 2.0**-600, y * 2.0**-600, e + 600
+    def xis():
+        beta, rho = 1.0, o0
+        for n in itertools.count(1):
+            yield sup * rho
+            new, old = lam * beta, q * n
+            beta, alpha = new / (new + old), old / (new + old)
+            rho = beta * o0 + alpha * (r * rho + s)
 
-    return sup, terms, xis
+    return sup, terms, lambda start: itertools.islice(xis(), start, None)
 
 
 def xi_values(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_FILTER,
               n_top: int = 0) -> list:
     """xi(0), ..., xi(n_top) from one evaluation of the factor: O(1) each,
-    or one pass of the recurrence behind a herald filter."""
+    or one pass of the bounded ratio recurrence behind a herald filter."""
     if n_top < 0:
         raise ValidationError(f"photon number must be >= 0, got {n_top}")
     xis = _factor(_describe(stat, params, filt), params)[2]
@@ -269,9 +263,8 @@ def xi_values(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_
 def xi(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_FILTER,
        n: int = 0) -> float:
     """Correcting factor xi(n): heralded probability of n signal photons over
-    :func:`unconditioned_pmf`, the base law it multiplies.  Behind a herald
-    filter that is the kept-mode law alone, so xi(n) is not the ratio of the
-    heralded to the unheralded signal law there."""
+    the unheralded one, :func:`unconditioned_pmf`, in every configuration.
+    It lies between xi(0) and 1/P_click behind a herald filter."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
     return next(_factor(_describe(stat, params, filt), params)[2](n))
@@ -385,17 +378,20 @@ def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourcePa
     _check_heraldable(params.d_h, mu * params.eta_h)
     stop = 0.1 * tol
     weights, herald_sum = _herald_weights(stat, mu, _clicks(params), stop)
-    probs = _thin(weights, params.eta_s)
+    probs, summed = _thin(weights, params.eta_s), len(weights)
     if extra_mu > 0.0:
         extra = _herald_weights(PairStatistics.POISSON, extra_mu, lambda N: 1.0, stop)[0]
         probs = np.convolve(probs, _thin(extra, params.eta_s)).tolist()
-    probs = [x / herald_sum for x in probs]
+        summed += len(extra)
+    # sums of k positive terms round by under k/2 ulp each, so summed ulp
+    # bound the rounding of each quotient
+    probs = _clamped([x / herald_sum for x in probs], len(probs), summed)
     missing = max(1.0 - math.fsum(probs), 0.0)
     bound = lambda dropped: missing + dropped + stop
     # beyond[k] is the mass of the last k terms, summed from the smallest up
     beyond = [0.0, *itertools.accumulate(reversed(probs[1:]))]
     cut = max(bisect.bisect_right(beyond, tol, key=bound) - 1, 0)
-    return Pmf(tuple(probs[:len(probs) - cut]), bound(beyond[cut]))
+    return Pmf(probs[:len(probs) - cut], bound(beyond[cut]))
 
 
 def conditional_pmf_series(
@@ -444,10 +440,10 @@ def signal_pmf(
     return Pmf(_clamped(terms(), order + 1), tail(order) + 0.1 * tol)
 
 
-def _clamped(terms, count: int) -> tuple:
-    """The first count pmf terms.  A term that rounds a few ulp above 1 is
-    exactly 1 (tiny a); a larger excess is left for Pmf to reject."""
-    return tuple([1.0 if 1.0 < p <= 1.0 + 4 * sys.float_info.epsilon else p
+def _clamped(terms, count: int, ulps: int = 4) -> tuple:
+    """The first count pmf terms.  A term that rounds at most ulps ulp above 1
+    is exactly 1 (tiny a or eta_s); a larger excess is left for Pmf to reject."""
+    return tuple([1.0 if 1.0 < p <= 1.0 + ulps * sys.float_info.epsilon else p
                   for p in itertools.islice(terms, count)])
 
 
@@ -472,17 +468,21 @@ def _head(desc: tuple, params: SourceParams, count: int) -> tuple:
     return _clamped(_factor(desc, params)[1](), count)
 
 
+def unconditioned_terms(stat: PairStatistics, params: SourceParams, filt: FilterSpec,
+                        count: int) -> tuple:
+    """U(0), ..., U(count - 1) of the unheralded signal law: the heralded law
+    of a herald that always fires (d_h = 1)."""
+    certain = SourceParams(params.mu, params.eta_h, params.eta_s, 1.0)
+    return heralded_terms(stat, certain, filt, count)
+
+
 def unconditioned_pmf(
     stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_FILTER, n: int = 0
 ) -> float:
-    """Base law at n that the correcting factor xi multiplies: the
-    kept-mode signal count, Poisson or thermal of mean m*eta_s, without herald
-    conditioning.  It is the unheralded signal law except behind a herald
-    filter, where that law is its convolution with Po(mu*eta_s*(1-f))."""
+    """U(n) of :func:`unconditioned_terms`, the law that xi multiplies."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
-    base, m, _, _ = _describe(stat, params, filt)
-    return input_pmf(base, m * params.eta_s, n)
+    return unconditioned_terms(stat, params, filt, n + 1)[n]
 
 
 def herald_click_probability(

@@ -18,7 +18,7 @@ import sys
 import numpy
 
 from . import analytic, optimize as opt, records
-from .errors import HspsError, SeriesOverflowError
+from .errors import HspsError
 from .model import (
     TERM_CAP,
     FilterBranch,
@@ -187,20 +187,13 @@ def cmd_pmf(s: dict) -> tuple[dict, list]:
     if s["nmax"] is not None and not 0 <= s["nmax"] <= TERM_CAP:
         raise UsageError(f"--nmax must lie in [0, {TERM_CAP}], got {s['nmax']}")
     pmf = analytic.signal_pmf(stat, params, filt, s["tol"])
-    n_top = len(pmf) - 1 if s["nmax"] is None else s["nmax"]
+    count = len(pmf) if s["nmax"] is None else s["nmax"] + 1
     # rows beyond the truncated pmf take the exact terms that continue it
-    heralded = (pmf.probs if n_top < len(pmf)
-                else analytic.heralded_terms(stat, params, filt, n_top + 1))
-    try:
-        factors = analytic.xi_values(stat, params, filt, n_top)
-    except SeriesOverflowError as exc:
-        # xi(n) leaves double range from n = exc.order on: those rows print it as null
-        factors = analytic.xi_values(stat, params, filt, exc.order - 1)
-    rows = []
-    for n in range(n_top + 1):
-        rows.append({"n": n, "p_heralded": heralded[n],
-                     "p_unheralded": analytic.unconditioned_pmf(stat, params, filt, n),
-                     "xi": factors[n] if n < len(factors) else None})
+    columns = (analytic.heralded_terms(stat, params, filt, count),
+               analytic.unconditioned_terms(stat, params, filt, count),
+               analytic.xi_values(stat, params, filt, count - 1))
+    rows = [{"n": n, "p_heralded": p, "p_unheralded": u, "xi": x}
+            for n, (p, u, x) in enumerate(zip(*columns))]
     return _echo_inputs(stat, params, filt, {"tol": s["tol"], "tail_bound": pmf.tail_bound}), rows
 
 

@@ -164,24 +164,19 @@ class TestXi:
             base = unconditioned_pmf(POISSON, REF, filt, n)
             assert base * factor == pytest.approx(pmf.probs[n], rel=1e-15)
 
-    def test_herald_filtered_raises_only_beyond_double_range(self):
-        # xi(n) ~ (lam/q)^n/n! grows past 1e308 at f = 1e-6, while the pmf
-        # stays finite; Th(a, n) is subnormal from n = 64 on, xi(n) up to n = 68
+    def test_herald_filtered_stays_within_the_click_bound(self):
+        # p(n)/Th(a, n) grows past 1e308 at f = 1e-6 from n = 69 on, while
+        # p(n)/U(n) lies between xi(0) and 1/P_click, also beyond the pmf
         params = SourceParams(30.0, 0.5, 0.5, 1e-4)
         filt = FilterSpec(FilterBranch.HERALD, 1e-6)
-        a = 30.0 * 1e-6 * 0.5
+        sup = 1.0 / herald_click_probability(POISSON, params, filt)
         pmf = signal_pmf(POISSON, params, filt)
-        raised = 0
+        factors = xi_values(POISSON, params, filt, len(pmf) + 100)
+        assert len(pmf) > 69
+        assert all(factors[0] <= x <= sup * (1.0 + 4 * sys.float_info.epsilon) for x in factors)
         for n, p in enumerate(pmf.probs):
-            log_xi = math.log(p) + math.log1p(a) - n * math.log(a / (1.0 + a))
-            if log_xi < 709.0:
-                assert xi(POISSON, params, filt, n) == pytest.approx(
-                    math.exp(log_xi), rel=1e-12)
-            elif log_xi > 710.0:
-                with pytest.raises(SeriesOverflowError):
-                    xi(POISSON, params, filt, n)
-                raised += 1
-        assert 0 < raised < len(pmf)
+            base = unconditioned_pmf(POISSON, params, filt, n)
+            assert base * factors[n] == pytest.approx(p, rel=1e-12), n
 
     def test_no_herald_error(self):
         with pytest.raises(NoHeraldError):
@@ -194,20 +189,17 @@ class TestXi:
         assert xi_values(POISSON, REF, filt, 0) == [xi(POISSON, REF, filt, 0)]
 
     @pytest.mark.parametrize("mu", [5e-324, 1e-318])
-    def test_underflowed_kept_mode_leaves_double_range_beyond_vacuum(self, mu):
+    def test_underflowed_kept_mode_gives_the_vacuum_factor(self, mu):
         # a = mu*f*eta_s underflows to 0 while the extraneous mean does not:
-        # Th(a, n) = 0 beyond n = 0, so xi(n >= 1) is unbounded
+        # every signal photon is extraneous, so xi(n) = xi(0) <= 1/P_click,
+        # where p(n)/Th(a, n) was unbounded beyond n = 0
         params = SourceParams(mu, 0.5, 1.0, 0.1)
         filt = FilterSpec(FilterBranch.HERALD, 1e-6)
-        assert 0.0 < xi(POISSON, params, filt, 0) < math.inf
-        assert xi_values(POISSON, params, filt, 0) == [xi(POISSON, params, filt, 0)]
-        for n in (1, 2, 5):
-            with pytest.raises(SeriesOverflowError) as info:
-                xi(POISSON, params, filt, n)
-            assert info.value.order == n
-        with pytest.raises(SeriesOverflowError) as info:
-            xi_values(POISSON, params, filt, 3)
-        assert info.value.order == 1
+        sup = 1.0 / herald_click_probability(POISSON, params, filt)
+        vacuum = xi(POISSON, params, filt, 0)
+        assert 0.0 < vacuum <= sup
+        assert xi_values(POISSON, params, filt, 5) == [vacuum] * 6
+        assert [xi(POISSON, params, filt, n) for n in (1, 2, 5)] == [vacuum] * 3
         # the pmf terms stay finite: the signal count is the extraneous one
         assert signal_pmf(POISSON, params, filt).probs[0] == 1.0
 
@@ -317,15 +309,22 @@ class TestConditionalSeries:
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 1e-14])
-    @pytest.mark.parametrize("route", [
+    ROUTES = pytest.mark.parametrize("route", [
         lambda tol: signal_pmf(POISSON, REF, NO_FILTER, tol),
         lambda tol: conditional_pmf_series(THERMAL, REF, tol),
         lambda tol: herald_filter_convolution_oracle(REF, 0.5, tol),
     ], ids=["signal_pmf", "conditional_pmf_series", "herald_filter_convolution_oracle"])
+
+    # above 1 a tail bound says nothing: tol 20 gave tail_bound 2.98
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 1e-14, 1.5, 20.0])
+    @ROUTES
     def test_refused(self, route, tol):
         with pytest.raises(ValidationError, match="tolerance must be finite and >= 1e-13"):
             route(tol)
+
+    @ROUTES
+    def test_one_is_accepted(self, route):
+        assert route(1.0).tail_bound <= 1.0
 
 
 class TestSignalPmf:
@@ -927,6 +926,51 @@ class TestUnconditioned:
             math.exp(-a) * a**2 / 2, rel=1e-13)
         assert unconditioned_pmf(THERMAL, REF, NO_FILTER, 2) == pytest.approx(
             (a / (1 + a)) ** 2 / (1 + a), rel=1e-13)
+
+    @pytest.mark.parametrize("stat, filt", [
+        (POISSON, NO_FILTER),
+        (THERMAL, NO_FILTER),
+        (POISSON, FilterSpec(FilterBranch.SIGNAL, 0.3)),
+        (POISSON, FilterSpec(FilterBranch.HERALD, 1.0)),
+        (POISSON, FilterSpec(FilterBranch.HERALD, 0.3)),
+    ])
+    def test_certain_herald_law_is_the_base_law_without_extra_photons(self, stat, filt):
+        # a herald with d_h = 1 always fires, so its law is the unheralded
+        # one; without extraneous photons (lam = 0) that is the base law at
+        # m*eta_s bit for bit, also where the real herald can never fire
+        checked = 0
+        for mu, eta_h, eta_s, d_h in itertools.product(
+                [0.0, 1e-3, 0.7, 40.0], [0.0, 0.5, 1.0], [0.0, 5e-324, 1e-310, 0.6, 1.0],
+                [0.0, 1e-3, 1.0]):
+            params = SourceParams(mu, eta_h, eta_s, d_h)
+            base, m, _, lam = analytic._describe(stat, params, filt)
+            if lam > 0.0:
+                continue
+            law = [input_pmf(base, m * eta_s, n) for n in range(40)]
+            assert list(analytic.unconditioned_terms(stat, params, filt, 40)) == law, params
+            assert [unconditioned_pmf(stat, params, filt, n) for n in (0, 1, 7, 39)] == [
+                law[0], law[1], law[7], law[39]], params
+            checked += 1
+        assert checked >= 48
+
+    def test_herald_filtered_law_is_the_extraneous_convolution(self):
+        # U = Po(lam) * Th(a) at 50 digits; the kept-mode law alone gave
+        # p(0) = 1/(1 + a) = 0.893 here.  Measured before it was fixed:
+        # within 2.5e-14 relative for n < 120
+        mp = pytest.importorskip("mpmath")
+        params, filt = SourceParams(0.5, 0.5, 0.8, 1e-4), FilterSpec(FilterBranch.HERALD, 0.3)
+        with mp.workdps(50):
+            a = mp.mpf(0.5) * mp.mpf(0.3) * mp.mpf(0.8)
+            lam = mp.mpf(0.5) * mp.mpf(0.8) * (1 - mp.mpf(0.3))
+            kept = [a**k / (1 + a) ** (k + 1) for k in range(120)]
+            extra = [mp.exp(-lam) * lam**k / mp.factorial(k) for k in range(120)]
+            ref = [float(mp.fdot(extra[: n + 1], kept[n::-1])) for n in range(120)]
+        law = analytic.unconditioned_terms(POISSON, params, filt, 120)
+        assert round(law[0], 3) == 0.675
+        for n, (u, r) in enumerate(zip(law, ref)):
+            assert u == pytest.approx(r, rel=1e-13, abs=0.0), n
+        assert [unconditioned_pmf(POISSON, params, filt, n) for n in (0, 1, 50)] == [
+            law[0], law[1], law[50]]
 
     def test_xi_times_base_recovers_pmf(self):
         filt = FilterSpec(FilterBranch.HERALD, 0.1)

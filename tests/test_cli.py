@@ -6,9 +6,10 @@ import numpy
 import pytest
 
 from hspstats import (FilterBranch, FilterSpec, PairStatistics, SourceParams,
-                      moments_closed_form, moments_from_pmf, records, signal_pmf, xi)
+                      herald_click_probability, moments_closed_form, moments_from_pmf, records,
+                      signal_pmf, xi)
 from hspstats import cli
-from hspstats.analytic import heralded_terms
+from hspstats.analytic import heralded_terms, unconditioned_terms
 from hspstats.cli import main
 from hspstats.montecarlo import STREAM_VERSION
 
@@ -88,53 +89,77 @@ class TestPmfCommand:
         assert tuple(row["p_heralded"] for row in rows[: len(pmf)]) == pmf.probs
         assert all(math.isfinite(row["xi"]) and row["xi"] > 0.0 for row in rows)
 
+    def test_unheralded_column_behind_a_herald_filter(self, capsys):
+        # the unheralded law counts the extraneous photons too: p(0) = 0.675,
+        # where the kept-mode law alone gave 0.893
+        code, out, _ = run(capsys, "pmf", "--mu", "0.5", "--eta-h", "0.5", "--eta-s", "0.8",
+                           "--dark", "1e-4", "--filter", "herald", "--f", "0.3")
+        assert code == 0
+        rows = records.parse(out).rows
+        assert round(rows[0]["p_unheralded"], 3) == 0.675
+        assert tuple(row["p_unheralded"] for row in rows) == unconditioned_terms(
+            PairStatistics.POISSON, SourceParams(0.5, 0.5, 0.8, 1e-4),
+            FilterSpec(FilterBranch.HERALD, 0.3), len(rows))
+
     @pytest.mark.parametrize("nmax", [-2, 100_001, 10**20])
     def test_negative_nmax_is_usage_error(self, capsys, nmax):
         code, out, err = run(capsys, "pmf", *REF_FLAGS, "--nmax", str(nmax))
         assert code == 1 and out == "" and "--nmax" in err
 
-    def test_xi_null_where_it_leaves_double_range(self, capsys):
-        # xi(n) ~ (lam/q)^n/n! passes 1.8e308 at n = 69 while the pmf is finite
-        # to n = 113: the table prints xi as null from there and exits 0
+    def test_xi_finite_where_p_over_the_kept_mode_law_left_double_range(self, capsys):
+        # p(n)/Th(a, n) passes 1.8e308 at n = 69 while the pmf is finite to
+        # n = 113; xi(n) = p(n)/U(n) stays at most 1/P_click in every row
         flags = ["--mu", "30", "--eta-h", "0.5", "--eta-s", "0.5", "--dark", "1e-4",
                  "--filter", "herald", "--f", "1e-6"]
+        params = SourceParams(30, 0.5, 0.5, 1e-4)
+        spec = FilterSpec(FilterBranch.HERALD, 1e-6)
+        sup = 1.0 / herald_click_probability(PairStatistics.POISSON, params, spec)
         code, out, _ = run(capsys, "pmf", *flags)
         assert code == 0
         rows = records.parse(out).rows
-        spec = FilterSpec(FilterBranch.HERALD, 1e-6)
-        pmf = signal_pmf(PairStatistics.POISSON, SourceParams(30, 0.5, 0.5, 1e-4), spec)
+        pmf = signal_pmf(PairStatistics.POISSON, params, spec)
         assert len(rows) == len(pmf) > 70
         assert tuple(row["p_heralded"] for row in rows) == pmf.probs
-        assert [row["xi"] for row in rows[:69]] == [
-            xi(PairStatistics.POISSON, SourceParams(30, 0.5, 0.5, 1e-4), spec, n)
-            for n in range(69)]
-        assert all(row["xi"] is None for row in rows[69:])
+        assert [row["xi"] for row in rows] == [
+            xi(PairStatistics.POISSON, params, spec, n) for n in range(len(pmf))]
+        assert all(0.0 < row["xi"] <= sup for row in rows)
 
-        # beyond the pmf, p_heralded continues with the exact terms, which
-        # stay finite where xi has left double range
+        # beyond the pmf, p_heralded continues with the exact terms and xi
+        # stays finite
         code, out, _ = run(capsys, "pmf", *flags, "--nmax", "150")
         assert code == 0
         rows = records.parse(out).rows
         assert len(rows) == 151
-        params = SourceParams(30, 0.5, 0.5, 1e-4)
         terms = heralded_terms(PairStatistics.POISSON, params, spec, 151)
         assert tuple(row["p_heralded"] for row in rows) == terms
         assert terms[:len(pmf)] == pmf.probs
         assert all(0.0 <= p < 1e-12 for p in terms[len(pmf):])
-        assert all(row["xi"] is None for row in rows[69:])
+        assert all(0.0 < row["xi"] <= sup for row in rows)
 
     @pytest.mark.parametrize("mu", ["5e-324", "1e-318"])
-    def test_xi_null_where_the_kept_mode_underflows(self, capsys, mu):
-        # a = mu*f*eta_s underflows to 0 behind the herald filter: xi(n >= 1)
-        # is unbounded and prints as null; this used to raise ZeroDivisionError
+    def test_xi_where_the_kept_mode_underflows(self, capsys, mu):
+        # a = mu*f*eta_s underflows to 0 behind the herald filter: every
+        # signal photon is extraneous, so xi(n) = xi(0) <= 1/P_click; this
+        # used to raise ZeroDivisionError, then printed null for n >= 1
         flags = ["--mu", mu, "--eta-h", "0.5", "--eta-s", "1", "--dark", "0.1",
                  "--filter", "herald", "--f", "1e-6", "--nmax", "3"]
         code, out, err = run(capsys, "pmf", *flags)
         assert code == 0 and err == ""
         rows = records.parse(out).rows
+        sup = 1.0 / herald_click_probability(
+            PairStatistics.POISSON, SourceParams(float(mu), 0.5, 1.0, 0.1),
+            FilterSpec(FilterBranch.HERALD, 1e-6))
         assert len(rows) == 4
-        assert 0.0 < rows[0]["xi"] < math.inf
-        assert all(row["xi"] is None for row in rows[1:])
+        assert 0.0 < rows[0]["xi"] <= sup
+        assert all(row["xi"] == rows[0]["xi"] for row in rows)
+
+    def test_tolerance_above_one_is_a_domain_error(self, capsys):
+        # tol 20 printed a tail_bound of 2.98; tol 1 is the largest accepted
+        code, out, err = run(capsys, "pmf", "--mu", "0.1", "--tol", "20")
+        assert code == 2 and out == ""
+        assert "tolerance must be finite and >= 1e-13 and <= 1" in err
+        code, out, _ = run(capsys, "pmf", "--mu", "0.1", "--tol", "1")
+        assert code == 0 and records.parse(out).inputs["tail_bound"] <= 1.0
 
     def test_rows_beyond_the_pmf_need_no_moments(self, capsys):
         # the moments of this source leave double range, its pmf terms do not;

@@ -13,11 +13,12 @@ import argparse
 import contextlib
 import io
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hspstats import cli
+from hspstats import cli, records
 from hspstats.model import TERM_CAP
 
 VALID = ["0", "1e-6", "0.01", "0.3", "0.5", "1"]
@@ -103,21 +104,61 @@ def test_random_argv_ends_in_a_documented_status(paths):
 CORNER_COMMANDS = [["pmf", "--nmax", "4"], ["moments"], ["sweep", "--grid", "1e-318,0.1"]]
 
 
-@pytest.mark.parametrize("command", CORNER_COMMANDS, ids=lambda c: c[0])
-def test_subnormal_corners_end_in_a_documented_status(command):
-    # subnormal means and efficiencies, with and without dark counts, behind
-    # every filter: a kept-mode mean that underflows to 0 beside a nonzero
-    # extraneous one used to escape from pmf as ZeroDivisionError
-    codes = set()
+def _run(argv):
+    """(exit status, stdout) of one CLI call that must end documented."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue()
+
+
+def _corners():
+    """Subnormal means and efficiencies, with and without dark counts,
+    behind every filter."""
     for mu, eta_s, dark, branch, f in itertools.product(
             ["5e-324", "1e-318"], ["1e-318", "1"], ["0", "0.1"],
             ["none", "signal", "herald"], ["1e-6", "0.5"]):
-        argv = [*command, "--mu", mu, "--eta-h", "0.5", "--eta-s", eta_s, "--dark", dark,
-                "--filter", branch, "--f", f]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        assert code in (0, 1, 2, 3), (argv, code)
-        assert "Traceback" not in err.getvalue(), argv
-        codes.add(code)
-    assert 0 in codes
+        yield ["--mu", mu, "--eta-h", "0.5", "--eta-s", eta_s, "--dark", dark,
+               "--filter", branch, "--f", f]
+
+
+@pytest.mark.parametrize("command", CORNER_COMMANDS, ids=lambda c: c[0])
+def test_subnormal_corners_end_in_a_documented_status(command):
+    # a kept-mode mean that underflows to 0 beside a nonzero extraneous one
+    # used to escape from pmf as ZeroDivisionError
+    assert 0 in {_run([*command, *flags])[0] for flags in _corners()}
+
+
+# |p_heralded - xi p_unheralded| was at most 3.2e-15 p_heralded where
+# p_heralded >= 1e-290, and 1.0e-305 below, over 800 random pmf --nmax 200
+# tables of the four configurations and the subnormal corners
+XI_RTOL, XI_ATOL = 1e-14, 1e-300
+PMF_CONFIGURATIONS = [["--stat", "poisson"], ["--stat", "thermal"],
+                      ["--filter", "signal"], ["--filter", "herald"]]
+
+
+def _rows_multiply_out(argv) -> bool:
+    """Whether the pmf table printed; its every row has a finite xi with
+    p_heralded = xi p_unheralded."""
+    code, out = _run(argv)
+    for row in records.parse(out).rows if code == 0 else ():
+        p, u, x = row["p_heralded"], row["p_unheralded"], row["xi"]
+        assert type(x) is float and math.isfinite(x), (argv, row)
+        assert abs(p - x * u) <= XI_RTOL * p + XI_ATOL, (argv, row)
+    return code == 0
+
+
+@pytest.mark.parametrize("mu, f", [("0.01", "0.3"), ("0.5", "0.3"), ("30", "1e-6")])
+@pytest.mark.parametrize("config", PMF_CONFIGURATIONS, ids=lambda c: c[-1])
+def test_pmf_rows_multiply_out(config, mu, f):
+    # at mu 30, f 1e-6 behind a herald filter p(n)/Th(a, n) left double range
+    assert _rows_multiply_out(["pmf", *config, "--mu", mu, "--eta-h", "0.5", "--eta-s", "0.8",
+                               "--dark", "1e-4", "--f", f, "--nmax", "150"])
+
+
+def test_pmf_rows_multiply_out_at_subnormal_corners():
+    # where the kept-mode mean underflowed, xi(n >= 1) used to print null
+    printed = [_rows_multiply_out(["pmf", "--nmax", "4", *flags]) for flags in _corners()]
+    assert sum(printed) >= 24
