@@ -554,11 +554,13 @@ def _moments(desc: tuple, params: SourceParams) -> MomentSummary:
         u, b, p = 1.0 - eta_h, 1.0 + x, d + x
         r, k = eta_h + x * (2.0 + x) + d * u, m / (b * p)
         e_n = k * r
-        v_n = (1.0 + m) * k * (m * eta_h * eta_h * k * (b * b + u) + d / (b * p) * (
-            eta_h * (1.0 + x * x + 2.0 * m * (1.0 + b * b)) + d * u))
+        # grouped so that k ~ 1/eta_h at d = 0 scales each small factor back
+        # before it underflows or its product overflows
+        v_n = (1.0 + m) * (k * (m * eta_h * (eta_h * k) * (b * b + u) + d / (b * p) * (
+            eta_h * (1.0 + x * x + 2.0 * m * (1.0 + b * b)) + d * u)))
         if not math.isfinite(e_n + v_n):
             raise SeriesOverflowError(f"moments leave double range at mean {m!r}", order=0)
-        g_n = 2.0 * p * (x * (3.0 + x * (3.0 + x)) + eta_h * (1.0 + u) + d * u * u) / r / r
+        g_n = 2.0 * (p / r) * ((x * (3.0 + x * (3.0 + x)) + eta_h * (1.0 + u) + d * u * u) / r)
     mean = eta_s * e_n + lam
     var = eta_s * ((1.0 - eta_s) * e_n + eta_s * v_n) + lam
     if mean == 0.0:

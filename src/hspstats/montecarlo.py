@@ -15,16 +15,17 @@ heralds are one binomial count.
 Reproducibility contract: chunk ``i`` of ``CHUNK_TRIALS`` trials uses
 ``numpy.random.Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` and
 draws, in this order (stream ``STREAM_VERSION``): the multinomial split into
-kept-only, extra-only, both and empty bins; the kept counts of the kept-only
-and both bins; the first-arrival uniforms, then the Poisson remainders, of the
-both and extra-only bins; one herald exponential per occupied bin; the
-binomial count of heralded one-signal-photon bins that keep it, then the
-per-bin thinning of heralded bins with two or more; the dark heralds among the
-empty bins.  The Poisson, exponential and thinning draws run over blocks of
-``BLOCK_BINS`` occupied bins and give the numbers of whole-array calls, so a
-(config, seed) pair replays bit-identically for a given numpy and stream
-version.  Chunks run at most one per CPU at a time, each holding 5 to 6 MiB
-at mu = 0.5; they merge in chunk order, independent of the thread count.
+kept-only, extra-only, both and empty bins; one multinomial histogram of pair
+counts over a count table for each of the kept-only bins, the both bins, the
+both bins' extras and the extra-only bins, then a shuffle of the both bins'
+extra counts; one herald exponential per occupied bin; the binomial count of
+heralded one-signal-photon bins that keep it, then the per-bin thinning of
+heralded bins with two or more; the dark heralds among the empty bins.  The
+exponential and thinning draws run over blocks of ``BLOCK_BINS`` occupied
+bins and give the numbers of whole-array calls, so a (config, seed) pair
+replays bit-identically for a given numpy and stream version.  Chunks run at
+most one per CPU at a time, each holding 5 to 6 MiB at mu = 0.5; they merge
+in chunk order, independent of the thread count.
 """
 
 import functools
@@ -47,12 +48,18 @@ BLOCK_BINS = 1 << 16
 
 # Version of the draw order above; it moves with every change to the numbers
 # a (config, seed) pair produces.  Streams 1 (every bin drawn), 2 (herald
-# thinned by a binomial) and 3 (herald uniform, every heralded bin thinned on
-# its own) do not replay under stream 4.
-STREAM_VERSION = 4
+# thinned by a binomial), 3 (herald uniform, every heralded bin thinned on its
+# own) and 4 (one Poisson or geometric draw per occupied bin) do not replay
+# under stream 5.
+STREAM_VERSION = 5
 
-# Largest simulated mu: pair counts stay far inside int64 and numpy's Poisson range.
-MAX_MU = 1e15
+# A count table stops where the mass left is below 2^-64, under the 2^-53
+# resolution of a uniform double.
+TABLE_TAIL = 2.0**-64
+
+# Largest simulated mu: the thermal count table has about 44 (mu + 1/2)
+# entries, 44,384 at mu = 1000.
+MAX_MU = 1e3
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,8 @@ class McConfig:
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if self.params.mu > MAX_MU:
-            raise ValidationError(f"mu above {MAX_MU:g} would overflow the pair counts")
+            raise ValidationError(f"mu above {MAX_MU:g} would grow the thermal pair-count table "
+                                  f"past {len(_count_table(MAX_MU, True)):,} entries")
         if self.filt.branch is not FilterBranch.NONE and self.stat is not PairStatistics.POISSON:
             raise ValidationError("a mode filter requires Poisson pair statistics")
 
@@ -111,6 +119,44 @@ def _describe(config: McConfig) -> tuple[float, float, bool, bool]:
     return mu * f, mu * (1.0 - f), branch is FilterBranch.SIGNAL, branch is FilterBranch.HERALD
 
 
+def _count_table(mean: float, thermal: bool) -> np.ndarray:
+    """P(N = k | N >= 1) for k = 1..K of a thermal or Poisson pair count N of
+    the given mean, K the first k whose remaining mass is below ``TABLE_TAIL``
+    (a multinomial draw gives the last entry whatever mass the others leave)."""
+    if mean < TABLE_TAIL:  # P(N > 1 | N >= 1) < TABLE_TAIL, and mean 0 has this limit
+        return np.ones(1)
+    if thermal:  # (1 - q) q^(k - 1), q = m/(1 + m): the mass above k is q^k
+        log_q = -math.log1p(1.0 / mean)
+        size = math.floor(math.log(TABLE_TAIL) / log_q) + 1
+        return np.exp(np.arange(size) * log_q) / (1.0 + mean)
+    # m^k/(k! (e^m - 1)) as m^k e^-m/k! in logs (e^m overflows near m = 710)
+    # over its sum 1 - e^-m, summed to 20 standard deviations past the mean,
+    # beyond which less than e^-150 is left
+    k = np.arange(1.0, math.ceil(mean + 20.0 * math.sqrt(mean)) + 50.0)
+    p = np.exp(np.cumsum(np.log(mean / k)) - mean)
+    p /= p.sum()
+    return p[:np.count_nonzero(np.cumsum(p[::-1])[::-1] >= TABLE_TAIL)]
+
+
+def _pair_counts(rng, kept_mean: float, extra_mean: float,
+                 n_kept: int, n_both: int, n_extra: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kept counts of the kept-only then both bins, and extra counts of the
+    both then extra-only bins, each group's counts drawn from the numpy
+    Generator ``rng`` as one multinomial histogram over its count table:
+    bins are exchangeable, so each group comes out sorted.  The both bins'
+    extra counts are shuffled, so that they pair with the sorted kept counts
+    independently.  (``rng`` has no annotation: ``np.random.Generator``
+    there would import numpy.random with the package.)"""
+    kept_table, extra_table = _count_table(kept_mean, True), _count_table(extra_mean, False)
+    hists = [rng.multinomial(n, table) for n, table in
+             ((n_kept, kept_table), (n_both, kept_table), (n_both, extra_table),
+              (n_extra, extra_table))]
+    kept = np.repeat(np.tile(np.arange(1, len(kept_table) + 1), 2), np.concatenate(hists[:2]))
+    extra = np.repeat(np.tile(np.arange(1, len(extra_table) + 1), 2), np.concatenate(hists[2:]))
+    rng.shuffle(extra[:n_both])
+    return kept, extra
+
+
 def _counts(kept: np.ndarray, extra: np.ndarray, n_kept: int, a: int, b: int, with_extra: bool):
     """Pair counts of occupied bins a..b-1 in one branch: the kept pairs of bins
     0.. and, when the branch sees them, the extra pairs of bins n_kept.."""
@@ -127,7 +173,7 @@ def _counts(kept: np.ndarray, extra: np.ndarray, n_kept: int, a: int, b: int, wi
 def _simulate_chunk(config: McConfig, index: int, size: int) -> tuple[np.ndarray, int]:
     """Histogram of clamped signal counts over heralded trials of one chunk,
     and the number of heralded trials; draws in the order of the module
-    docstring, the Poisson, herald and thinning draws over blocks of bins."""
+    docstring, the herald and thinning draws over blocks of bins."""
     p = config.params
     seq = np.random.SeedSequence(entropy=int(config.seed), spawn_key=(index,))
     rng = np.random.Generator(np.random.PCG64(seq))
@@ -139,17 +185,7 @@ def _simulate_chunk(config: McConfig, index: int, size: int) -> tuple[np.ndarray
 
     # occupied bins in the order kept-only, both, extra-only
     occupied = n_kept + n_both + n_extra
-    # the geometric law is memoryless: thermal N given N >= 1 is geometric
-    # on 1, 2, ... with the same success probability P(N = 0)
-    kept = rng.geometric(kept0, size=n_kept + n_both)
-    # Poisson N given N >= 1: 1 + Poisson(m (1 - T)), the first arrival time T
-    # by inverse CDF given T < 1, clipped so that rounding keeps m (1 - T) >= 0;
-    # each block's counts overwrite its uniforms, as int64
-    extra = rng.random(n_both + n_extra)
-    for u in (extra[a:a + BLOCK_BINS] for a in range(0, len(extra), BLOCK_BINS)):
-        np.log1p(np.multiply(u, -extra1, out=u), out=u)
-        np.add(rng.poisson(np.maximum(u + extra_mean, 0.0, out=u)), 1, out=u.view(np.int64))
-    extra = extra.view(np.int64)
+    kept, extra = _pair_counts(rng, kept_mean, extra_mean, n_kept, n_both, n_extra)
     # dark, with probability (1 - d_h)(1 - eta_h)^h, when one exponential outlasts
     # the miss hazard c0 + h c1: c0 is inf at d_h = 1, and c1 = 1e3 at eta_h = 1
     # misses with probability e^-1000, 0 in doubles, and keeps 0 * c1 = 0 at h = 0

@@ -43,7 +43,7 @@ from hspstats import (
     xi,
     xi_limit,
 )
-from hspstats import analytic, errors, model, montecarlo, optimize, records
+from hspstats import analytic, errors, model, montecarlo, optimize, records, verify
 from hspstats.analytic import _poisson_tail_bound, _thin, herald_prob, input_pmf, xi_values
 from hspstats.verify import MOMENT_TOL, SERIES_TOL, sample_configurations
 
@@ -847,6 +847,25 @@ class TestClosedMomentsEveryConfiguration:
         assert got.fano == pytest.approx(var / mean, rel=1e-12)
         assert got.g2 == pytest.approx(g2, rel=1e-12, abs=1e-320)
 
+    @pytest.mark.parametrize("name", ["thermal", "herald_filtered"])
+    def test_dark_free_moments_keep_their_scale_limit(self, name):
+        # with d_h = 0 the herald weights each pair number N by N however dim
+        # it is, so the moments at eta_h = 1e-300 and 2.2e-308 are those at
+        # 1e-100.  The thermal variance read 15.25 instead of 480.25 at
+        # 1e-300 and refused at 2.2e-308; measured worst over this grid: 4.4e-16
+        stat, filt = _configuration(name, 0.5)
+        for mu, eta_s in itertools.product((2.0, 5.0, 30.0, 1e3, 1e8), (0.05, 0.5, 1.0)):
+            want = vars(moments_closed_form(SourceParams(mu, 1e-100, eta_s, 0.0), stat, filt))
+            for eta_h in (1e-300, 2.2e-308):
+                got = vars(moments_closed_form(SourceParams(mu, eta_h, eta_s, 0.0), stat, filt))
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0), (mu, eta_h, eta_s)
+
+    @pytest.mark.parametrize("name", ["thermal", "herald_filtered"])
+    def test_subnormal_herald_rate_is_a_domain_error(self, name):
+        # m eta_h = 3e-309 is subnormal: 1/(m eta_h) leaves double range
+        with pytest.raises(SeriesOverflowError, match="leave double range"):
+            moments_closed_form(SourceParams(60.0, 1e-310, 0.5, 0.0), *_configuration(name, 0.5))
+
     def test_filtered_at_full_fraction_equal_thermal(self):
         thermal = moments_closed_form(REF, THERMAL)
         for branch in (FilterBranch.SIGNAL, FilterBranch.HERALD):
@@ -980,26 +999,52 @@ class TestUnconditioned:
             assert recon == pytest.approx(pmf.prob(n), rel=1e-12, abs=1e-300)
 
 
-def _module_level_imports(module) -> list:
-    """The modules that ``module`` imports outside its functions."""
+def _imports(module, inside_functions: bool = False) -> list:
+    """The modules that ``module`` imports outside its functions, or
+    anywhere; a relative import keeps its leading dots, and ``from X import
+    a`` also lists ``X.a``, which may be a module."""
     def module_level(node):
         for child in ast.iter_child_nodes(node):
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 yield child
                 yield from module_level(child)
 
+    tree = ast.parse(Path(module.__file__).read_text())
     modules = []
-    for node in module_level(ast.parse(Path(module.__file__).read_text())):
+    for node in ast.walk(tree) if inside_functions else module_level(tree):
         if isinstance(node, ast.Import):
             modules += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            modules.append(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "" if base.endswith(".") else "."
+            modules += [base] + [base + sep + alias.name for alias in node.names]
     return modules
 
 
+def _imports_analytic(module) -> bool:
+    return any("analytic" in name.split(".") for name in _imports(module, inside_functions=True))
+
+
 def test_import_walk_sees_module_level_imports():
-    assert "math" in _module_level_imports(analytic)
-    assert "numpy" in _module_level_imports(montecarlo)
+    assert "math" in _imports(analytic)
+    assert "numpy" in _imports(montecarlo)
+
+
+def test_import_walk_sees_imports_inside_functions():
+    # analytic imports numpy only inside its oracles; verify imports the
+    # module analytic, optimize names from it
+    assert "numpy" not in _imports(analytic)
+    assert "numpy" in _imports(analytic, inside_functions=True)
+    assert _imports_analytic(verify) and _imports_analytic(optimize)
+    assert not _imports_analytic(records)
+
+
+def test_montecarlo_never_imports_the_closed_forms():
+    # the simulation is an independent route: it builds its own pair-count
+    # tables and must not read analytic's pair laws, not even inside a
+    # function, where it does import its thread pool
+    assert "concurrent.futures" in _imports(montecarlo, inside_functions=True)
+    assert not _imports_analytic(montecarlo)
 
 
 @pytest.mark.parametrize("module", [analytic, model, optimize, records, errors],
@@ -1007,4 +1052,4 @@ def test_import_walk_sees_module_level_imports():
 def test_numpy_is_imported_only_inside_functions(module):
     # the modules that pmf, moments, optimize and sweep need must not import
     # numpy at module level; analytic's oracles import it inside themselves
-    assert [m for m in _module_level_imports(module) if m.split(".")[0] == "numpy"] == []
+    assert [m for m in _imports(module) if m.split(".")[0] == "numpy"] == []

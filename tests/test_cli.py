@@ -487,6 +487,23 @@ class TestSimulateCommand:
                              "--n-cap", str(n_cap))
         assert code == 2 and out == "" and "n_cap" in err and "Traceback" not in err
 
+    def test_mu_above_the_count_table_domain_error(self, capsys):
+        code, out, err = run(capsys, "simulate", "--mu", "1001", "--eta-h", "0.5",
+                             "--eta-s", "0.5", "--dark", "1e-4", "--trials", "1000")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "mu above 1000 would grow the thermal pair-count table past 44,384 entries" in err
+
+    @pytest.mark.parametrize("stat", list(PairStatistics))
+    def test_largest_mu_runs(self, capsys, stat):
+        code, out, _ = run(capsys, "simulate", "--stat", stat.value, "--mu", "1000",
+                           "--eta-h", "0.5", "--eta-s", "0.5", "--dark", "1e-4",
+                           "--trials", "1000")
+        assert code == 0
+        rows = records.parse(out).rows
+        rate = herald_click_probability(stat, SourceParams(1000.0, 0.5, 0.5, 1e-4))
+        assert abs(rows[0]["herald_rate"] - rate) <= 5 * math.sqrt(rate * (1 - rate) / 1000)
+        assert math.fsum(row["pmf_hat"] for row in rows) == pytest.approx(1.0, abs=1e-12)
+
     def test_negative_seed_domain_error(self, capsys):
         code, out, err = run(capsys, "simulate", *REF_FLAGS,
                              "--trials", "1000", "--seed", "-1")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import hspstats.montecarlo as mc
 from hspstats import (
@@ -61,8 +62,9 @@ class TestConfig:
 
     def test_rejects_mu_beyond_the_count_range(self):
         McConfig(params=SourceParams(mc.MAX_MU, 0.5, 0.5, 0.0))
-        with pytest.raises(ValidationError):
-            McConfig(params=SourceParams(1e300, 0.5, 0.5, 0.0))
+        for mu in (1001.0, 1e300):
+            with pytest.raises(ValidationError, match="pair-count table past 44,384 entries"):
+                McConfig(params=SourceParams(mu, 0.5, 0.5, 0.0))
 
     @pytest.mark.parametrize("field,value", [("trials", 2.5e5), ("trials", 1000.0),
                                              ("n_cap", 8.5), ("seed", 1.5), ("seed", "1")])
@@ -202,6 +204,14 @@ print("concurrent.futures" in sys.modules, threading.active_count())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "1"]
 
+    def test_import_leaves_numpy_random_unloaded(self):
+        # every command imports montecarlo; numpy.random would add about
+        # 2.7 MB of resident memory and its import time to each of them
+        proc = _run_python("import sys, hspstats\nprint('numpy.random' in sys.modules)",
+                           timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
     # (name, stat, params, filt, bound in MiB) of chunks at the verify box's
     # brightest point and far above it
     WORKING_SETS = [
@@ -229,8 +239,9 @@ print("concurrent.futures" in sys.modules, threading.active_count())
         # each chunk in flight holds its peak.  bright_source, traced with
         # numpy.random's import: 13.7 MiB under stream 2, then 10.6 MiB under
         # streams 3 and 4 drawn as whole arrays.  Without it: 9.85 MiB as
-        # whole arrays, 4.73 MiB drawn in blocks of bins.  The mu 5 herald
-        # filter: 32.2 MiB whole, 16.2 MiB in blocks, mostly the pair counts
+        # whole arrays, 4.73 MiB drawn in blocks of bins, 4.74 MiB under
+        # stream 5.  The mu 5 herald filter: 32.2 MiB whole, 16.2 MiB in
+        # blocks and under stream 5, mostly the pair counts
         config = McConfig(params=params, stat=stat, filt=filt, trials=1 << 20, seed=3)
         peak = self.traced_peak(config, lambda: mc._simulate_chunk(config, 0, 1 << 20))
         assert peak <= bound * 2**20
@@ -258,8 +269,8 @@ print("concurrent.futures" in sys.modules, threading.active_count())
 
 
 class TestBlocks:
-    """The Poisson, exponential and thinning draws of a chunk run over blocks
-    of BLOCK_BINS occupied bins with the numbers of whole-array draws: the
+    """The exponential and thinning draws of a chunk run over blocks of
+    BLOCK_BINS occupied bins with the numbers of whole-array draws: the
     stream does not depend on the block size.  At mu = 0.5 a filtered chunk of 5,000 trials
     holds about 150 kept-only, 90 both and 1,700 extra-only bins."""
 
@@ -447,6 +458,80 @@ class TestBeyondTheVerifyBox:
                                          seed=10))
 
 
+class TestPairCounts:
+    """Each group's pair counts are one multinomial histogram over the
+    group's count table, expanded in sorted order; the both bins' extra
+    counts are shuffled against their kept counts.  The laws here come from
+    scipy, not from the sampler's tables."""
+
+    GROUP = 1 << 18  # bins in each of the kept-only, both and extra-only groups
+    TAIL = stats.norm.sf(5.0)  # one-sided mass beyond 5 sigma
+
+    @staticmethod
+    def law(thermal: bool, m: float, k: np.ndarray) -> np.ndarray:
+        """P(N = k | N >= 1) of a thermal or Poisson count of mean m."""
+        if thermal:
+            return stats.geom.pmf(k, 1.0 / (1.0 + m))
+        return stats.poisson.pmf(k, m) / stats.poisson.sf(0, m)
+
+    def assert_in_tails(self, observed, n, p):
+        """Observed binomial(n, p) counts inside their exact 5-sigma tails."""
+        assert (stats.binom.cdf(observed, n, p) >= self.TAIL).all()
+        assert (stats.binom.sf(observed - 1, n, p) >= self.TAIL).all()
+
+    def assert_group_follows(self, counts, thermal, m):
+        # every count k with an expected number >= 1 of bins, and the bins
+        # of all other counts as one number
+        hist = np.bincount(counts)
+        assert len(counts) == self.GROUP and hist[0] == 0
+        k = np.arange(1, len(hist) + 10 * int(m + 1))  # well past the largest count drawn
+        p = self.law(thermal, m, k)
+        seen = np.zeros(len(k), dtype=np.int64)
+        seen[:len(hist) - 1] = hist[1:]
+        tested = self.GROUP * p >= 1.0
+        assert tested.any()
+        self.assert_in_tails(seen[tested], self.GROUP, p[tested])
+        self.assert_in_tails(np.array([self.GROUP - seen[tested].sum()]), self.GROUP,
+                             max(1.0 - math.fsum(p[tested]), 0.0))
+
+    @pytest.mark.parametrize("m", [1e-3, 0.5, 5.0, 50.0, mc.MAX_MU])
+    def test_groups_follow_their_laws(self, m):
+        rng = np.random.Generator(np.random.PCG64(2026))
+        n = self.GROUP
+        kept, extra = mc._pair_counts(rng, m, m, n, n, n)
+        assert len(kept) == len(extra) == 2 * n
+        for counts, thermal in ((kept[:n], True), (kept[n:], True),
+                                (extra[:n], False), (extra[n:], False)):
+            self.assert_group_follows(counts, thermal, m)
+        # the both bins pair their counts independently: comonotone pairs
+        # would put min(P_kept(1), P_extra(1)) of them at (1, 1)
+        ones = np.count_nonzero((kept[n:] == 1) & (extra[:n] == 1))
+        p_kept, p_extra = self.law(True, m, 1), self.law(False, m, 1)
+        self.assert_in_tails(np.array([ones]), n, p_kept * p_extra)
+
+    def test_no_pair_means_one_entry(self):
+        # mean 0, or so small that a second pair is below the table's tail
+        for m in (0.0, 5e-324, 1e-20):
+            for thermal in (True, False):
+                assert mc._count_table(m, thermal).tolist() == [1.0]
+
+    @pytest.mark.parametrize("branch", [FilterBranch.SIGNAL, FilterBranch.HERALD])
+    def test_unshuffled_both_bins_fail_the_filter_check(self, monkeypatch, branch):
+        # without the shuffle the both bins pair sorted kept counts with
+        # sorted extra counts.  The mu 5 checks of TestBeyondTheVerifyBox,
+        # which pass with it, then read 4.5 (signal filter pmf; its herald
+        # rate 12.6) and 11.4 (herald filter pmf) times their 5-sigma gates
+        class NoShuffle(np.random.Generator):
+            def shuffle(self, x, axis=0):
+                pass
+
+        monkeypatch.setattr(np.random, "Generator", NoShuffle)
+        config = McConfig(params=SourceParams(5.0, 0.3, 0.5, 1e-3),
+                          filt=FilterSpec(branch, 0.5), trials=1 << 20, seed=10)
+        with pytest.raises(AssertionError):
+            assert_exact_in_law(config)
+
+
 class TestSparseSampler:
     """The sampler draws only the occupied bins, from the input laws given
     N >= 1; these checks hold it exact in law at real trial counts."""
@@ -498,9 +583,9 @@ class TestSparseSampler:
     # 2^16 trials: heralded trials and the nonzero histogram bins.  A change
     # to the draw order fails here unless it moves STREAM_VERSION and
     # records its own stream.
-    PINNED_STREAM = (4, "2.4")
-    PINNED = [(336, {0: 176, 1: 159, 2: 1}), (350, {0: 173, 1: 175, 2: 2}),
-              (355, {0: 337, 1: 18}), (40, {0: 22, 1: 18})]
+    PINNED_STREAM = (5, "2.4")
+    PINNED = [(363, {0: 169, 1: 193, 2: 1}), (363, {0: 192, 1: 168, 2: 3}),
+              (376, {0: 355, 1: 21}), (47, {0: 26, 1: 20, 2: 1})]
 
     def test_pinned_stream(self):
         stream, numpy_version = self.PINNED_STREAM
