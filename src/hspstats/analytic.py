@@ -33,7 +33,6 @@ import sys
 
 from .errors import (
     NoHeraldError,
-    PerfectHeraldError,
     SeriesOverflowError,
     UndefinedMomentError,
     ValidationError,
@@ -53,7 +52,6 @@ __all__ = [
     "effective_dark_count",
     "xi",
     "xi_limit",
-    "herald_gain_ratio",
     "conditional_pmf_series",
     "signal_pmf",
     "unconditioned_pmf",
@@ -87,16 +85,9 @@ def _oms(x: float, d_h: float) -> float:
     return d_h + (1.0 - d_h) * (-math.expm1(-x))
 
 
-def herald_prob(N: int, params: SourceParams) -> float:
-    """Probability that the detector clicks given N pairs in the bin:
-    1 - (1-d_h)(1-eta_h)^N.  Monotone non-decreasing in N."""
-    if N < 0:
-        raise ValidationError(f"pair count must be >= 0, got {N}")
-    return _clicks(params)(N)
-
-
 def _clicks(params: SourceParams):
-    """N -> herald_prob(N, params), with log(1 - eta_h) taken once."""
+    """N -> H(N) = 1 - (1-d_h)(1-eta_h)^N, the probability that the detector
+    clicks given N pairs in the bin, with log(1 - eta_h) taken once."""
     d_h = params.d_h
     if params.eta_h == 1.0:
         return lambda N: 1.0 if N else d_h
@@ -104,19 +95,11 @@ def _clicks(params: SourceParams):
     return lambda N: _oms(-N * log_miss, d_h) if N else d_h
 
 
-def input_pmf(stat: PairStatistics, mu: float, N: int) -> float:
-    """Pair-number law of the unfiltered source: Poisson or thermal."""
-    if N < 0:
-        raise ValidationError(f"pair count must be >= 0, got {N}")
-    if mu < 0.0:
-        raise ValidationError(f"mu must be >= 0, got {mu!r}")
-    return _pair_law(stat, mu)[0](N)
-
-
 def _pair_law(stat: PairStatistics, mu: float) -> tuple:
-    """(N -> input_pmf(stat, mu, N), n -> bound on P(N > n)) for mu >= 0.  The
-    thermal tail is exact; the Poisson bound exceeds 1 just above n = mu - 2,
-    so it is capped at 1 to stay non-increasing for the truncation searches."""
+    """(N -> P_in(N), n -> bound on P(N > n)) of the Poisson or thermal pair
+    law of mean mu >= 0.  The thermal tail is exact; the Poisson bound exceeds
+    1 just above n = mu - 2, so it is capped at 1 to stay non-increasing for
+    the truncation searches."""
     if mu == 0.0:
         return (lambda N: 1.0 if N == 0 else 0.0), lambda n: 0.0
     if stat is PairStatistics.POISSON:
@@ -198,9 +181,13 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     q = a/(1+a),
         C(n+1) = Po(lam, n+1) h(0) + q r C(n) + q (1-r) D(n),
         D(n+1) = Po(lam, n+1)/(1+a) + q D(n),
-    at O(1) per term.  xi(n) = rho(n)/P_click with rho = C/D, the herald
-    probability given n signal photons.  With beta(n) = Po(lam, n)/((1+a)
-    D(n)), the share of D(n) without kept photons, and alpha = 1 - beta,
+    at O(1) per term.  The terms run this recurrence on p = C/P_click itself,
+    with 1/P_click folded into the constants h(0) and q (1-r), so that p(n)
+    keeps full precision where C(n) = P_click p(n) would leave the normal
+    range at a tiny herald rate.  xi(n) = rho(n)/P_click with rho = C/D, the
+    herald probability given n signal photons.  With beta(n) =
+    Po(lam, n)/((1+a) D(n)), the share of D(n) without kept photons, and
+    alpha = 1 - beta,
         beta(n) = lam beta(n-1)/(lam beta(n-1) + q n),
         rho(n) = beta(n) oms(L) + alpha(n) (r rho(n-1) + 1 - r),
     from beta(0) = 1 and rho(0) = oms(L).  Each step is a convex combination,
@@ -225,18 +212,18 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
 
     q = a / (1.0 + a)
     o0 = _oms(l_ratio, dark)
-    h0 = o0 / (1.0 + a)
+    h0 = sup * o0 / (1.0 + a)
     r, s = math.exp(-(l_ratio + lq)), -math.expm1(-(l_ratio + lq))
-    qr, qs = q * r, q * s
+    qr, qs = q * r, q * (sup * s)
 
     def terms():
         po = math.exp(-lam)
         c, d = po * h0, po / (1.0 + a)
         for n in itertools.count(1):
-            yield sup * c
+            yield c
             # Po(lam, n) by its term ratio, or afresh while e^(-lam) underflows
             po = (po * lam / n if po > 1e-280 or n > lam
-                  else input_pmf(PairStatistics.POISSON, lam, n))
+                  else _pair_law(_POISSON, lam)[0](n))
             c, d = po * h0 + qr * c + qs * d, po / (1.0 + a) + q * d
 
     def xis():
@@ -273,17 +260,6 @@ def xi(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_FILTER,
 def xi_limit(stat: PairStatistics, params: SourceParams) -> float:
     """Large-n limit of the unfiltered correcting factor: 1/P_click."""
     return _factor(_describe(stat, params, NO_FILTER), params)[0]
-
-
-def herald_gain_ratio(stat: PairStatistics, params: SourceParams) -> float:
-    """xi(1)/xi(0): the factor by which heralding boosts one photon over
-    vacuum.  Tends to 1 - eta_h + eta_h/d_h as mu -> 0 for both laws."""
-    xi0, xi1 = xi_values(stat, params, NO_FILTER, 1)
-    if xi0 == 0.0:
-        raise PerfectHeraldError(
-            "xi(0) = 0 (perfect herald eliminates vacuum); the gain is infinite"
-        )
-    return xi1 / xi0
 
 
 def _poisson_tail_bound(a: float, n: int) -> float:
@@ -341,9 +317,9 @@ def _thin(weights: list, eta: float) -> list:
 
 
 def _herald_weights(stat: PairStatistics, mu: float, click, stop: float) -> tuple:
-    """The weighted pair law w(N) = P_in(N) click(N), N = 0, 1, ..., as
-    input_pmf(stat, mu, N) * click(N) gives it, and its sum, up to the first
-    N >= 8 whose remaining input mass is at most stop times the sum.  click is
+    """The weighted pair law w(N) = P_in(N) click(N), N = 0, 1, ..., from
+    :func:`_pair_law`, and its sum, up to the first N >= 8 whose remaining
+    input mass is at most stop times the sum.  click is
     :func:`_clicks` for the herald-weighted law, or 1 for an unweighted one."""
     law, tail = _pair_law(stat, mu)
     weights, total = [], 0.0
@@ -452,13 +428,6 @@ def heralded_terms(stat: PairStatistics, params: SourceParams, filt: FilterSpec,
     """p(0), ..., p(count - 1) of the heralded signal law as :func:`signal_pmf`
     gives them, with no truncation: the terms alone, so no moment can fail."""
     return _head(_describe(stat, params, filt), params, count)
-
-
-def heralded_head(stat: PairStatistics, params: SourceParams, filt: FilterSpec,
-                  count: int) -> tuple:
-    """:func:`moments_closed_form` and :func:`heralded_terms` from one description."""
-    desc = _describe(stat, params, filt)
-    return _moments(desc, params), _head(desc, params, count)
 
 
 def _head(desc: tuple, params: SourceParams, count: int) -> tuple:
@@ -602,5 +571,5 @@ def asymptotic_tail_check(params: SourceParams, f: float, n: int) -> tuple[float
     _, m, _, lam = desc
     sup, terms, _ = _factor(desc, params)
     exact = next(itertools.islice(terms(), n, None))
-    asym = sup / (1.0 + m * params.eta_s) * input_pmf(PairStatistics.POISSON, lam, n)
+    asym = sup / (1.0 + m * params.eta_s) * _pair_law(_POISSON, lam)[0](n)
     return exact, asym

@@ -14,12 +14,6 @@ class NoHeraldError(HspsError):
     herald-conditioned quantity is undefined."""
 
 
-class PerfectHeraldError(HspsError):
-    """The vacuum term of the heralded distribution is exactly zero, so a
-    ratio against it is infinite.  Reported distinctly instead of returning
-    inf so that callers keep all reals finite."""
-
-
 class SeriesOverflowError(HspsError, OverflowError):
     """A polynomial or series evaluation left double range.
 

@@ -10,7 +10,7 @@ Brent's method on log(mu), parabolic steps with golden-section fallback;
 import math
 from dataclasses import dataclass, replace
 
-from .analytic import _POISSON, _describe, _moments, heralded_head
+from .analytic import _POISSON, _describe, _head, _moments
 from .errors import BracketError, HspsError, ValidationError
 from .model import (
     NO_FILTER,
@@ -204,7 +204,8 @@ def sweep(
         try:
             point = params if axis == "f" else replace(params, **{axis: value})
             point_filt = replace(filt, f=value) if axis == "f" else filt
-            rows.append(SweepRow(value, *heralded_head(stat, point, point_filt, PMF_HEAD)))
+            desc = _describe(stat, point, point_filt)
+            rows.append(SweepRow(value, _moments(desc, point), _head(desc, point, PMF_HEAD)))
         except HspsError as exc:
             rows.append(SweepRow(value, None, None, error=str(exc)))
     return SweepResult(axis=axis, rows=tuple(rows))

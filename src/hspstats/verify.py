@@ -33,8 +33,10 @@ __all__ = ["sample_configurations"]
 MATRIX_SIZES = {
     "tiny": (12, 100_000),
     "default": (200, 400_000),
-    "full": (400, 2_000_000),
 }
+
+# sampling seed of the library calls and of the ``verify`` command
+DEFAULT_SEED = 20260809
 
 # parameter box for randomized configurations
 BOX_MU = (1e-4, 1.0)
@@ -58,7 +60,7 @@ class CheckResult:
     passed: bool
 
 
-def sample_configurations(count: int, seed: int = 20260809) -> list:
+def sample_configurations(count: int, seed: int = DEFAULT_SEED) -> list:
     """Random (params, f) draws from the validated parameter box.
 
     mu and nonzero d_h are log-uniform; one draw in five pins d_h = 0 and,
@@ -222,7 +224,7 @@ def run_verification(
     matrix: str = "default",
     tolerance: float | None = None,
     trials: int | None = None,
-    seed: int = 20260809,
+    seed: int = DEFAULT_SEED,
     with_mc: bool = True,
 ) -> list:
     """Run every cross-check and return a list of :class:`CheckResult`.

@@ -155,10 +155,9 @@ def test_criterion_5_reduction_and_limit_identities():
 
     p_tiny = h.SourceParams(1e-12, 0.5, 0.5, 1e-4)
     expected = 1.0 - 0.5 + 0.5 / 1e-4
-    gain_ok = all(
-        math.isclose(h.herald_gain_ratio(stat, p_tiny), expected, rel_tol=1e-6)
-        for stat in (POISSON, THERMAL)
-    )
+    # the heralding gain xi(1)/xi(0)
+    gains = [h.analytic.xi_values(stat, p_tiny, h.NO_FILTER, 1) for stat in (POISSON, THERMAL)]
+    gain_ok = all(math.isclose(xi1 / xi0, expected, rel_tol=1e-6) for xi0, xi1 in gains)
 
     passed = dev_red <= 1e-12 and bounded and gain_ok
     report(5, passed,

@@ -24,7 +24,6 @@ from hspstats import (
     FilterSpec,
     NoHeraldError,
     PairStatistics,
-    PerfectHeraldError,
     SeriesOverflowError,
     SourceParams,
     UndefinedMomentError,
@@ -35,7 +34,6 @@ from hspstats import (
     g2_from_pmf,
     herald_click_probability,
     herald_filter_convolution_oracle,
-    herald_gain_ratio,
     moments_closed_form,
     moments_from_pmf,
     signal_pmf,
@@ -44,7 +42,7 @@ from hspstats import (
     xi_limit,
 )
 from hspstats import analytic, errors, model, montecarlo, optimize, records, verify
-from hspstats.analytic import _poisson_tail_bound, _thin, herald_prob, input_pmf, xi_values
+from hspstats.analytic import _clicks, _pair_law, _poisson_tail_bound, _thin, xi_values
 from hspstats.verify import MOMENT_TOL, SERIES_TOL, sample_configurations
 
 REF = SourceParams(0.01, 0.5, 0.5, 1e-4)
@@ -58,37 +56,37 @@ def max_term_dev(a, b):
 
 class TestHeraldProb:
     def test_vacuum_only_dark_counts(self):
-        assert herald_prob(0, SourceParams(0.0, 0.5, 0.5, 1e-4)) == 1e-4
+        assert _clicks(SourceParams(0.0, 0.5, 0.5, 1e-4))(0) == 1e-4
 
     def test_single_photon(self):
-        assert herald_prob(1, SourceParams(0.01, 0.5, 0.5, 0.0)) == pytest.approx(0.5)
+        assert _clicks(SourceParams(0.01, 0.5, 0.5, 0.0))(1) == pytest.approx(0.5)
 
     def test_two_photons_with_darks(self):
-        assert herald_prob(2, REF) == pytest.approx(0.750025, abs=1e-15)
+        assert _clicks(REF)(2) == pytest.approx(0.750025, abs=1e-15)
 
     def test_monotone(self):
         p = SourceParams(0.3, 0.21, 0.9, 3e-3)
-        values = [herald_prob(N, p) for N in range(60)]
+        values = [_clicks(p)(N) for N in range(60)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_perfect_detector(self):
-        assert herald_prob(3, SourceParams(0.1, 1.0, 0.5, 0.0)) == 1.0
+        assert _clicks(SourceParams(0.1, 1.0, 0.5, 0.0))(3) == 1.0
 
 
 class TestInputPmf:
     def test_vacuum(self):
-        assert input_pmf(POISSON, 0.0, 0) == 1.0
-        assert input_pmf(POISSON, 0.0, 3) == 0.0
+        assert _pair_law(POISSON, 0.0)[0](0) == 1.0
+        assert _pair_law(POISSON, 0.0)[0](3) == 0.0
 
     def test_thermal_mu_one(self):
-        assert input_pmf(THERMAL, 1.0, 1) == 0.25
+        assert _pair_law(THERMAL, 1.0)[0](1) == 0.25
 
     def test_poisson_value(self):
-        assert input_pmf(POISSON, 0.01, 2) == pytest.approx(4.9502491687458403e-05, rel=1e-14)
+        assert _pair_law(POISSON, 0.01)[0](2) == pytest.approx(4.9502491687458403e-05, rel=1e-14)
 
     def test_both_normalize(self):
         for stat in (POISSON, THERMAL):
-            total = math.fsum(input_pmf(stat, 0.8, N) for N in range(400))
+            total = math.fsum(_pair_law(stat, 0.8)[0](N) for N in range(400))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("N", [0, 1, 2, 5, 17, 40])
@@ -104,7 +102,7 @@ class TestInputPmf:
                     THERMAL: (m / (1 + m)) ** N / (1 + m)}
         for stat, ref in refs.items():
             rel = 4e-16 * (1.0 + N * abs(math.log(mu)) + mu + math.lgamma(N + 1))
-            assert input_pmf(stat, mu, N) == pytest.approx(float(ref), rel=rel, abs=0.0), stat
+            assert _pair_law(stat, mu)[0](N) == pytest.approx(float(ref), rel=rel, abs=0.0), stat
 
 
 class TestXi:
@@ -230,7 +228,7 @@ CONFIGURATION_ENTRY_POINTS = {
     "unconditioned_pmf": lambda stat, filt: unconditioned_pmf(stat, REF, filt, 1),
     "herald_click_probability": lambda stat, filt: herald_click_probability(stat, REF, filt),
     "moments_closed_form": lambda stat, filt: moments_closed_form(REF, stat, filt),
-    "heralded_head": lambda stat, filt: analytic.heralded_head(stat, REF, filt, 4),
+    "heralded_terms": lambda stat, filt: analytic.heralded_terms(stat, REF, filt, 4),
     "xi": lambda stat, filt: xi(stat, REF, filt, 1),
     "xi_values": lambda stat, filt: xi_values(stat, REF, filt, 5),
 }
@@ -247,32 +245,36 @@ def test_mode_filter_refuses_a_thermal_source(entry, branch):
 
 
 @pytest.mark.parametrize("filt", [NO_FILTER, FilterSpec(FilterBranch.HERALD, 0.3)])
-def test_heralded_head_refuses_a_negative_count(filt):
+def test_heralded_terms_refuses_a_negative_count(filt):
     with pytest.raises(ValidationError, match="must be >= 0"):
-        analytic.heralded_head(POISSON, REF, filt, -1)
-    assert analytic.heralded_head(POISSON, REF, filt, 0)[1] == ()
+        analytic.heralded_terms(POISSON, REF, filt, -1)
+    assert analytic.heralded_terms(POISSON, REF, filt, 0) == ()
 
 
 class TestHeraldGainRatio:
+    """The heralding gain xi(1)/xi(0), which tends to 1 - eta_h + eta_h/d_h
+    as mu -> 0 for both laws."""
+
+    @staticmethod
+    def gain(stat, params):
+        xi0, xi1 = xi_values(stat, params, NO_FILTER, 1)
+        return xi1 / xi0
+
     def test_small_mu_limit(self):
         p = SourceParams(1e-12, 0.5, 0.5, 1e-4)
         expected = 1.0 - 0.5 + 0.5 / 1e-4
-        assert herald_gain_ratio(POISSON, p) == pytest.approx(expected, rel=1e-6)
-        assert herald_gain_ratio(THERMAL, p) == pytest.approx(expected, rel=1e-6)
+        assert self.gain(POISSON, p) == pytest.approx(expected, rel=1e-6)
+        assert self.gain(THERMAL, p) == pytest.approx(expected, rel=1e-6)
 
     def test_statistics_agree_at_tiny_mu(self):
         p = SourceParams(1e-9, 0.7, 0.4, 2e-4)
-        rp = herald_gain_ratio(POISSON, p)
-        rt = herald_gain_ratio(THERMAL, p)
+        rp = self.gain(POISSON, p)
+        rt = self.gain(THERMAL, p)
         assert rp == pytest.approx(rt, rel=1e-6)
 
     def test_uninformative_herald(self):
         p = SourceParams(0.05, 0.0, 0.5, 1e-3)
-        assert herald_gain_ratio(POISSON, p) == pytest.approx(1.0, rel=1e-12)
-
-    def test_perfect_herald_reported_distinctly(self):
-        with pytest.raises(PerfectHeraldError):
-            herald_gain_ratio(POISSON, SourceParams(0.01, 1.0, 1.0, 0.0))
+        assert self.gain(POISSON, p) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestConditionalSeries:
@@ -585,12 +587,13 @@ class TestThinning:
 class TestHeraldWeights:
     @staticmethod
     def pair_sum(stat, mu, click, stop):
-        # one input_pmf call per pair number, times click(N) for a weighted
+        # one pair-law term per pair number, times click(N) for a weighted
         # law, stopping at the first N >= 8 whose input tail is at most stop
         # times the running sum
+        law = _pair_law(stat, mu)[0]
         weights, total, N = [], 0.0, 0
         while True:
-            w = input_pmf(stat, mu, N) if click is None else input_pmf(stat, mu, N) * click(N)
+            w = law(N) if click is None else law(N) * click(N)
             weights.append(w)
             total += w
             tail = (_poisson_tail_bound(mu, N) if stat is POISSON
@@ -609,7 +612,7 @@ class TestHeraldWeights:
     ])
     def test_equal_to_the_pair_sum_bit_for_bit(self, stat, mu, eta_h, d_h):
         params = SourceParams(mu, eta_h, 0.5, d_h)
-        herald = lambda N: herald_prob(N, params)
+        herald = _clicks(params)
         # the convolution oracle weights the kept mode, of mean mu*f
         for law_mu, stop in itertools.product((mu, 0.3 * mu), (0.1 * 1e-12, 0.1 * 1e-13, 1e-7)):
             got = analytic._herald_weights(stat, law_mu, analytic._clicks(params), stop)
@@ -682,7 +685,7 @@ class TestHeraldClickProbability:
         for stat in (POISSON, THERMAL):
             p = SourceParams(0.3, 0.4, 0.8, 2e-3)
             direct = math.fsum(
-                input_pmf(stat, p.mu, N) * herald_prob(N, p) for N in range(300)
+                _pair_law(stat, p.mu)[0](N) * _clicks(p)(N) for N in range(300)
             )
             assert herald_click_probability(stat, p) == pytest.approx(direct, rel=1e-12)
 
@@ -881,6 +884,28 @@ class TestClosedMomentsEveryConfiguration:
             moments_closed_form(SourceParams(1e200, 0.5, 0.5, 1e-4), THERMAL)
 
 
+@pytest.mark.parametrize("name", list(CONFIGURATIONS))
+def test_dark_free_terms_keep_their_scale_limit(name):
+    # with d_h = 0 the herald weights each pair number N by about N eta_h, so
+    # the pmf terms and xi at eta_h = 1e-300 are those at 1e-100.  Measured
+    # worst over 9,000 random configurations (mu 1e-4..20, eta_s and f
+    # 0.05..1), terms >= 1e-250, n <= 60: terms 1.5e-15 (herald filter; up to
+    # 9.7e-16 elsewhere), xi 3.2e-15.  The herald-filter terms were off by
+    # up to 1.0 while P_click p(n) went subnormal in their recurrence
+    for mu, eta_s, f in itertools.product((1e-4, 1e-2, 0.3, 2.0, 20.0), (0.05, 0.5, 1.0),
+                                          (0.05, 0.4, 1.0)):
+        stat, filt = _configuration(name, f)
+        tiny, dim = (SourceParams(mu, eta_h, eta_s, 0.0) for eta_h in (1e-300, 1e-100))
+        want = analytic.heralded_terms(stat, dim, filt, 61)
+        got = analytic.heralded_terms(stat, tiny, filt, 61)
+        for n, (x, y) in enumerate(zip(got, want)):
+            if y >= 1e-250:
+                assert x == pytest.approx(y, rel=1e-14, abs=0.0), (mu, eta_s, f, n)
+        want = xi_values(stat, dim, filt, 60)
+        assert xi_values(stat, tiny, filt, 60) == pytest.approx(want, rel=1e-14, abs=0.0), (
+            mu, eta_s, f)
+
+
 class TestG2:
     def test_poisson_is_one(self):
         a = 0.7
@@ -928,7 +953,7 @@ class TestAsymptote:
 
     @pytest.mark.parametrize("n", [200, 400])
     def test_far_tail_gives_probabilities_not_overflow(self, n):
-        # lam**n / n! overflowed here; the Poisson term is now input_pmf's
+        # lam**n / n! overflowed here; the Poisson term is now the pair law's
         p = SourceParams(30.0, 0.5, 0.5, 1e-4)
         exact, asym = asymptotic_tail_check(p, 0.5, n)
         assert 0.0 <= exact <= 1.0
@@ -965,7 +990,7 @@ class TestUnconditioned:
             base, m, _, lam = analytic._describe(stat, params, filt)
             if lam > 0.0:
                 continue
-            law = [input_pmf(base, m * eta_s, n) for n in range(40)]
+            law = [_pair_law(base, m * eta_s)[0](n) for n in range(40)]
             assert list(analytic.unconditioned_terms(stat, params, filt, 40)) == law, params
             assert [unconditioned_pmf(stat, params, filt, n) for n in (0, 1, 7, 39)] == [
                 law[0], law[1], law[7], law[39]], params

@@ -8,7 +8,7 @@ import pytest
 from hspstats import (FilterBranch, FilterSpec, PairStatistics, SourceParams,
                       herald_click_probability, moments_closed_form, moments_from_pmf, records,
                       signal_pmf, xi)
-from hspstats import cli
+from hspstats import cli, verify
 from hspstats.analytic import heralded_terms, unconditioned_terms
 from hspstats.cli import main
 from hspstats.montecarlo import STREAM_VERSION
@@ -558,6 +558,14 @@ class TestVerifyCommand:
         _, out, _ = run(capsys, "verify", "--matrix", "tiny", "--no-mc")
         row = records.parse(out).rows[0]
         assert set(row) == {"check", "cases", "max_deviation", "tolerance", "status"}
+
+    def test_default_seed_is_the_library_default(self, capsys):
+        # the command and run_verification sample the same configurations
+        _, out, _ = run(capsys, "verify", "--matrix", "tiny", "--no-mc")
+        rec = records.parse(out)
+        assert rec.inputs["seed"] == verify.DEFAULT_SEED
+        library = verify.run_verification("tiny", with_mc=False)
+        assert [r["max_deviation"] for r in rec.rows] == [r.max_deviation for r in library]
 
     def test_default_matrix_all_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--trials", "100000")

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import hspstats as h
 from hspstats import records
-from hspstats.analytic import DEFAULT_TOL, herald_prob
+from hspstats.analytic import DEFAULT_TOL, _clicks
 from hspstats.model import to_record
 
 efficiencies = st.floats(0.05, 1.0)
@@ -50,8 +50,8 @@ def test_normalization(config):
 
 @given(source_params(), st.integers(0, 200))
 def test_herald_prob_monotone_and_bounded(params, N):
-    a = herald_prob(N, params)
-    b = herald_prob(N + 1, params)
+    click = _clicks(params)
+    a, b = click(N), click(N + 1)
     assert 0.0 <= a <= b <= 1.0
 
 
