@@ -14,12 +14,12 @@ from hspstats import (
     NO_FILTER,
     PairStatistics,
     SourceParams,
-    g2_from_pmf,
     herald_click_probability,
+    heralded_terms,
+    moments_from_pmf,
     signal_pmf,
-    unconditioned_pmf,
-    xi,
-    xi_limit,
+    unconditioned_terms,
+    xi_values,
 )
 
 params = SourceParams(mu=0.01, eta_h=0.5, eta_s=0.5, d_h=1e-4)
@@ -32,16 +32,16 @@ print(f"source: mu={params.mu}, eta_h={params.eta_h}, eta_s={params.eta_s}, "
 print(f"herald click probability per bin: {rate:.4e}\n")
 
 print(f"{'n':>2} {'unheralded':>13} {'heralded':>13} {'xi(n)':>10}")
-for n in range(7):
-    base = unconditioned_pmf(stat, params, NO_FILTER, n)
-    factor = xi(stat, params, NO_FILTER, n)
-    print(f"{n:>2} {base:13.6e} {base * factor:13.6e} {factor:10.4f}")
+columns = (unconditioned_terms(stat, params, NO_FILTER, 7),
+           heralded_terms(stat, params, NO_FILTER, 7), xi_values(stat, params, NO_FILTER, 6))
+for n, (base, heralded, factor) in enumerate(zip(*columns)):
+    print(f"{n:>2} {base:13.6e} {heralded:13.6e} {factor:10.4f}")
 
-limit = xi_limit(stat, params)
+limit = 1 / rate
 print(f"\nxi grows with n but stays below its limit {limit:.2f}: the")
 print("heralded tail keeps the exponential suppression of the base law.")
 
-g2 = g2_from_pmf(pmf)
+g2 = moments_from_pmf(pmf).g2
 print(f"\ng2(0) of the heralded beam: {g2:.4f}  (Poisson light: 1, "
       f"thermal light: 2)")
 print(f"=> strongly sub-Poisson: {g2:.1%} of the Poisson coincidence rate")

@@ -17,18 +17,13 @@ from hspstats import (
     SourceParams,
     effective_dark_count,
     herald_filter_convolution_oracle,
+    heralded_terms,
     signal_pmf,
-    unconditioned_pmf,
-    xi,
 )
 
 params = SourceParams(mu=0.01, eta_h=0.5, eta_s=0.5, d_h=1e-4)
 F = 0.1
 POISSON = PairStatistics.POISSON
-
-
-def term(filt, n):
-    return unconditioned_pmf(POISSON, params, filt, n) * xi(POISSON, params, filt, n)
 
 
 sig_filter = FilterSpec(FilterBranch.SIGNAL, F)
@@ -40,9 +35,9 @@ her = signal_pmf(POISSON, params, her_filter)
 
 print(f"mu = {params.mu}, eta = {params.eta_h}, d_h = {params.d_h}, f = {F}\n")
 print(f"{'n':>2} {'unfiltered':>12} {'signal filt.':>12} {'herald filt.':>12}")
-for n in range(6):
-    print(f"{n:>2} {term(NO_FILTER, n):12.4e} {term(sig_filter, n):12.4e} "
-          f"{term(her_filter, n):12.4e}")
+columns = [heralded_terms(POISSON, params, filt, 6) for filt in (NO_FILTER, sig_filter, her_filter)]
+for n, (plain, sig_n, her_n) in enumerate(zip(*columns)):
+    print(f"{n:>2} {plain:12.4e} {sig_n:12.4e} {her_n:12.4e}")
 
 nu = effective_dark_count(params, F)
 print(f"\nsignal filter: effective dark rate grows {params.d_h:.1e} -> {nu:.3e},")

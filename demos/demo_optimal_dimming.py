@@ -6,7 +6,7 @@ to Poisson statistics.  The Fano ratio (Delta n)^2/<n> therefore dips to a
 minimum at an intermediate pump.  Run:  python demos/demo_optimal_dimming.py
 """
 
-from hspstats import SourceParams, fano_ratio, optimize_mu, sweep
+from hspstats import SourceParams, moments_closed_form, optimize_mu, sweep
 
 ETA_H = ETA_S = 0.5
 DARK = 1e-4
@@ -27,5 +27,5 @@ for row in curve.rows:
 
 print("\nboth ends sit at Fano = 1 (Poisson); the dip marks the best")
 print(f"trade-off between multi-pair noise and dark-count noise.")
-print(f"fano(mu -> 0) = {fano_ratio(1e-7, ETA_H, ETA_S, DARK):.4f},  "
-      f"fano(mu = 1)  = {fano_ratio(1.0, ETA_H, ETA_S, DARK):.4f}")
+fano = lambda mu: moments_closed_form(SourceParams(mu, ETA_H, ETA_S, DARK)).fano
+print(f"fano(mu -> 0) = {fano(1e-7):.4f},  fano(mu = 1)  = {fano(1.0):.4f}")

@@ -31,12 +31,7 @@ import itertools
 import math
 import sys
 
-from .errors import (
-    NoHeraldError,
-    SeriesOverflowError,
-    UndefinedMomentError,
-    ValidationError,
-)
+from .errors import NoHeraldError, SeriesOverflowError, ValidationError
 from .model import (
     NO_FILTER,
     TERM_CAP,
@@ -51,15 +46,15 @@ from .model import (
 __all__ = [
     "effective_dark_count",
     "xi",
-    "xi_limit",
+    "xi_values",
     "conditional_pmf_series",
     "signal_pmf",
-    "unconditioned_pmf",
+    "heralded_terms",
+    "unconditioned_terms",
     "herald_click_probability",
     "herald_filter_convolution_oracle",
     "moments_closed_form",
     "moments_from_pmf",
-    "g2_from_pmf",
     "asymptotic_tail_check",
 ]
 
@@ -200,6 +195,9 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     _check_heraldable(dark, m * eta_h)
     num, den = _click_fraction(desc, eta_h)
     sup = den / num
+    if sup == math.inf:
+        raise SeriesOverflowError(
+            f"herald rate {num / den!r} is too small: 1/P_click leaves double range")
     lq = math.inf if eta_h == 1.0 else -math.log1p(-eta_h)
     a = m * eta_s
     l_ratio, x0 = ((0.0, m * eta_h * (1.0 - eta_s)) if base is _POISSON
@@ -250,16 +248,13 @@ def xi_values(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_
 def xi(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_FILTER,
        n: int = 0) -> float:
     """Correcting factor xi(n): heralded probability of n signal photons over
-    the unheralded one, :func:`unconditioned_pmf`, in every configuration.
-    It lies between xi(0) and 1/P_click behind a herald filter."""
+    the unheralded one, :func:`unconditioned_terms`, in every configuration.
+    It lies between xi(0) and 1/P_click behind a herald filter.  One entry of
+    :func:`xi_values`, kept as its own name because the benchmark's tracer
+    counts its calls."""
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
     return next(_factor(_describe(stat, params, filt), params)[2](n))
-
-
-def xi_limit(stat: PairStatistics, params: SourceParams) -> float:
-    """Large-n limit of the unfiltered correcting factor: 1/P_click."""
-    return _factor(_describe(stat, params, NO_FILTER), params)[0]
 
 
 def _poisson_tail_bound(a: float, n: int) -> float:
@@ -330,7 +325,7 @@ def _herald_weights(stat: PairStatistics, mu: float, click, stop: float) -> tupl
         if N >= 8 and total > 0.0 and tail(N) <= stop * total:
             return weights, total
     raise SeriesOverflowError(
-        f"pair sum failed to converge within {TERM_CAP} terms (mu={mu!r})", order=N + 1)
+        f"pair sum failed to converge within {TERM_CAP} terms (mu={mu!r})")
 
 
 def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourceParams,
@@ -406,7 +401,7 @@ def signal_pmf(
         need = (a if base is PairStatistics.POISSON
                 else math.log(sup / (0.9 * tol)) / math.log1p(1.0 / a))
         need = math.ceil(min(max(need, TERM_CAP + 2.0), 2.0**63))
-        raise SeriesOverflowError(f"pmf truncation needs at least {need} terms", order=need)
+        raise SeriesOverflowError(f"pmf truncation needs at least {need} terms")
     # tail is non-increasing, so the first n that meets the tolerance lies
     # between a galloped bound and its half, where bisection finds it
     hi = 0
@@ -443,15 +438,6 @@ def unconditioned_terms(stat: PairStatistics, params: SourceParams, filt: Filter
     of a herald that always fires (d_h = 1)."""
     certain = SourceParams(params.mu, params.eta_h, params.eta_s, 1.0)
     return heralded_terms(stat, certain, filt, count)
-
-
-def unconditioned_pmf(
-    stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_FILTER, n: int = 0
-) -> float:
-    """U(n) of :func:`unconditioned_terms`, the law that xi multiplies."""
-    if n < 0:
-        raise ValidationError(f"photon number must be >= 0, got {n}")
-    return unconditioned_terms(stat, params, filt, n + 1)[n]
 
 
 def herald_click_probability(
@@ -528,7 +514,7 @@ def _moments(desc: tuple, params: SourceParams) -> MomentSummary:
         v_n = (1.0 + m) * (k * (m * eta_h * (eta_h * k) * (b * b + u) + d / (b * p) * (
             eta_h * (1.0 + x * x + 2.0 * m * (1.0 + b * b)) + d * u)))
         if not math.isfinite(e_n + v_n):
-            raise SeriesOverflowError(f"moments leave double range at mean {m!r}", order=0)
+            raise SeriesOverflowError(f"moments leave double range at mean {m!r}")
         g_n = 2.0 * (p / r) * ((x * (3.0 + x * (3.0 + x)) + eta_h * (1.0 + u) + d * u * u) / r)
     mean = eta_s * e_n + lam
     var = eta_s * ((1.0 - eta_s) * e_n + eta_s * v_n) + lam
@@ -550,14 +536,6 @@ def moments_from_pmf(pmf: Pmf) -> MomentSummary:
         return MomentSummary(mean, var, None, None)
     g2 = fact2 / (mean * mean) if mean * mean > 0.0 else None
     return MomentSummary(mean, var, var / mean, g2)
-
-
-def g2_from_pmf(pmf: Pmf) -> float:
-    """Zero-delay second-order correlation <n(n-1)>/<n>^2 of a pmf."""
-    summary = moments_from_pmf(pmf)
-    if summary.g2 is None:
-        raise UndefinedMomentError(f"g2 is undefined at mean {summary.mean!r}: mean^2 is 0")
-    return summary.g2
 
 
 def asymptotic_tail_check(params: SourceParams, f: float, n: int) -> tuple[float, float]:

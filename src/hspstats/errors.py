@@ -15,29 +15,12 @@ class NoHeraldError(HspsError):
 
 
 class SeriesOverflowError(HspsError, OverflowError):
-    """A polynomial or series evaluation left double range.
-
-    ``order`` carries the term index reached when the overflow occurred.
-    """
-
-    def __init__(self, message: str, order: int):
-        super().__init__(message)
-        self.order = order
-
-
-class UndefinedMomentError(HspsError):
-    """A moment-derived quantity (Fano ratio, g2) is requested for a
-    distribution with zero mean."""
+    """A polynomial or series evaluation left double range."""
 
 
 class NoHeraldSamplesError(HspsError):
     """A Monte Carlo run produced zero heralded trials; the conditional
-    histogram cannot be normalized.  ``herald_rate`` is 0 by construction."""
-
-    def __init__(self, message: str, trials: int):
-        super().__init__(message)
-        self.herald_rate = 0.0
-        self.trials = trials
+    histogram cannot be normalized."""
 
 
 class BracketError(HspsError):

@@ -119,23 +119,28 @@ def _describe(config: McConfig) -> tuple[float, float, bool, bool]:
     return mu * f, mu * (1.0 - f), branch is FilterBranch.SIGNAL, branch is FilterBranch.HERALD
 
 
+@functools.lru_cache(maxsize=16)
 def _count_table(mean: float, thermal: bool) -> np.ndarray:
     """P(N = k | N >= 1) for k = 1..K of a thermal or Poisson pair count N of
     the given mean, K the first k whose remaining mass is below ``TABLE_TAIL``
-    (a multinomial draw gives the last entry whatever mass the others leave)."""
+    (a multinomial draw gives the last entry whatever mass the others leave);
+    read-only and cached, since every chunk of a run draws from the same tables."""
     if mean < TABLE_TAIL:  # P(N > 1 | N >= 1) < TABLE_TAIL, and mean 0 has this limit
-        return np.ones(1)
-    if thermal:  # (1 - q) q^(k - 1), q = m/(1 + m): the mass above k is q^k
+        table = np.ones(1)
+    elif thermal:  # (1 - q) q^(k - 1), q = m/(1 + m): the mass above k is q^k
         log_q = -math.log1p(1.0 / mean)
         size = math.floor(math.log(TABLE_TAIL) / log_q) + 1
-        return np.exp(np.arange(size) * log_q) / (1.0 + mean)
-    # m^k/(k! (e^m - 1)) as m^k e^-m/k! in logs (e^m overflows near m = 710)
-    # over its sum 1 - e^-m, summed to 20 standard deviations past the mean,
-    # beyond which less than e^-150 is left
-    k = np.arange(1.0, math.ceil(mean + 20.0 * math.sqrt(mean)) + 50.0)
-    p = np.exp(np.cumsum(np.log(mean / k)) - mean)
-    p /= p.sum()
-    return p[:np.count_nonzero(np.cumsum(p[::-1])[::-1] >= TABLE_TAIL)]
+        table = np.exp(np.arange(size) * log_q) / (1.0 + mean)
+    else:
+        # m^k/(k! (e^m - 1)) as m^k e^-m/k! in logs (e^m overflows near m = 710)
+        # over its sum 1 - e^-m, summed to 20 standard deviations past the mean,
+        # beyond which less than e^-150 is left
+        k = np.arange(1.0, math.ceil(mean + 20.0 * math.sqrt(mean)) + 50.0)
+        p = np.exp(np.cumsum(np.log(mean / k)) - mean)
+        p /= p.sum()
+        table = p[:np.count_nonzero(np.cumsum(p[::-1])[::-1] >= TABLE_TAIL)]
+    table.flags.writeable = False
+    return table
 
 
 def _pair_counts(rng, kept_mean: float, extra_mean: float,
@@ -257,8 +262,7 @@ def simulate(config: McConfig) -> McEstimate:
             hist += h
             heralded += k
     if heralded == 0:
-        raise NoHeraldSamplesError(f"no heralded trials out of {config.trials}",
-                                   trials=config.trials)
+        raise NoHeraldSamplesError(f"no heralded trials out of {config.trials}")
     pmf_hat = hist / heralded
     stderr = np.sqrt(pmf_hat * (1.0 - pmf_hat) / heralded)
     return McEstimate(

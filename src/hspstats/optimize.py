@@ -20,7 +20,7 @@ from .model import (
     SourceParams,
 )
 
-__all__ = ["optimize_mu", "sweep", "fano_ratio"]
+__all__ = ["optimize_mu", "sweep"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -56,13 +56,9 @@ class SweepResult:
     rows: tuple
 
 
-def fano_ratio(mu: float, eta_h: float, eta_s: float, d_h: float) -> float:
-    """(Delta n)^2 / <n> for a Poisson source at pump level mu."""
-    return _fano(SourceParams(mu, eta_h, eta_s, d_h), mu)
-
-
 def _fano(point: SourceParams, mu: float) -> float:
-    """:func:`fano_ratio` at point's eta_h, eta_s and d_h, mu not validated."""
+    """Fano ratio (Delta n)^2 / <n> of a Poisson source at pump level mu and
+    point's eta_h, eta_s and d_h, mu not validated."""
     fano = _moments((_POISSON, mu, point.d_h, 0.0), point).fano
     if fano is None:
         raise ValidationError("Fano ratio undefined: the mean photon number is zero")

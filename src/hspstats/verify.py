@@ -27,7 +27,7 @@ from .errors import ValidationError
 from .model import FilterBranch, FilterSpec, NO_FILTER, PairStatistics, SourceParams
 from .montecarlo import McConfig, simulate
 
-__all__ = ["sample_configurations"]
+__all__ = []
 
 # (number of random box configurations, Monte Carlo trials per MC check)
 MATRIX_SIZES = {

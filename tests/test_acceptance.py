@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 import hspstats as h
+from hspstats.verify import sample_configurations
 
 REF = h.SourceParams(0.01, 0.5, 0.5, 1e-4)
 FILTER_F = 0.1
@@ -58,7 +59,7 @@ def test_criterion_2_optimal_dimming():
     """Reference optimum mu_opt in [0.014, 0.018]; dark-dominated limit
     fano -> 1 within 1e-3 at mu = 1e-7."""
     result = h.optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-5, 1.0))
-    fano_dark = h.fano_ratio(1e-7, 0.5, 0.5, 1e-4)
+    fano_dark = h.moments_closed_form(h.SourceParams(1e-7, 0.5, 0.5, 1e-4)).fano
     passed = 0.014 <= result.mu_opt <= 0.018 and abs(fano_dark - 1.0) <= 1e-3
     report(2, passed,
            f"mu_opt = {result.mu_opt:.5f} (window [0.014, 0.018]), "
@@ -87,7 +88,7 @@ def test_criterion_3_heralding_gain_three_routes():
     )
     xi_mc = est.pmf_hat[1] / base1
 
-    g2 = h.g2_from_pmf(h.signal_pmf(POISSON, REF))
+    g2 = h.moments_from_pmf(h.signal_pmf(POISSON, REF)).g2
 
     passed = (
         lo <= xi_closed <= hi
@@ -106,7 +107,7 @@ def test_criterion_4_three_way_equivalence_matrix():
     """>= 200 random box configurations: closed form vs series within
     1e-10 per term (Poisson and thermal), and herald-filtered closed form
     vs the convolution oracle within 1e-10 per term."""
-    configs = h.sample_configurations(200, seed=20260809)
+    configs = sample_configurations(200, seed=20260809)
     dev_series = 0.0
     dev_conv = 0.0
     for params, f in configs:
@@ -131,7 +132,7 @@ def test_criterion_5_reduction_and_limit_identities():
     equals 1 - eta_h + eta_h/d_h within 1e-6 relative at mu = 1e-12."""
     sig1 = h.FilterSpec(h.FilterBranch.SIGNAL, 1.0)
     her1 = h.FilterSpec(h.FilterBranch.HERALD, 1.0)
-    configs = [REF] + [p for p, _ in h.sample_configurations(10, seed=7)
+    configs = [REF] + [p for p, _ in sample_configurations(10, seed=7)
                         if p.d_h > 0 or p.mu * p.eta_h > 0]
 
     dev_red = 0.0
@@ -147,7 +148,7 @@ def test_criterion_5_reduction_and_limit_identities():
     bounded = True
     for params in configs:
         for stat in (POISSON, THERMAL):
-            limit = h.xi_limit(stat, params)
+            limit = 1 / h.herald_click_probability(stat, params)
             slack = 1e-12 * max(1.0, limit)
             bounded = bounded and all(
                 h.xi(stat, params, h.NO_FILTER, n) <= limit + slack for n in range(201)

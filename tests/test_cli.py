@@ -187,6 +187,14 @@ class TestPmfCommand:
         assert code == 2
         assert "herald" in err
 
+    @pytest.mark.parametrize("config", [["--filter", "none"], ["--filter", "signal", "--f", "0.5"]])
+    def test_herald_rate_whose_reciprocal_overflows_is_refused(self, capsys, config):
+        # P_click = 5e-319: p(0) was inf or nan, and Pmf refused it as no probability
+        code, out, err = run(capsys, "pmf", "--mu", "1e-318", "--eta-h", "0.5", "--dark", "0",
+                             *config)
+        assert code == 2 and out == ""
+        assert "is too small: 1/P_click leaves double range" in err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "pmf", "--mu", "0.01", "--bogus", "1")
         assert code == 1
@@ -437,6 +445,18 @@ class TestSweepCommand:
         code, out, err = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu",
                              "--logspace", "1e-3", "1", str(points))
         assert code == 1 and out == "" and "POINTS" in err
+
+
+    def test_herald_rate_whose_reciprocal_overflows_fails_its_points(self, capsys):
+        # p0..p3 printed inf and nan with status 0
+        code, out, _ = run(capsys, "sweep", "--mu", "1e-318", "--eta-h", "0.5", "--dark", "0",
+                           "--axis", "eta_s", "--grid", "0.5,1")
+        assert code == 0
+        rows = records.parse(out).rows
+        assert len(rows) == 2
+        for row in rows:
+            assert row["error"] == "herald rate 5e-319 is too small: 1/P_click leaves double range"
+            assert [row[f"p{i}"] for i in range(4)] == [None] * 4
 
 
 class TestSimulateCommand:

@@ -14,6 +14,7 @@ import contextlib
 import io
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,13 +106,13 @@ CORNER_COMMANDS = [["pmf", "--nmax", "4"], ["moments"], ["sweep", "--grid", "1e-
 
 
 def _run(argv):
-    """(exit status, stdout) of one CLI call that must end documented."""
+    """(exit status, stdout, stderr) of one CLI call that must end documented."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _corners():
@@ -142,7 +143,7 @@ PMF_CONFIGURATIONS = [["--stat", "poisson"], ["--stat", "thermal"],
 def _rows_multiply_out(argv) -> bool:
     """Whether the pmf table printed; its every row has a finite xi with
     p_heralded = xi p_unheralded."""
-    code, out = _run(argv)
+    code, out, _ = _run(argv)
     for row in records.parse(out).rows if code == 0 else ():
         p, u, x = row["p_heralded"], row["p_unheralded"], row["xi"]
         assert type(x) is float and math.isfinite(x), (argv, row)
@@ -162,3 +163,36 @@ def test_pmf_rows_multiply_out_at_subnormal_corners():
     # where the kept-mode mean underflowed, xi(n >= 1) used to print null
     printed = [_rows_multiply_out(["pmf", "--nmax", "4", *flags]) for flags in _corners()]
     assert sum(printed) >= 24
+
+
+# floats in [0, 1], log-uniform down to the smallest subnormal, plus 0 and 1
+UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(math.log(5e-324), 0.0).map(math.exp))
+
+
+@st.composite
+def physics_argv(draw):
+    """pmf, moments or sweep argv of one of the four configurations."""
+    command = draw(st.sampled_from(["pmf", "moments", "sweep"]))
+    config = draw(st.sampled_from(PMF_CONFIGURATIONS))
+    argv = [command, *config, *(w for flag in ("--mu", "--eta-h", "--eta-s", "--dark")
+                                for w in (flag, repr(draw(UNIT))))]
+    if "--filter" in config:
+        argv += ["--f", repr(draw(st.floats(math.log(1e-6), 0.0).map(math.exp)))]
+    if command == "sweep":
+        axes = ["mu", "eta_h", "eta_s", "d_h", *(["f"] if "--filter" in config else [])]
+        grid = sorted(set(draw(st.lists(UNIT, min_size=1, max_size=4))))
+        argv += ["--axis", draw(st.sampled_from(axes)), "--grid", ",".join(map(repr, grid))]
+    return argv
+
+
+@settings(max_examples=200)
+@given(physics_argv())
+def test_physics_at_any_scale_ends_finite_or_refused(argv):
+    # a subnormal herald rate printed inf and nan sweep cells with status 0,
+    # and made pmf refuse its own p(0) = nan
+    code, out, err = _run(argv)
+    assert re.search(r"p\(0\) = (inf|nan)", err) is None, (argv, err)
+    if code == 0:
+        record = records.parse(out)
+        for value in [*record.inputs.values(), *(v for row in record.rows for v in row.values())]:
+            assert not isinstance(value, float) or math.isfinite(value), (argv, value)

@@ -11,7 +11,6 @@ from hspstats import (
     SourceParams,
     ValidationError,
     analytic,
-    fano_ratio,
     moments_closed_form,
     optimize,
     optimize_mu,
@@ -21,15 +20,20 @@ from hspstats import (
 from hspstats.optimize import PMF_HEAD, SWEEP_AXES
 
 
+def fano(mu, eta_h, eta_s, d_h):
+    """Fano ratio of a Poisson source, from the closed moments."""
+    return moments_closed_form(SourceParams(mu, eta_h, eta_s, d_h)).fano
+
+
 class TestFano:
     def test_unity_at_certain_darks(self):
-        assert fano_ratio(0.02, 0.5, 0.5, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert fano(0.02, 0.5, 0.5, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_dark_dominated_limit(self):
-        assert fano_ratio(1e-7, 0.5, 0.5, 1e-4) == pytest.approx(1.0, abs=1e-3)
+        assert fano(1e-7, 0.5, 0.5, 1e-4) == pytest.approx(1.0, abs=1e-3)
 
     def test_returns_toward_unity_at_bright_pump(self):
-        values = [fano_ratio(mu, 0.5, 0.5, 1e-4) for mu in (1.0, 2.0, 5.0, 50.0)]
+        values = [fano(mu, 0.5, 0.5, 1e-4) for mu in (1.0, 2.0, 5.0, 50.0)]
         assert values == sorted(values)
         assert values[-1] == pytest.approx(1.0, abs=1e-6)
 
@@ -43,7 +47,7 @@ class TestOptimizeMu:
     def test_optimality_certificate(self):
         result = optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-5, 1.0), rel_tol=1e-5)
         for side in (1 + 2e-5, 1 - 2e-5):
-            assert result.fano_opt <= fano_ratio(result.mu_opt * side, 0.5, 0.5, 1e-4)
+            assert result.fano_opt <= fano(result.mu_opt * side, 0.5, 0.5, 1e-4)
 
     def test_tight_bracket_same_answer(self):
         wide = optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-5, 1.0))
@@ -54,8 +58,8 @@ class TestOptimizeMu:
         lo, hi = 1e-5, 2.0
         result = optimize_mu(0.4, 0.8, 5e-4, bounds=(lo, hi))
         assert lo <= result.mu_opt <= hi
-        assert result.fano_opt <= fano_ratio(lo, 0.4, 0.8, 5e-4)
-        assert result.fano_opt <= fano_ratio(hi, 0.4, 0.8, 5e-4)
+        assert result.fano_opt <= fano(lo, 0.4, 0.8, 5e-4)
+        assert result.fano_opt <= fano(hi, 0.4, 0.8, 5e-4)
 
     def test_rejects_zero_darks(self):
         with pytest.raises(ValidationError, match="d_h"):
@@ -74,8 +78,8 @@ class TestOptimizeMu:
         bounds = (1e-6, 1.0)
         a, b = (math.log(x) for x in bounds)
         probe = math.exp(b - (b - a) * optimize._INV_PHI)
-        ends = [fano_ratio(mu, 0.5, 0.5, 1e-4) for mu in bounds]
-        assert fano_ratio(probe, 0.5, 0.5, 1e-4) >= min(ends)
+        ends = [fano(mu, 0.5, 0.5, 1e-4) for mu in bounds]
+        assert fano(probe, 0.5, 0.5, 1e-4) >= min(ends)
         result = optimize_mu(0.5, 0.5, 1e-4, bounds=bounds)
         assert 0.014 <= result.mu_opt <= 0.018
         assert result.fano_opt == pytest.approx(0.512, abs=2e-3)
@@ -96,18 +100,18 @@ class TestOptimizeMu:
 
     @pytest.mark.parametrize("bounds", [(1e-5, 1.0), (1e-6, 1.0), (1e-100, 10.0)])
     def test_evaluations_are_the_objective_calls(self, monkeypatch, bounds):
-        calls, fano = [], optimize._fano
+        calls, objective = [], optimize._fano
 
         def counted(point, mu):
             calls.append(mu)
-            return fano(point, mu)
+            return objective(point, mu)
 
         monkeypatch.setattr(optimize, "_fano", counted)
         result = optimize_mu(0.5, 0.5, 1e-4, bounds=bounds)
         assert result.evaluations == len(calls)
         # the optimum is an evaluated point, reported with its own value
         assert result.mu_opt in calls
-        assert result.fano_opt == fano_ratio(result.mu_opt, 0.5, 0.5, 1e-4)
+        assert result.fano_opt == fano(result.mu_opt, 0.5, 0.5, 1e-4)
 
     @pytest.mark.parametrize("eta_h", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("eta_s", [0.25, 0.5, 0.9])
@@ -116,7 +120,7 @@ class TestOptimizeMu:
         rel_tol = 1e-4
         result = optimize_mu(eta_h, eta_s, d_h, rel_tol=rel_tol)
         for side in (1 + 2 * rel_tol, 1 - 2 * rel_tol):
-            assert result.fano_opt <= fano_ratio(result.mu_opt * side, eta_h, eta_s, d_h)
+            assert result.fano_opt <= fano(result.mu_opt * side, eta_h, eta_s, d_h)
         assert result.evaluations < 29   # golden-section search took 29
 
     @pytest.mark.parametrize("mu_lo", [1e-100, 1e-200, 1e-300])
@@ -129,7 +133,7 @@ class TestOptimizeMu:
     @pytest.mark.parametrize("eta_h, d_h", [(0.0, 1e-4), (0.5, 1.0), (0.0, 1.0)])
     def test_rejects_a_herald_without_information(self, monkeypatch, eta_h, d_h):
         # the Fano ratio is exactly 1 at every mu: no bracket can help
-        assert fano_ratio(0.01, eta_h, 0.5, d_h) == 1.0
+        assert fano(0.01, eta_h, 0.5, d_h) == 1.0
         monkeypatch.setattr(optimize, "_fano", None)   # no evaluation may run
         with pytest.raises(ValidationError, match="does not depend on the pair number"):
             optimize_mu(eta_h, 0.5, d_h)

@@ -58,7 +58,7 @@ def test_herald_prob_monotone_and_bounded(params, N):
 @given(source_params())
 def test_xi_growth_concavity_and_limit(params):
     for stat in (h.PairStatistics.POISSON, h.PairStatistics.THERMAL):
-        limit = h.xi_limit(stat, params)
+        limit = 1 / h.herald_click_probability(stat, params)
         values = [h.xi(stat, params, h.NO_FILTER, n) for n in range(102)]
         slack = 1e-12 * max(1.0, limit)
         for a, b in zip(values, values[1:]):
@@ -117,6 +117,30 @@ def test_convolution_oracle_equals_closed_form(params, f):
         assert abs(oracle.prob(n) - closed.prob(n)) < 1e-10
 
 
+# measured worst over 2,800 random configurations of this box, n < 40 and
+# terms >= 1e-250: 1.0e-15 relative (herald filter), 7.1e-16 for the others
+MIXING_RTOL = 4e-15
+
+
+@given(source_params(min_dark=1e-6), fractions)
+def test_dark_count_mixing(params, f):
+    # a dark count is independent of the photons, so the rate of a click with
+    # n signal photons mixes the certain-herald law and the dark-free one:
+    # P_d p_d(n) = d U(n) + (1 - d) P_0 p_0(n), in all four configurations
+    d, dark_free = params.d_h, h.SourceParams(params.mu, params.eta_h, params.eta_s, 0.0)
+    pois = h.PairStatistics.POISSON
+    for stat, filt in [(pois, h.NO_FILTER), (h.PairStatistics.THERMAL, h.NO_FILTER),
+                       (pois, h.FilterSpec(h.FilterBranch.SIGNAL, f)),
+                       (pois, h.FilterSpec(h.FilterBranch.HERALD, f))]:
+        rate, rate_0 = (h.herald_click_probability(stat, p, filt) for p in (params, dark_free))
+        terms, terms_0 = (h.heralded_terms(stat, p, filt, 40) for p in (params, dark_free))
+        law = h.unconditioned_terms(stat, params, filt, 40)
+        for n in range(40):
+            mixed = d * law[n] + (1.0 - d) * (rate_0 * terms_0[n])
+            if mixed >= 1e-250:
+                assert math.isclose(rate * terms[n], mixed, rel_tol=MIXING_RTOL), (stat, filt, n)
+
+
 @given(source_params(), st.sampled_from(records.FORMATS))
 def test_serialization_round_trip(params, fmt):
     rec = records.OutputRecord(records.SCHEMA_VERSION, "pmf", to_record(params), [])
@@ -128,5 +152,6 @@ def test_serialization_round_trip(params, fmt):
 def test_xi_times_base_is_a_probability(mu, n):
     params = h.SourceParams(mu, 0.5, 0.5, 1e-4)
     stat = h.PairStatistics.POISSON
-    p = h.unconditioned_pmf(stat, params, h.NO_FILTER, n) * h.xi(stat, params, h.NO_FILTER, n)
+    base = h.unconditioned_terms(stat, params, h.NO_FILTER, n + 1)[n]
+    p = base * h.xi(stat, params, h.NO_FILTER, n)
     assert 0.0 <= p <= 1.0
