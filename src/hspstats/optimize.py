@@ -183,7 +183,8 @@ def sweep(
     Each point costs O(1): closed moments and the first PMF_HEAD terms of
     the heralded law, with no pmf truncation.  Points are evaluated
     independently and in grid order; a point that raises a domain error is
-    marked failed instead of aborting the sweep.  A configuration that fails
+    marked failed instead of aborting the sweep, and keeps its moments when
+    only its pmf terms are refused.  A configuration that fails
     at every point (a thermal source behind a mode filter) is refused.
     """
     if axis not in SWEEP_AXES:
@@ -197,11 +198,14 @@ def sweep(
 
     rows = []
     for value in grid:
+        moments = head = error = None
         try:
             point = params if axis == "f" else replace(params, **{axis: value})
             point_filt = replace(filt, f=value) if axis == "f" else filt
             desc = _describe(stat, point, point_filt)
-            rows.append(SweepRow(value, _moments(desc, point), _head(desc, point, PMF_HEAD)))
+            moments = _moments(desc, point)
+            head = _head(desc, point, PMF_HEAD)
         except HspsError as exc:
-            rows.append(SweepRow(value, None, None, error=str(exc)))
+            error = str(exc)
+        rows.append(SweepRow(value, moments, head, error))
     return SweepResult(axis=axis, rows=tuple(rows))

@@ -1066,8 +1066,8 @@ def test_import_walk_sees_imports_inside_functions():
 def test_montecarlo_never_imports_the_closed_forms():
     # the simulation is an independent route: it builds its own pair-count
     # tables and must not read analytic's pair laws, not even inside a
-    # function, where it does import its thread pool
-    assert "concurrent.futures" in _imports(montecarlo, inside_functions=True)
+    # function; it draws on the calling thread and imports no thread pool
+    assert "concurrent.futures" not in _imports(montecarlo, inside_functions=True)
     assert not _imports_analytic(montecarlo)
 
 

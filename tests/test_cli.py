@@ -459,6 +459,28 @@ class TestSweepCommand:
             assert [row[f"p{i}"] for i in range(4)] == [None] * 4
 
 
+    def test_point_whose_pmf_head_is_refused_keeps_its_moments(self, capsys):
+        # a subnormal P_click refuses the pmf terms but not the closed moments
+        physics = ["--filter", "herald", "--f", "1e-6", "--mu", "30", "--eta-h", "1e-300",
+                   "--eta-s", "0.5", "--dark", "0"]
+        code, out, _ = run(capsys, "sweep", *physics, "--axis", "mu",
+                           "--logspace", "1e-4", "20", "5")
+        assert code == 0
+        rows = records.parse(out).rows
+        refused = [row for row in rows if row["error"] is not None]
+        assert len(refused) == 2
+        for row in refused:
+            assert "1/P_click leaves double range" in row["error"]
+            assert [row[f"p{i}"] for i in range(4)] == [None] * 4
+            code, out, _ = run(capsys, "moments", *physics[:4], "--mu", repr(row["mu"]),
+                               *physics[6:])
+            assert code == 0
+            moments = records.parse(out).rows[0]
+            assert [row[k] for k in ("mean", "variance", "fano", "g2")] == [
+                moments[k] for k in ("mean", "variance", "fano", "g2")]
+        assert refused[0]["mu"] == 1e-4 and refused[0]["mean"] == pytest.approx(0.50005, rel=1e-6)
+
+
 class TestSimulateCommand:
     def test_fixed_seed_bit_identical(self, capsys):
         argv = ["simulate", *REF_FLAGS, "--trials", "100000", "--seed", "42"]
@@ -506,6 +528,11 @@ class TestSimulateCommand:
         code, out, err = run(capsys, "simulate", *REF_FLAGS, "--trials", "10",
                              "--n-cap", str(n_cap))
         assert code == 2 and out == "" and "n_cap" in err and "Traceback" not in err
+
+    def test_trials_beyond_int64_counts_domain_error(self, capsys):
+        code, out, err = run(capsys, "simulate", *REF_FLAGS, "--trials", "1180591620717411303424")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "trials must lie in [1, 2**63)" in err
 
     def test_mu_above_the_count_table_domain_error(self, capsys):
         code, out, err = run(capsys, "simulate", "--mu", "1001", "--eta-h", "0.5",
