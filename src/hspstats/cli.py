@@ -114,10 +114,7 @@ def build_parser() -> Parser:
     p.add_argument("--matrix", choices=sorted(MATRIX_SIZES), default="default",
                    help="matrix size")
     p.add_argument("--tolerance", type=float, help="override every check tolerance")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per check")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
-    p.add_argument("--no-mc", dest="no_mc", action="store_true",
-                   help="skip the Monte Carlo checks")
     _add_output_flags(p)
     parser.commands = sub.choices
     return parser
@@ -144,8 +141,7 @@ def _config_argv(path: str, command: str, commands: dict) -> list:
     """The config file's ``key = value`` lines as flags of ``command``.
 
     A key that only another command takes is dropped; one that no command
-    takes is a usage error.  A true ``no_mc`` becomes the bare flag, and
-    ``logspace`` takes comma-separated values.
+    takes is a usage error.  ``logspace`` takes comma-separated values.
     """
     defaults = {name: vars(p.parse_args([])) for name, p in commands.items()}
     known = set().union(*defaults.values()) - {"config"}
@@ -156,9 +152,7 @@ def _config_argv(path: str, command: str, commands: dict) -> list:
         if key not in defaults[command]:
             continue
         flag = "--" + key.replace("_", "-")
-        if isinstance(defaults[command][key], bool):
-            argv += [flag] if value.lower() in ("1", "true", "yes", "on") else []
-        elif key == "logspace":
+        if key == "logspace":
             argv += [flag, *(v.strip() for v in value.split(","))]
         else:
             argv.append(f"{flag}={value}")
@@ -275,8 +269,7 @@ def cmd_simulate(s: dict) -> tuple[dict, list]:
 
 
 def cmd_verify(s: dict) -> tuple[dict, list]:
-    results = run_verification(matrix=s["matrix"], tolerance=s["tolerance"], trials=s["trials"],
-                               seed=s["seed"], with_mc=not s["no_mc"])
+    results = run_verification(matrix=s["matrix"], tolerance=s["tolerance"], seed=s["seed"])
     rows = [{"check": r.check, "cases": r.cases, "max_deviation": r.max_deviation,
              "tolerance": r.tolerance, "status": "pass" if r.passed else "fail"}
             for r in results]

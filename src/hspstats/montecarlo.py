@@ -56,10 +56,10 @@ __all__ = ["McConfig", "simulate"]
 # Version of the draw order above; it moves with every change to the numbers
 # a (config, seed) pair produces.  Streams 1 (every bin drawn), 2 (herald
 # thinned by a binomial), 3 (herald uniform, every heralded bin thinned on its
-# own), 4 (one Poisson or geometric draw per occupied bin) and 5 (chunks of
-# 2^20 bins, one herald exponential per occupied bin) do not replay under
-# stream 6.
-STREAM_VERSION = 6
+# own), 4 (one Poisson or geometric draw per occupied bin), 5 (chunks of 2^20
+# bins, one herald exponential per occupied bin) and 6 (every clamped thinning
+# tail taken as 1 minus the other entries) do not replay under stream 7.
+STREAM_VERSION = 7
 
 # A count table stops where the mass left is below 2^-64, under the 2^-53
 # resolution of a uniform double.
@@ -168,7 +168,10 @@ def _thinning_law(s: np.ndarray, eta: float, cap: int) -> np.ndarray:
     ``s``, j running down from min(max s, cap) to 0, so that a multinomial
     draw leaves its remainder at j = 0, in every row's support.  Built in
     place, in logs, from p(0) = (1 - eta)^s by the ratios p(j + 1)/p(j) =
-    (s - j) eta/((j + 1)(1 - eta)); each row sums to 1 after its clamped tail."""
+    (s - j) eta/((j + 1)(1 - eta)); each row sums to 1 after its clamped tail.
+    That tail P(B >= cap) is 1 minus the other entries where it holds the
+    mode, and otherwise the sum of its terms, which shrink from p(cap), so
+    that it keeps its relative accuracy however small it is."""
     law = np.zeros((len(s), min(int(s.max()), cap) + 1))
     up = law[:, ::-1]  # j running up
     if eta in (0.0, 1.0):  # every photon lost, or every one kept
@@ -182,8 +185,17 @@ def _thinning_law(s: np.ndarray, eta: float, cap: int) -> np.ndarray:
         np.log(steps, out=steps)
     steps += math.log(eta) - math.log1p(-eta)
     np.exp(np.cumsum(up, axis=1, out=up), out=up)
-    clamped = s >= law.shape[1]
-    law[clamped, 0] = np.maximum(1.0 - up[:, :-1].sum(axis=1)[clamped], 0.0)
+    top = law.shape[1] - 1
+    shrinks = (s + 1) * eta < top + 1  # p(j + 1) < p(j) for every j >= top
+    rest, summed = (s > top) & ~shrinks, (s > top) & shrinks
+    law[rest, 0] = 1.0 - up[rest, :-1].sum(axis=1)
+    term = tail = law[summed, 0]
+    j = top
+    while (term > 2.0**-60 * tail).any():
+        term = term * ((s[summed] - j) / (j + 1.0) * (eta / (1.0 - eta)))
+        tail = tail + term
+        j += 1
+    law[summed, 0] = tail
     law /= law.sum(axis=1, keepdims=True)
     return law
 

@@ -29,12 +29,13 @@ from .montecarlo import McConfig, simulate
 
 __all__ = []
 
-# (number of random box configurations, Monte Carlo trials per MC check);
-# 2^24 default trials see the empty cell's dark heralds scaled by 0.97
-MATRIX_SIZES = {
-    "tiny": (12, 100_000),
-    "default": (200, 1 << 24),
-}
+# (number of random box configurations,) of each matrix
+MATRIX_SIZES = {"tiny": (12,), "default": (200,)}
+
+# trials of every Monte Carlo check: a run's cost follows its count tables,
+# not its trial count, and 2^40 trials see the empty cell's dark heralds
+# scaled by 0.999
+MC_TRIALS = 1 << 40
 
 # sampling seed of the library calls and of the ``verify`` command
 DEFAULT_SEED = 20260809
@@ -50,6 +51,9 @@ REDUCTION_TOL = 1e-12       # f = 1 reduction of the filtered factors
 MOMENT_TOL = 1e-9           # relative, closed moments vs. pmf moments
 MC_TOL = 1.0                # deviations in units of 5 sigma
 MC_PROB_FLOOR = 1e-6        # bins of smaller analytic probability are not compared
+# counts of a smaller expected value (or expected complement) are scored by
+# their exact binomial tail: the normal tail is off by under 1% of the gate above
+MC_EXACT_BELOW = 1e4
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,6 @@ def _reduction_check(configs) -> float:
     """
     worst = 0.0
     for params, _ in configs:
-        if params.d_h == 0.0 and params.mu * params.eta_h == 0.0:
-            continue
         thermal = analytic._describe(PairStatistics.THERMAL, params, NO_FILTER)
         refs = None
         for branch in (FilterBranch.SIGNAL, FilterBranch.HERALD):
@@ -190,6 +192,33 @@ def mc_acceptance_matrix() -> list:
     ]
 
 
+def _gate_units(count: int, total: int, p: float) -> float:
+    """Deviation of ``count`` from Binomial(total, p) in units of the 5-sigma
+    gate: the normal deviate whose one-sided tail is the binomial tail from
+    ``count`` away from the mean, over 5.  That tail is exact where either
+    outcome expects fewer than ``MC_EXACT_BELOW`` counts, and normal elsewhere."""
+    normal = abs(count - total * p) / (5.0 * math.sqrt(total * p * (1.0 - p)))
+    if p > 0.5:  # count the other outcome, whose expected count is the smaller
+        count, p = total - count, 1.0 - p
+    if total * p >= MC_EXACT_BELOW:
+        return normal
+    from statistics import NormalDist  # not at import: 3 ms on every CLI start
+
+    # the tail's terms relative to pmf(count), shrinking away from the mean
+    up, odds = count > total * p, p / (1.0 - p)
+    j, term, tail = count, 1.0, 0.0
+    while term > 2.0**-60 * tail:
+        tail += term
+        term *= (total - j) / (j + 1) * odds if up else j / ((total - j + 1) * odds)
+        j += 1 if up else -1
+    log_tail = (math.log(tail) + math.lgamma(total + 1) - math.lgamma(count + 1)
+                - math.lgamma(total - count + 1) + count * math.log(p)
+                + (total - count) * math.log1p(-p))
+    if log_tail < -700.0:  # near the end of double range: both read past 5 gate units
+        return normal
+    return max(0.0, -NormalDist().inv_cdf(min(math.exp(log_tail), 0.5))) / 5.0
+
+
 def mc_deviation(
     est,
     stat: PairStatistics,
@@ -197,34 +226,32 @@ def mc_deviation(
     filt: FilterSpec = NO_FILTER,
 ) -> float:
     """Worst bin deviation of an estimate from the closed form, in units of
-    five binomial standard deviations of the analytic probability."""
+    the 5-sigma gate (``_gate_units``)."""
     pmf = analytic.signal_pmf(stat, params, filt)
     worst = 0.0
     for n in range(len(est.pmf_hat) - 1):      # cap bin excluded: clamped mass
         p = pmf.prob(n)
-        if p < MC_PROB_FLOOR:
-            continue
-        sigma = math.sqrt(p * (1.0 - p) / est.heralded)
-        worst = max(worst, abs(est.pmf_hat[n] - p) / (5.0 * sigma))
+        if p >= MC_PROB_FLOOR:
+            count = round(est.pmf_hat[n] * est.heralded)
+            worst = max(worst, _gate_units(count, est.heralded, p))
     return worst
 
 
-def _mc_checks(trials: int, seed: int) -> dict:
+def _mc_checks(seed: int) -> dict:
     worst_pmf = 0.0
     worst_rate = 0.0
     for i, (name, stat, params, filt) in enumerate(mc_acceptance_matrix()):
-        est = simulate(McConfig(params=params, stat=stat, filt=filt, trials=trials, seed=seed + i))
+        est = simulate(McConfig(params=params, stat=stat, filt=filt, trials=MC_TRIALS,
+                                seed=(seed + i) % 2**64))
         worst_pmf = max(worst_pmf, mc_deviation(est, stat, params, filt))
         rate = analytic.herald_click_probability(stat, params, filt)
-        sigma = math.sqrt(rate * (1.0 - rate) / trials)
-        worst_rate = max(worst_rate, abs(est.herald_rate - rate) / (5.0 * sigma))
+        worst_rate = max(worst_rate, _gate_units(est.heralded, MC_TRIALS, rate))
     return {"mc_vs_closed_pmf": worst_pmf, "mc_herald_rate_vs_closed": worst_rate}
 
 
 def run_verification(
     matrix: str = "default",
     tolerance: float | None = None,
-    trials: int | None = None,
     seed: int = DEFAULT_SEED,
     with_mc: bool = True,
 ) -> list:
@@ -234,8 +261,6 @@ def run_verification(
     check (useful to prove the checks can fail: zero fails every check with
     a nonzero deviation, a negative value every check); a non-finite one is
     refused, since it would decide every check whatever the deviation.
-    ``trials`` overrides the per-check Monte Carlo trial count of the chosen
-    matrix.
     """
     if matrix not in MATRIX_SIZES:
         raise ValidationError(f"matrix must be one of {sorted(MATRIX_SIZES)}, got {matrix!r}")
@@ -243,11 +268,7 @@ def run_verification(
         raise ValidationError(f"tolerance must be finite, got {tolerance!r}")
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed!r}")
-    n_configs, mc_trials = MATRIX_SIZES[matrix]
-    if trials is not None:
-        if trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {trials}")
-        mc_trials = trials
+    n_configs = MATRIX_SIZES[matrix][0]
     configs = sample_configurations(n_configs, seed)
 
     results = []
@@ -262,6 +283,6 @@ def run_verification(
     add("moments_closed_vs_pmf", n_configs, _moment_check(configs), MOMENT_TOL)
     if with_mc:
         n_mc = len(mc_acceptance_matrix())
-        for name, dev in _mc_checks(mc_trials, seed).items():
+        for name, dev in _mc_checks(seed).items():
             add(name, n_mc, dev, MC_TOL)
     return results

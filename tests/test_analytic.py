@@ -926,6 +926,12 @@ class TestG2:
 
 
 class TestAsymptote:
+    def test_negative_photon_number_is_refused(self):
+        for call in (lambda: xi(POISSON, REF, NO_FILTER, -1),
+                     lambda: asymptotic_tail_check(REF, 0.1, -1)):
+            with pytest.raises(ValidationError, match="photon number must be >= 0, got -1"):
+                call()
+
     def test_full_fraction_degenerates(self):
         exact0, asym0 = asymptotic_tail_check(REF, 1.0, 0)
         assert asym0 > 0.0

@@ -276,6 +276,19 @@ class TestConfigFile:
         assert code == 0
         assert records.parse(out).rows[0]["fano"] == pytest.approx(1.0, rel=1e-12)
 
+    def test_blank_and_comment_lines_are_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "source.cfg"
+        cfg.write_text("# the reference source\n\nmu = 0.01\n   \n  # eta_h = 0.1\n")
+        code, out, _ = run(capsys, "moments", "--config", str(cfg))
+        assert code == 0 and out == run(capsys, "moments", "--mu", "0.01")[1]
+
+    def test_line_without_equals_sign_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "source.cfg"
+        cfg.write_text("mu = 0.01\neta_h 0.5\n")
+        code, out, err = run(capsys, "moments", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert f"{cfg}:2: expected key=value, got 'eta_h 0.5'" in err
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "source.cfg"
         cfg.write_text("bogus = 1\n")
@@ -297,15 +310,18 @@ class TestConfigFile:
         assert code == 0 and records.parse(out).rows[0]["mean"] > 0.0
 
     def test_switches_and_logspace(self, capsys, tmp_path):
+        # no command takes a switch, so a no_mc key is unknown
         cfg = tmp_path / "source.cfg"
-        cfg.write_text("eta_h = 0.5\neta_s = 0.5\ndark = 1e-4\nno_mc = yes\nmatrix = tiny\n"
+        cfg.write_text("eta_h = 0.5\neta_s = 0.5\ndark = 1e-4\nmatrix = tiny\n"
                        "mu = 0.01\naxis = mu\nlogspace = 1e-3, 1, 4\n")
         code, out, _ = run(capsys, "verify", "--config", str(cfg))
-        flagged = run(capsys, "verify", "--config", str(cfg), "--no-mc")[1]
-        assert code == 0 and out == flagged
-        assert not any(r["check"].startswith("mc_") for r in records.parse(out).rows)
+        assert code == 0 and out == run(capsys, "verify", "--matrix", "tiny")[1]
+        assert any(r["check"].startswith("mc_") for r in records.parse(out).rows)
         code, out, _ = run(capsys, "sweep", "--config", str(cfg))
         assert code == 0 and len(records.parse(out).rows) == 4
+        cfg.write_text("matrix = tiny\nno_mc = yes\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 1 and out == "" and "unknown config key 'no_mc'" in err
 
 
 class TestMomentsCommand:
@@ -425,6 +441,10 @@ class TestSweepCommand:
     def test_empty_grid_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu", "--grid", "")
         assert code == 1
+
+    def test_non_numeric_grid_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu", "--grid", "0.1,x")
+        assert code == 1 and out == "" and "bad --grid" in err
 
     def test_missing_grid_usage_error(self, capsys):
         code, _, _ = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu")
@@ -560,7 +580,7 @@ class TestSimulateCommand:
 
 class TestVerifyCommand:
     def test_tiny_matrix_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--matrix", "tiny", "--trials", "50000")
+        code, out, _ = run(capsys, "verify", "--matrix", "tiny")
         assert code == 0
         rows = records.parse(out).rows
         assert all(r["status"] == "pass" for r in rows)
@@ -572,50 +592,51 @@ class TestVerifyCommand:
         }
 
     def test_impossible_tolerance_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--matrix", "tiny", "--tolerance", "0",
-                           "--no-mc")
+        code, out, _ = run(capsys, "verify", "--matrix", "tiny", "--tolerance", "0")
         assert code == 3
         rows = records.parse(out).rows
         assert any(r["status"] == "fail" for r in rows)
 
     def test_nan_tolerance_is_a_domain_error(self, capsys):
-        code, out, err = run(capsys, "verify", "--matrix", "tiny", "--tolerance", "nan",
-                             "--no-mc")
+        code, out, err = run(capsys, "verify", "--matrix", "tiny", "--tolerance", "nan")
         assert code == 2 and out == "" and "tolerance" in err
 
     @pytest.mark.parametrize("tolerance", ["inf", "-inf"])
     def test_infinite_tolerance_is_a_domain_error(self, capsys, tolerance):
         # inf used to exit 0 with every check "pass"
-        code, out, err = run(capsys, "verify", "--matrix", "tiny", f"--tolerance={tolerance}",
-                             "--no-mc")
+        code, out, err = run(capsys, "verify", "--matrix", "tiny", f"--tolerance={tolerance}")
         assert code == 2 and out == "" and "tolerance must be finite" in err
 
     def test_finite_negative_tolerance_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--matrix", "tiny", "--tolerance=-1e300",
-                           "--no-mc")
+        code, out, _ = run(capsys, "verify", "--matrix", "tiny", "--tolerance=-1e300")
         assert code == 3
         assert all(r["status"] == "fail" for r in records.parse(out).rows)
 
     def test_negative_seed_domain_error(self, capsys):
-        code, out, err = run(capsys, "verify", "--matrix", "tiny", "--no-mc",
-                             "--seed", "-1")
+        code, out, err = run(capsys, "verify", "--matrix", "tiny", "--seed", "-1")
         assert code == 2 and out == "" and "seed" in err
 
     def test_report_columns(self, capsys):
-        _, out, _ = run(capsys, "verify", "--matrix", "tiny", "--no-mc")
+        _, out, _ = run(capsys, "verify", "--matrix", "tiny")
         row = records.parse(out).rows[0]
         assert set(row) == {"check", "cases", "max_deviation", "tolerance", "status"}
 
     def test_default_seed_is_the_library_default(self, capsys):
         # the command and run_verification sample the same configurations
-        _, out, _ = run(capsys, "verify", "--matrix", "tiny", "--no-mc")
+        _, out, _ = run(capsys, "verify", "--matrix", "tiny")
         rec = records.parse(out)
         assert rec.inputs["seed"] == verify.DEFAULT_SEED
-        library = verify.run_verification("tiny", with_mc=False)
+        library = verify.run_verification("tiny")
         assert [r["max_deviation"] for r in rec.rows] == [r.max_deviation for r in library]
 
+    @pytest.mark.parametrize("flag", [["--trials", "100000"], ["--no-mc"]])
+    def test_retired_monte_carlo_flags_are_usage_errors(self, capsys, flag):
+        # every Monte Carlo check runs MC_TRIALS trials; none can be skipped
+        code, out, err = run(capsys, "verify", "--matrix", "tiny", *flag)
+        assert code == 1 and out == "" and "unrecognized arguments" in err
+
     def test_default_matrix_all_pass(self, capsys):
-        code, out, _ = run(capsys, "verify", "--trials", "100000")
+        code, out, _ = run(capsys, "verify")
         assert code == 0
         rows = records.parse(out).rows
         assert len(rows) == 8

@@ -3,7 +3,7 @@ status and never lets an exception escape.
 
 Flags come from the real parser, values mix valid and invalid ones.  Work
 is bounded: --trials <= 1e5, --n-cap <= 256, --nmax <= 500, at most 8 sweep
-points, and verify runs only as ``--matrix tiny --no-mc``.  --n-cap, --nmax
+points, and verify runs only as ``--matrix tiny``.  --n-cap, --nmax
 and the --logspace point count are also drawn above the 100,000 cap, where
 they are refused before any work.  ``--help`` leaves through
 ``SystemExit(0)``, as argparse does; ``test_cli`` covers it.
@@ -26,7 +26,7 @@ VALID = ["0", "1e-6", "0.01", "0.3", "0.5", "1"]
 INVALID = ["-1", "1.5", "30", "1e300", "nan", "inf", "-inf", "abc", ""]
 INT_BOUNDS = {"--trials": 100_000, "--n-cap": 256, "--nmax": 500, "--seed": 2**65}
 ABOVE_CAP = st.integers(TERM_CAP + 1, 10**20).map(str)
-VERIFY_FIXED = ["--matrix", "tiny", "--no-mc"]
+VERIFY_FIXED = ["--matrix", "tiny"]
 
 
 def floats():
@@ -42,10 +42,8 @@ def ints(flag):
 
 
 def values(flag, action, paths):
-    """Strategy for the argv words of one flag: [] for a switch, else the
-    flag with one value (or three for --logspace)."""
-    if action.nargs == 0:
-        return st.just([flag])
+    """Strategy for the argv words of one flag: the flag with one value (or
+    three for --logspace)."""
     if flag == "--logspace":
         points = st.one_of(st.integers(-1, 8).map(str), st.sampled_from(["x", "2.5"]), ABOVE_CAP)
         return st.tuples(floats(), floats(), points).map(lambda v: [flag, *v])
@@ -66,8 +64,7 @@ def argv_strategy(paths):
         flags = {a.option_strings[0]: a for a in sub._actions
                  if a.option_strings and not isinstance(a, argparse._HelpAction)}
         if name == "verify":
-            for fixed in ("--matrix", "--no-mc"):
-                flags.pop(fixed)
+            flags.pop("--matrix")
         words = st.lists(st.sampled_from(sorted(flags)), max_size=6, unique=True).flatmap(
             lambda chosen, flags=flags: st.tuples(
                 *(values(f, flags[f], paths) for f in chosen)))

@@ -68,6 +68,10 @@ class TestFilterSpec:
     def test_accepts_minimum_fraction(self):
         FilterSpec(FilterBranch.HERALD, 1e-6)
 
+    def test_rejects_a_branch_that_is_not_a_filter_branch(self):
+        with pytest.raises(ValidationError, match="branch must be a FilterBranch, got 'herald'"):
+            FilterSpec("herald", 0.5)
+
     def test_rejects_fraction_above_one(self):
         with pytest.raises(ValidationError):
             FilterSpec(FilterBranch.SIGNAL, 1.5)
@@ -90,6 +94,19 @@ class TestPmf:
         assert len(pmf) == 3
         assert pmf.prob(2) == 0.125
         assert pmf.prob(17) == 0.0
+
+    def test_rejects_no_terms(self):
+        with pytest.raises(ValidationError, match="at least one term"):
+            Pmf((), 1.0)
+
+    @pytest.mark.parametrize("tail", [-1e-300, math.nan, math.inf])
+    def test_rejects_a_tail_bound_that_is_not_finite_and_non_negative(self, tail):
+        with pytest.raises(ValidationError, match="tail_bound must be finite and >= 0"):
+            Pmf((1.0,), tail)
+
+    def test_prob_refuses_a_negative_photon_number(self):
+        with pytest.raises(ValidationError, match="photon number must be >= 0, got -1"):
+            Pmf((1.0,), 0.0).prob(-1)
 
     def test_rejects_negative_probability(self):
         with pytest.raises(ValidationError):

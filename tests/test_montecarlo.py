@@ -470,9 +470,10 @@ class TestThinningLaw:
         assert np.allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         for row, count in zip(law, s):
             ref = stats.binom.pmf(j, count, eta)
-            if count > j[-1]:  # the clamped tail, free of cancellation only above 1e-13
+            if count > j[-1]:  # the clamped tail: measured worst 1.5e-13 relative
                 ref[-1] = stats.binom.sf(j[-1] - 1, count, eta)
-                assert abs(row[-1] - ref[-1]) <= 1e-12 + 1e-10 * ref[-1]
+                if ref[-1] >= 1e-250:
+                    assert abs(row[-1] - ref[-1]) <= 1e-12 * ref[-1]
                 row, ref = row[:-1], ref[:-1]
             # measured worst 1.0e-11 relative, at cap 1000 and s 5000
             big = ref >= 1e-250
@@ -538,7 +539,7 @@ class TestSparseSampler:
     # 2^16 trials: heralded trials and the nonzero histogram bins.  A change
     # to the draw order fails here unless it moves STREAM_VERSION and
     # records its own stream.
-    PINNED_STREAM = (6, "2.4")
+    PINNED_STREAM = (7, "2.4")
     PINNED = [(333, {0: 149, 1: 183, 2: 1}), (331, {0: 149, 1: 180, 2: 2}),
               (345, {0: 331, 1: 14}), (30, {0: 17, 1: 13})]
 

@@ -138,6 +138,11 @@ class TestOptimizeMu:
         with pytest.raises(ValidationError, match="does not depend on the pair number"):
             optimize_mu(eta_h, 0.5, d_h)
 
+    def test_rejects_a_signal_branch_without_photons(self):
+        # eta_s = 0: the mean photon number is 0 at every mu
+        with pytest.raises(ValidationError, match="Fano ratio undefined"):
+            optimize_mu(0.5, 0.0, 1e-4)
+
     @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, 0.0])
     def test_rejects_a_rel_tol_out_of_range(self, monkeypatch, rel_tol):
         # rel_tol = inf stopped after 3 evaluations, far from the optimum

@@ -57,6 +57,15 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse('{"schema_version": "1", "command": "pmf", "inputs": {}}')
 
+    def test_rejects_malformed_metadata_line(self):
+        with pytest.raises(ValidationError, match="malformed metadata line: '# command'"):
+            parse("# schema_version=1\n# command\nn\n0\n")
+
+    def test_booleans_round_trip_through_csv(self):
+        rec = OutputRecord(SCHEMA_VERSION, "x", {"on": True, "off": False}, [{"b": False}])
+        back = parse(render(rec, "csv"))
+        assert back == rec and back.inputs["off"] is False and back.rows[0]["b"] is False
+
     def test_integer_vs_float_distinction(self):
         rec = OutputRecord(SCHEMA_VERSION, "x", {}, [{"count": 7, "rate": 7.0}])
         back = parse(render(rec, "csv"))

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import hspstats.montecarlo as mc
 
@@ -144,6 +145,58 @@ def test_series_check_sees_a_signal_filter_fault(monkeypatch, at_f1_only):
     assert rows["poisson_closed_vs_series"].passed and rows["thermal_closed_vs_series"].passed
 
 
+def test_unknown_matrix_is_refused():
+    with pytest.raises(ValidationError, match="matrix must be one of"):
+        run_verification("bogus")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_bins_are_scored_by_their_exact_tail(seed):
+    # a correct run whose far bins expect a fraction of a count: at seed 0
+    # bin 227 expects 0.083 counts and holds 2, 1.33 gate units by the normal
+    # tail and 0.61 by the exact one.  The normal tail failed 5 of these seeds
+    params = SourceParams(48.29, 1e-3, 0.492, 5.4e-6)
+    est = mc.simulate(mc.McConfig(params=params, stat=THERMAL, trials=65_536, seed=seed,
+                                  n_cap=300))
+    assert est.heralded < 4000
+    assert verify.mc_deviation(est, THERMAL, params) <= verify.MC_TOL
+
+
+@pytest.mark.parametrize("total", [50, 3007, 10**6, 2**33])
+def test_gate_units_follow_the_exact_binomial_tail(total):
+    # the normal deviate of scipy's binomial tail, over 5, for counts 6
+    # standard deviations below to 8 above the mean, of either outcome
+    # (measured worst 4.6e-6 apart, from lgamma at the largest total)
+    for expected, k in itertools.product([0.083, 1.0, 30.0, 900.0, 9000.0],
+                                         [-6, -2, 0, 2, 5, 8]):
+        if expected > total / 2:
+            continue
+        p = expected / total
+        count = max(0, round(expected + k * math.sqrt(expected)))
+        if count > expected:
+            tail = stats.binom.sf(count - 1, total, p)
+        else:
+            tail = stats.binom.cdf(count, total, p)
+        want = max(0.0, -stats.norm.ppf(min(tail, 0.5))) / 5.0
+        assert abs(verify._gate_units(count, total, p) - want) <= 2e-5
+        assert abs(verify._gate_units(total - count, total, 1.0 - p) - want) <= 2e-5
+
+
+@pytest.mark.parametrize("count,total,p", [
+    (5_497_854_000, 2**40, 0.005),             # 10^4 or more counts expected
+    (1000, 10**6, 1e-7), (0, 10**9, 9e-6)])    # exact tails below e^-700
+def test_gate_units_fall_back_to_the_normal_deviate(count, total, p):
+    normal = abs(count - total * p) / (5.0 * math.sqrt(total * p * (1.0 - p)))
+    assert verify._gate_units(count, total, p) == normal
+    assert total * p >= verify.MC_EXACT_BELOW or normal > 5.0
+
+
+def test_every_seed_of_the_documented_range_runs():
+    # the Monte Carlo runs take the seeds seed + i, wrapped into [0, 2**64)
+    rows = run_verification("tiny", seed=2**64 - 1)
+    assert all(r.passed for r in rows) and any(r.check.startswith("mc_") for r in rows)
+
+
 def test_nan_tolerance_is_refused():
     with pytest.raises(ValidationError, match="tolerance"):
         run_verification("tiny", tolerance=math.nan, with_mc=False)
@@ -165,16 +218,17 @@ def test_impossible_tolerance_fails_every_check_that_deviates(tolerance):
 
 
 @pytest.mark.parametrize("offset", [0, 1, 2])
-def test_default_matrix_sees_a_dark_herald_fault(monkeypatch, offset):
+@pytest.mark.parametrize("scale", [0.97, 0.999])
+def test_default_matrix_sees_a_dark_herald_fault(monkeypatch, offset, scale):
     # the dark-herald probability of every cell with no photon on the herald
-    # branch scaled by 0.97: the empty cell, and behind a herald filter the
-    # extra-only cells.  dark_dominated's herald rate is then 2.8% low, which
-    # reads 1.62, 1.49 and 1.65 gate units at 2^24 trials for these seeds
-    # (0.88, 0.65 and 0.80 at 2^22, 1.12, 1.00 and 1.15 at 2^23)
+    # branch scaled by 0.97 or 0.999: the empty cell, and behind a herald
+    # filter the extra-only cells.  At 2^40 trials the herald-rate check
+    # reads 432.5-433.1 and 14.1-14.6 gate units for these seeds; scaled by
+    # 0.9999 it still reads 1.1-1.6
     herald_probability = mc._herald_probability
 
     def dim_dark_counts(c, d_h, eta_h):
-        return np.where(c == 0, 0.97, 1.0) * herald_probability(c, d_h, eta_h)
+        return np.where(c == 0, scale, 1.0) * herald_probability(c, d_h, eta_h)
 
     monkeypatch.setattr(mc, "_herald_probability", dim_dark_counts)
     rows = {r.check: r for r in run_verification("default", seed=verify.DEFAULT_SEED + offset)}
