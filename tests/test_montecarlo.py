@@ -474,6 +474,8 @@ class TestThinningLaw:
                 ref[-1] = stats.binom.sf(j[-1] - 1, count, eta)
                 if ref[-1] >= 1e-250:
                     assert abs(row[-1] - ref[-1]) <= 1e-12 * ref[-1]
+                else:
+                    assert row[-1] <= 1e-240
                 row, ref = row[:-1], ref[:-1]
             # measured worst 1.0e-11 relative, at cap 1000 and s 5000
             big = ref >= 1e-250
