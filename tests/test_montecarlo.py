@@ -382,6 +382,14 @@ class TestBeyondTheVerifyBox:
             assert_exact_in_law(McConfig(params=params, stat=stat, filt=filt, trials=1 << 20,
                                          seed=10))
 
+    @pytest.mark.parametrize("eta_h,eta_s,d_h", [(0.5, 0.5, 1e-3), (0.9, 0.8, 1e-4)])
+    def test_bright_poisson_source_exact_in_law(self, eta_h, eta_s, d_h):
+        # the Poisson count table must reach 20 standard deviations past a
+        # mean of 300: cut at mean + 20/sqrt(mean) + 50 it reads 23 and 52
+        # gate units here, where the clean code read 0.44 to 0.74 (seeds 0-10)
+        assert_exact_in_law(McConfig(params=SourceParams(300.0, eta_h, eta_s, d_h),
+                                     trials=1 << 31, n_cap=1024, seed=10))
+
 
 class TestCells:
     """Steps 1-3 of the draw order: the bins of a run over the (k, e) cells
