@@ -90,12 +90,6 @@ def _clicks(params: SourceParams):
     return lambda N: _oms(-N * log_miss, d_h) if N else d_h
 
 
-# Poisson terms N <= this of a mean mu <= this are e^-mu mu^N / N!, a few
-# roundings each, where exp(N log mu - mu - lgamma(N + 1)) carries those of
-# its exponent, up to about 130 ulp at mu near this
-_FACTORIAL_TOP = 32
-
-
 def _pair_law(stat: PairStatistics, mu: float) -> tuple:
     """(N -> P_in(N), n -> bound on P(N > n)) of the Poisson or thermal pair
     law of mean mu >= 0.  The thermal tail is exact; the Poisson bound exceeds
@@ -104,8 +98,8 @@ def _pair_law(stat: PairStatistics, mu: float) -> tuple:
     if mu == 0.0:
         return (lambda N: 1.0 if N == 0 else 0.0), lambda n: 0.0
     if stat is PairStatistics.POISSON:
-        e_mu, log_mu, small = math.exp(-mu), math.log(mu), mu <= _FACTORIAL_TOP
-        return ((lambda N: (e_mu * mu**N / math.factorial(N) if N <= _FACTORIAL_TOP and small
+        e_mu, log_mu, small = math.exp(-mu), math.log(mu), mu <= 32.0
+        return ((lambda N: (e_mu * mu**N / math.factorial(N) if N <= 32 and small
                             else math.exp(N * log_mu - mu - math.lgamma(N + 1)))),
                 lambda n: min(_poisson_tail_bound(mu, n), 1.0))
     q, den = mu / (1.0 + mu), 1.0 + mu
@@ -325,9 +319,9 @@ def _herald_weights(stat: PairStatistics, mu: float, click, stop: float) -> tupl
     input mass is at most stop times the sum.  click is
     :func:`_clicks` for the herald-weighted law, or 1 for an unweighted one.
 
-    One pair per step, at about 0.7 us each: the pair sum builds its short
-    sums here, and its long ones (see _ARRAY_FROM) by :func:`_array_weights`,
-    which is tested against this loop."""
+    One pair per step, at about 0.4 to 1 us each: the pair sum builds every
+    law here but its long thermal ones (see _ARRAY_FROM), which
+    :func:`_array_weights` builds and which are tested against this loop."""
     law, tail = _pair_law(stat, mu)
     weights, total = [], 0.0
     for N in range(TERM_CAP + 1):
@@ -340,80 +334,40 @@ def _herald_weights(stat: PairStatistics, mu: float, click, stop: float) -> tupl
         f"pair sum failed to converge within {TERM_CAP} terms (mu={mu!r})")
 
 
-# Pair sums predicted to hold at least this many terms are built in one numpy
-# pass, shorter ones by the loop.  Each numpy call costs about 1 us, so the
-# pass has a fixed cost of 11 to 20 us that the loop's 0.5 to 1 us per pair
-# repays from about 25 terms (per-call times on a 2-CPU x86-64 VM, numpy 2.4);
-# from 64 on the pass builds the weights in under half the loop's time, and
-# every shorter sum keeps the loop's weights bit for bit.
+# Thermal pair sums predicted to hold at least this many terms are built in
+# one numpy pass, shorter ones by the loop.  Each numpy call costs about 1 us,
+# so the pass has a fixed cost of about 11 us that the loop's 0.4 to 0.5 us
+# per pair repays from about 25 terms (per-call times on a 2-CPU x86-64 VM,
+# numpy 2.4); from 64 on the pass builds the weights in under half the loop's
+# time, and every shorter sum keeps the loop's weights bit for bit.
 _ARRAY_FROM = 64
 
 
-def _predicted_length(stat: PairStatistics, mu: float, stop: float) -> float:
-    """Rough term count of a pair sum of mean mu cut at stop: where the exact
-    thermal tail q^(N+1) falls to stop, and for a Poisson law mu plus its
-    normal deviation sqrt(2 L mu) at depth L = -log(stop), plus L/4 for the
-    heavier right tail: within 4% + 2 terms of the cut at mu 0.01..1000 and
-    stop 1e-14..1e-7, where it lies past the 9 terms always summed."""
-    if stat is _POISSON:
-        depth = -math.log(stop)
-        return mu + math.sqrt(2.0 * depth * mu) + 0.25 * depth
+def _predicted_length(mu: float, stop: float) -> float:
+    """Term count of a thermal pair sum of mean mu cut at stop: where its
+    exact tail q^(N+1) falls to stop, or 0 at mu = 0."""
     return math.log(stop) / -math.log1p(1.0 / mu) if mu > 0.0 else 0.0
 
 
-@functools.lru_cache(maxsize=16)
-def _log_factorials(size: int):
-    """lgamma(N + 1) for N < size as a read-only numpy array."""
+def _array_weights(mu: float, params: SourceParams, stop: float) -> tuple:
+    """:func:`_herald_weights` of the thermal law of mean mu > 0, weighted by
+    :func:`_clicks` of params, in one numpy pass: the same pair law, click
+    factor, tail and stop rule.  numpy's power and expm1 round differently
+    from math's, so a weight may differ from the loop's by a few ulp.  The
+    arrays start at a power of two above the predicted length and double up
+    to TERM_CAP + 1 terms."""
     import numpy as np
-    table = np.array([math.lgamma(N + 1) for N in range(size)])
-    table.flags.writeable = False
-    return table
-
-
-@functools.cache
-def _factorials():
-    """N! for N <= _FACTORIAL_TOP as a read-only numpy array, each rounded
-    once."""
-    import numpy as np
-    table = np.array([float(math.factorial(N)) for N in range(_FACTORIAL_TOP + 1)])
-    table.flags.writeable = False
-    return table
-
-
-def _array_weights(stat: PairStatistics, mu: float, params, stop: float) -> tuple:
-    """:func:`_herald_weights` of the law of mean mu > 0 in one numpy pass,
-    herald-weighted by params or unweighted when params is None: the same
-    pair law, click factor, tail bounds and stop rule.  numpy's exp, power
-    and expm1 round differently from math's, so a weight may differ from the
-    loop's by a few ulp.  The arrays start at a power of two above the
-    predicted length and double up to TERM_CAP + 1 terms."""
-    import numpy as np
-    size = max(1 << int(1.25 * _predicted_length(stat, mu, stop)).bit_length(), 16)
+    q, d = mu / (1.0 + mu), params.d_h
+    size = max(1 << int(1.25 * _predicted_length(mu, stop)).bit_length(), 16)
     while True:
         size = min(size, TERM_CAP + 1)
         N = np.arange(size + 1.0)
-        if stat is _POISSON:
-            terms = np.exp(N * math.log(mu) - mu - _log_factorials(size + 1))
-            # _poisson_tail_bound: the term at N + 1 over 1 - mu/(N + 2), or 1
-            # where mu >= N + 2
-            share = mu / (N[1:] + 1.0)
-            tail = np.minimum(np.divide(terms[1:], 1.0 - share, out=np.ones(size),
-                                        where=share < 1.0), 1.0)
-            law = terms[:-1]
-            if mu <= _FACTORIAL_TOP:
-                top = min(size, _FACTORIAL_TOP + 1)
-                law[:top] = math.exp(-mu) * mu ** N[:top] / _factorials()[:top]
+        powers = q ** N
+        weights, tail = powers[:-1] / (1.0 + mu), powers[1:]
+        if params.eta_h == 1.0:   # :func:`_clicks`: 1 for N >= 1, d at N = 0
+            weights[0] *= d
         else:
-            q = mu / (1.0 + mu)
-            powers = q ** N
-            law, tail = powers[:-1] / (1.0 + mu), powers[1:]
-        weights = law
-        if params is not None:
-            d = params.d_h
-            if params.eta_h == 1.0:   # :func:`_clicks`: 1 for N >= 1, d at N = 0
-                weights[0] *= d
-            else:
-                weights = law * (d + (1.0 - d) * -np.expm1(N[:-1] * math.log1p(-params.eta_h)))
+            weights *= d + (1.0 - d) * -np.expm1(N[:-1] * math.log1p(-params.eta_h))
         sums = np.cumsum(weights)
         hit = (tail[8:] <= stop * sums[8:]) & (sums[8:] > 0.0)
         cut = 8 + int(hit.argmax())
@@ -425,14 +379,6 @@ def _array_weights(stat: PairStatistics, mu: float, params, stop: float) -> tupl
         size *= 2
 
 
-def _pair_weights(stat: PairStatistics, mu: float, params, stop: float) -> tuple:
-    """(weights, sum) of the pair law of mean mu, herald-weighted by params
-    or unweighted when params is None, by the path its length calls for."""
-    if _predicted_length(stat, mu, stop) >= _ARRAY_FROM:
-        return _array_weights(stat, mu, params, stop)
-    return _herald_weights(stat, mu, _clicks(params) if params is not None else lambda N: 1.0, stop)
-
-
 def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourceParams,
               tol: float) -> Pmf:
     """Heralded signal pmf of a stat source of mean mu that alone drives the
@@ -441,11 +387,11 @@ def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourcePa
     pair law thinned in blocks (:func:`_thin`), convolved with the thinned
     extra law when extra_mu > 0 and divided by the herald sum.
 
-    Two paths build each pair law, chosen by its predicted length
-    (:func:`_predicted_length`): below _ARRAY_FROM terms the loop of
-    :func:`_herald_weights`, and from there on :func:`_array_weights`, which
-    keeps the loop's stop rule and differs from its weights in the last
-    digits only.
+    Two paths build the herald-weighted law.  A thermal one predicted
+    (:func:`_predicted_length`) to hold _ARRAY_FROM terms or more is built by
+    :func:`_array_weights`, which keeps the loop's stop rule and differs from
+    its weights in the last digits only; every other law, the extra Poisson
+    law included, by the loop of :func:`_herald_weights`.
 
     One truncation rule: each pair law stops once its remaining input mass is
     at most tol/10 of its sum, and tail_bound is the mass the stored terms
@@ -458,10 +404,13 @@ def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourcePa
     _check_tol(tol)
     _check_heraldable(params.d_h, mu * params.eta_h)
     stop = 0.1 * tol
-    weights, herald_sum = _pair_weights(stat, mu, params, stop)
+    if stat is not _POISSON and _predicted_length(mu, stop) >= _ARRAY_FROM:
+        weights, herald_sum = _array_weights(mu, params, stop)
+    else:
+        weights, herald_sum = _herald_weights(stat, mu, _clicks(params), stop)
     probs, summed = _thin(weights, params.eta_s), len(weights)
     if extra_mu > 0.0:
-        extra = _pair_weights(_POISSON, extra_mu, None, stop)[0]
+        extra = _herald_weights(PairStatistics.POISSON, extra_mu, lambda N: 1.0, stop)[0]
         probs = np.convolve(probs, _thin(extra, params.eta_s)).tolist()
         summed += len(extra)
     # sums of k positive terms round by under k/2 ulp each, so summed ulp

@@ -633,24 +633,21 @@ class TestHeraldWeights:
 
 
 class TestArrayWeights:
-    """The numpy pass that builds long pair sums, against the loop of
-    _herald_weights.  numpy's exp, power and expm1 round differently from
-    math's, so the weights agree to a relative bound, measured before this
-    test was written: worst 2.7 ulp over 20,000 Poisson means in [1, 32] and
-    11,000 random configurations of both laws (mu 1 to 1000)."""
+    """The numpy pass that builds long thermal pair sums, against the loop of
+    _herald_weights.  numpy's power and expm1 round differently from math's,
+    so the weights agree to a relative bound, measured before this test was
+    written: worst 2.9 epsilon over 11,243 configurations (mu 1 to 1000)."""
 
     RTOL = 4 * sys.float_info.epsilon
     MEANS = [1.0, 3.0, 10.0, 25.0, 32.0, 33.0, 100.0, 300.0, 1000.0]
 
-    @pytest.mark.parametrize("stat", [POISSON, THERMAL])
     @pytest.mark.parametrize("mu", MEANS)
-    def test_equal_to_the_loop_within_rounding(self, stat, mu):
+    def test_equal_to_the_loop_within_rounding(self, mu):
         clicks = [SourceParams(mu, eta_h, 0.5, d_h)
                   for eta_h in (0.05, 0.6, 1.0) for d_h in (0.0, 1e-4, 0.3)]
-        for params, stop in itertools.product(clicks + [None], (1e-13, 1e-14, 1e-7)):
-            click = (lambda N: 1.0) if params is None else _clicks(params)
-            want, want_sum = analytic._herald_weights(stat, mu, click, stop)
-            got, got_sum = analytic._array_weights(stat, mu, params, stop)
+        for params, stop in itertools.product(clicks, (1e-13, 1e-14, 1e-7)):
+            want, want_sum = analytic._herald_weights(THERMAL, mu, _clicks(params), stop)
+            got, got_sum = analytic._array_weights(mu, params, stop)
             assert len(got) == len(want), (params, stop)   # the same cut
             assert got.tolist() == pytest.approx(
                 want, rel=self.RTOL, abs=self.RTOL * sys.float_info.min), (params, stop)
@@ -661,18 +658,17 @@ class TestArrayWeights:
         with pytest.raises(SeriesOverflowError, match="within 100000 terms") as loop:
             analytic._herald_weights(THERMAL, 1e5, _clicks(params), 1e-13)
         with pytest.raises(SeriesOverflowError) as array:
-            analytic._array_weights(THERMAL, 1e5, params, 1e-13)
+            analytic._array_weights(1e5, params, 1e-13)
         assert str(array.value) == str(loop.value)
         with pytest.raises(SeriesOverflowError, match="within 100000 terms"):
             conditional_pmf_series(THERMAL, params)
 
-    @pytest.mark.parametrize("stat", [POISSON, THERMAL])
     @pytest.mark.parametrize("mu", MEANS)
-    def test_predicted_length_tracks_the_cut(self, stat, mu):
+    def test_predicted_length_tracks_the_cut(self, mu):
         # the pair sum picks its path by this prediction
         for stop in (1e-13, 1e-14, 1e-7):
-            size = len(analytic._herald_weights(stat, mu, lambda N: 1.0, stop)[0])
-            assert analytic._predicted_length(stat, mu, stop) == pytest.approx(size, rel=0.05, abs=2)
+            size = len(analytic._herald_weights(THERMAL, mu, lambda N: 1.0, stop)[0])
+            assert analytic._predicted_length(mu, stop) == pytest.approx(size, rel=0.05, abs=2)
 
     @pytest.mark.parametrize("mu", [50.0, 200.0])
     @pytest.mark.parametrize("eta_h,eta_s,d_h", [(0.4, 0.9, 1e-6), (0.05, 0.5, 1e-3),
