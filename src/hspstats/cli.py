@@ -91,8 +91,6 @@ def build_parser() -> Parser:
     _add_detection_flags(p)
     p.add_argument("--mu-lo", dest="mu_lo", type=float, default=1e-6, help="bracket lower end")
     p.add_argument("--mu-hi", dest="mu_hi", type=float, default=10.0, help="bracket upper end")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-4,
-                   help="relative tolerance on mu")
     _add_output_flags(p)
 
     p = sub.add_parser("sweep", help="moments and leading pmf terms along one axis")
@@ -113,7 +111,6 @@ def build_parser() -> Parser:
     p = sub.add_parser("verify", help="closed form vs series vs convolution vs MC")
     p.add_argument("--matrix", choices=sorted(MATRIX_SIZES), default="default",
                    help="matrix size")
-    p.add_argument("--tolerance", type=float, help="override every check tolerance")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
     _add_output_flags(p)
     parser.commands = sub.choices
@@ -198,10 +195,9 @@ def cmd_moments(s: dict) -> tuple[dict, list]:
 
 
 def cmd_optimize(s: dict) -> tuple[dict, list]:
-    result = opt.optimize_mu(s["eta_h"], s["eta_s"], s["dark"],
-                             bounds=(s["mu_lo"], s["mu_hi"]), rel_tol=s["rel_tol"])
+    result = opt.optimize_mu(s["eta_h"], s["eta_s"], s["dark"], bounds=(s["mu_lo"], s["mu_hi"]))
     inputs = {"eta_h": s["eta_h"], "eta_s": s["eta_s"], "d_h": s["dark"],
-              "mu_lo": s["mu_lo"], "mu_hi": s["mu_hi"], "rel_tol": s["rel_tol"]}
+              "mu_lo": s["mu_lo"], "mu_hi": s["mu_hi"]}
     return inputs, [dataclasses.asdict(result)]
 
 
@@ -247,8 +243,6 @@ def cmd_sweep(s: dict) -> tuple[dict, list]:
 
 def cmd_simulate(s: dict) -> tuple[dict, list]:
     stat, params, filt = _physics(s)
-    if s["trials"] < 1:
-        raise UsageError(f"--trials must be >= 1, got {s['trials']}")
     config = McConfig(params=params, stat=stat, filt=filt,
                       trials=s["trials"], seed=s["seed"], n_cap=s["n_cap"])
     est = simulate(config)
@@ -269,14 +263,11 @@ def cmd_simulate(s: dict) -> tuple[dict, list]:
 
 
 def cmd_verify(s: dict) -> tuple[dict, list]:
-    results = run_verification(matrix=s["matrix"], tolerance=s["tolerance"], seed=s["seed"])
+    results = run_verification(matrix=s["matrix"], seed=s["seed"])
     rows = [{"check": r.check, "cases": r.cases, "max_deviation": r.max_deviation,
              "tolerance": r.tolerance, "status": "pass" if r.passed else "fail"}
             for r in results]
-    inputs = {"matrix": s["matrix"], "seed": s["seed"]}
-    if s["tolerance"] is not None:
-        inputs["tolerance"] = s["tolerance"]
-    return inputs, rows
+    return {"matrix": s["matrix"], "seed": s["seed"]}, rows
 
 
 def _emit(record: records.OutputRecord, s: dict):

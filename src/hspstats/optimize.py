@@ -29,6 +29,9 @@ SWEEP_AXES = ("mu", "eta_h", "eta_s", "d_h", "f")
 # leading pmf terms p(0)..p(PMF_HEAD - 1) kept per sweep row
 PMF_HEAD = 4
 
+# relative width of mu at which the search stops
+REL_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class OptimizeResult:
@@ -70,11 +73,10 @@ def optimize_mu(
     eta_s: float,
     d_h: float,
     bounds: tuple[float, float] = (1e-6, 10.0),
-    rel_tol: float = 1e-4,
 ) -> OptimizeResult:
     """Minimize the Fano ratio over the pump level mu.
 
-    Brent's method on log(mu) down to a relative width rel_tol (see
+    Brent's method on log(mu) down to a relative width REL_TOL (see
     :func:`_minimize`).  The ratio is 1 at every mu when the herald carries no
     information (eta_h = 0 or d_h = 1): such a herald is refused.
     """
@@ -91,14 +93,12 @@ def optimize_mu(
             "optimal dimming needs eta_h > 0 and d_h < 1: otherwise the herald "
             "does not depend on the pair number and the Fano ratio is 1 at every mu"
         )
-    if not 0.0 < rel_tol < math.inf:
-        raise ValidationError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     point = SourceParams(mu_hi, eta_h, eta_s, d_h)   # validated once: every probed mu <= mu_hi
-    mu_opt, fano_opt, evaluations = _minimize(lambda mu: _fano(point, mu), mu_lo, mu_hi, rel_tol)
+    mu_opt, fano_opt, evaluations = _minimize(lambda mu: _fano(point, mu), mu_lo, mu_hi)
     return OptimizeResult(mu_opt=mu_opt, fano_opt=fano_opt, evaluations=evaluations)
 
 
-def _minimize(objective, mu_lo: float, mu_hi: float, rel_tol: float):
+def _minimize(objective, mu_lo: float, mu_hi: float):
     """(mu, objective(mu), evaluations) at the best mu evaluated on [mu_lo, mu_hi].
 
     Brent's method on x = log(mu): parabolic steps through the three best
@@ -108,8 +108,7 @@ def _minimize(objective, mu_lo: float, mu_hi: float, rel_tol: float):
     slide to a boundary.  When the probe fails, a scan at least 16 points and
     at most a decade apart picks the sub-bracket of its minimum; only a scan
     minimal at an end raises BracketError.  The search stops once the bracket
-    is at most rel_tol wide, or a few double spacings of x when rel_tol is
-    below them.
+    is at most REL_TOL wide.
     """
     evaluations = 0
 
@@ -139,8 +138,7 @@ def _minimize(objective, mu_lo: float, mu_hi: float, rel_tol: float):
     w = v = x
     f_w = f_v = f_x
     step = prev = 0.0
-    # mu = e^x resolves no finer step than a few double spacings of max(|x|, 1)
-    tol = max(rel_tol / 4.0, 4.0 * math.ulp(max(abs(a), abs(b), 1.0)))
+    tol = REL_TOL / 4.0
     while abs(x - (a + b) / 2.0) > 2.0 * tol - (b - a) / 2.0:
         mid = (a + b) / 2.0
         p = q = 0.0

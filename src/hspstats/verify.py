@@ -251,21 +251,12 @@ def _mc_checks(seed: int) -> dict:
 
 def run_verification(
     matrix: str = "default",
-    tolerance: float | None = None,
     seed: int = DEFAULT_SEED,
     with_mc: bool = True,
 ) -> list:
-    """Run every cross-check and return a list of :class:`CheckResult`.
-
-    ``tolerance``, when given, overrides the default tolerance of every
-    check (useful to prove the checks can fail: zero fails every check with
-    a nonzero deviation, a negative value every check); a non-finite one is
-    refused, since it would decide every check whatever the deviation.
-    """
+    """Run every cross-check and return a list of :class:`CheckResult`."""
     if matrix not in MATRIX_SIZES:
         raise ValidationError(f"matrix must be one of {sorted(MATRIX_SIZES)}, got {matrix!r}")
-    if tolerance is not None and not math.isfinite(tolerance):
-        raise ValidationError(f"tolerance must be finite, got {tolerance!r}")
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed!r}")
     n_configs = MATRIX_SIZES[matrix][0]
@@ -273,8 +264,7 @@ def run_verification(
 
     results = []
 
-    def add(check: str, cases: int, dev: float, default_tol: float):
-        tol = default_tol if tolerance is None else tolerance
+    def add(check: str, cases: int, dev: float, tol: float):
         results.append(CheckResult(check, cases, dev, tol, dev <= tol))
 
     for name, dev in _series_checks(configs).items():

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from hspstats import (FilterBranch, FilterSpec, PairStatistics, SourceParams,
                       herald_click_probability, moments_closed_form, moments_from_pmf, records,
                       signal_pmf, xi)
-from hspstats import cli, verify
+from hspstats import analytic, cli, verify
 from hspstats.analytic import heralded_terms, unconditioned_terms
 from hspstats.cli import main
 from hspstats.montecarlo import STREAM_VERSION
@@ -410,11 +412,6 @@ class TestOptimizeCommand:
         assert "does not depend on the pair number" in err
         assert "widen the bracket" not in err
 
-    def test_infinite_rel_tol_is_a_domain_error(self, capsys):
-        code, out, err = run(capsys, "optimize", "--eta-h", "0.5", "--eta-s", "0.5",
-                             "--dark", "1e-4", "--rel-tol", "inf")
-        assert code == 2 and out == "" and "rel_tol" in err
-
     def test_zero_darks_documented_error(self, capsys):
         code, _, err = run(capsys, "optimize", "--eta-h", "0.5", "--eta-s", "0.5",
                            "--dark", "0")
@@ -534,9 +531,10 @@ class TestSimulateCommand:
         assert rec.inputs["numpy"] == numpy.__version__
         assert records.render(rec, fmt) == out
 
-    def test_zero_trials_usage_error(self, capsys):
-        code, _, _ = run(capsys, "simulate", *REF_FLAGS, "--trials", "0")
-        assert code == 1
+    def test_zero_trials_domain_error(self, capsys):
+        # refused by McConfig, like a trial count beyond int64
+        code, out, err = run(capsys, "simulate", *REF_FLAGS, "--trials", "0")
+        assert code == 2 and out == "" and "trials must lie in [1, 2**63), got 0" in err
 
     def test_no_herald_domain_error(self, capsys):
         code, _, _ = run(capsys, "simulate", "--mu", "0", "--dark", "0",
@@ -591,26 +589,19 @@ class TestVerifyCommand:
             "mc_vs_closed_pmf",
         }
 
-    def test_impossible_tolerance_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--matrix", "tiny", "--tolerance", "0")
+    def test_planted_fault_fails_with_status_3(self, capsys, monkeypatch):
+        # the closed moments report a mean 1e-8 relative high, ten times MOMENT_TOL
+        moments = analytic._moments
+
+        def faulty(desc, params):
+            closed = moments(desc, params)
+            return dataclasses.replace(closed, mean=closed.mean * (1.0 + 1e-8))
+
+        monkeypatch.setattr(analytic, "_moments", faulty)
+        code, out, _ = run(capsys, "verify", "--matrix", "tiny")
         assert code == 3
-        rows = records.parse(out).rows
-        assert any(r["status"] == "fail" for r in rows)
-
-    def test_nan_tolerance_is_a_domain_error(self, capsys):
-        code, out, err = run(capsys, "verify", "--matrix", "tiny", "--tolerance", "nan")
-        assert code == 2 and out == "" and "tolerance" in err
-
-    @pytest.mark.parametrize("tolerance", ["inf", "-inf"])
-    def test_infinite_tolerance_is_a_domain_error(self, capsys, tolerance):
-        # inf used to exit 0 with every check "pass"
-        code, out, err = run(capsys, "verify", "--matrix", "tiny", f"--tolerance={tolerance}")
-        assert code == 2 and out == "" and "tolerance must be finite" in err
-
-    def test_finite_negative_tolerance_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--matrix", "tiny", "--tolerance=-1e300")
-        assert code == 3
-        assert all(r["status"] == "fail" for r in records.parse(out).rows)
+        failed = [r["check"] for r in records.parse(out).rows if r["status"] == "fail"]
+        assert failed == ["moments_closed_vs_pmf"]
 
     def test_negative_seed_domain_error(self, capsys):
         code, out, err = run(capsys, "verify", "--matrix", "tiny", "--seed", "-1")
@@ -628,12 +619,6 @@ class TestVerifyCommand:
         assert rec.inputs["seed"] == verify.DEFAULT_SEED
         library = verify.run_verification("tiny")
         assert [r["max_deviation"] for r in rec.rows] == [r.max_deviation for r in library]
-
-    @pytest.mark.parametrize("flag", [["--trials", "100000"], ["--no-mc"]])
-    def test_retired_monte_carlo_flags_are_usage_errors(self, capsys, flag):
-        # every Monte Carlo check runs MC_TRIALS trials; none can be skipped
-        code, out, err = run(capsys, "verify", "--matrix", "tiny", *flag)
-        assert code == 1 and out == "" and "unrecognized arguments" in err
 
     def test_default_matrix_all_pass(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -659,6 +644,34 @@ class TestCommandTable:
     def test_every_subcommand_has_one_handler(self):
         handlers = {name[len("cmd_"):] for name in vars(cli) if name.startswith("cmd_")}
         assert handlers == set(cli.build_parser().commands)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--matrix", "tiny", "--trials", "100000"],
+        ["verify", "--matrix", "tiny", "--no-mc"],
+        ["verify", "--matrix", "tiny", "--tolerance", "0"],
+        ["optimize", "--eta-h", "0.5", "--eta-s", "0.5", "--dark", "1e-4", "--rel-tol", "1e-4"]],
+        ids=["verify-trials", "verify-no-mc", "verify-tolerance", "optimize-rel-tol"])
+    def test_retired_flags_are_usage_errors(self, capsys, argv):
+        # every Monte Carlo check runs MC_TRIALS trials and none can be skipped;
+        # each check keeps its own tolerance, and the search its REL_TOL
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command,key", [("verify", "tolerance"), ("optimize", "rel_tol")])
+    def test_retired_config_keys_are_unknown(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "source.cfg"
+        cfg.write_text(f"eta_h = 0.5\neta_s = 0.5\ndark = 1e-4\nmatrix = tiny\n{key} = 1e-4\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 1 and out == "" and f"unknown config key {key!r}" in err
+
+    def test_readme_names_every_flag_and_no_retired_one(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        named = lambda flag: re.search(re.escape(flag) + r"(?![\w-])", readme) is not None
+        flags = {option for sub in cli.build_parser().commands.values()
+                 for action in sub._actions for option in action.option_strings
+                 if option.startswith("--") and option != "--help"}
+        assert sorted(flag for flag in flags if not named(flag)) == []
+        assert [flag for flag in ("--tolerance", "--rel-tol") if named(flag)] == []
 
     def test_main_calls_the_handler_attribute(self, capsys, monkeypatch):
         # tracers wrap cmd_* by replacing the module attribute: main must call the wrapper

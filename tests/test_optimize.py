@@ -45,8 +45,8 @@ class TestOptimizeMu:
         assert result.fano_opt == pytest.approx(0.512, abs=2e-3)
 
     def test_optimality_certificate(self):
-        result = optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-5, 1.0), rel_tol=1e-5)
-        for side in (1 + 2e-5, 1 - 2e-5):
+        result = optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-5, 1.0))
+        for side in (1 + 2 * optimize.REL_TOL, 1 - 2 * optimize.REL_TOL):
             assert result.fano_opt <= fano(result.mu_opt * side, 0.5, 0.5, 1e-4)
 
     def test_tight_bracket_same_answer(self):
@@ -85,13 +85,6 @@ class TestOptimizeMu:
         assert result.fano_opt == pytest.approx(0.512, abs=2e-3)
         assert result.evaluations == 24   # the probe, 14 scan points, the search
 
-    def test_tolerance_below_double_spacing_terminates(self):
-        # the bracket cannot shrink below the spacing of doubles, so the
-        # search must stop there
-        result = optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-5, 1.0), rel_tol=1e-300)
-        assert 0.014 <= result.mu_opt <= 0.018
-        assert result.evaluations < 200
-
     @pytest.mark.parametrize("bounds", [(1e-5, 1.0), (1e-6, 5.0), (1e-6, 10.0)])
     def test_evaluation_count_reported(self, bounds):
         # the probe passes on these brackets, so no scan runs
@@ -117,9 +110,8 @@ class TestOptimizeMu:
     @pytest.mark.parametrize("eta_s", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("d_h", [1e-5, 1e-4, 1e-3])
     def test_certificate_over_a_grid(self, eta_h, eta_s, d_h):
-        rel_tol = 1e-4
-        result = optimize_mu(eta_h, eta_s, d_h, rel_tol=rel_tol)
-        for side in (1 + 2 * rel_tol, 1 - 2 * rel_tol):
+        result = optimize_mu(eta_h, eta_s, d_h)
+        for side in (1 + 2 * optimize.REL_TOL, 1 - 2 * optimize.REL_TOL):
             assert result.fano_opt <= fano(result.mu_opt * side, eta_h, eta_s, d_h)
         assert result.evaluations < 29   # golden-section search took 29
 
@@ -142,13 +134,6 @@ class TestOptimizeMu:
         # eta_s = 0: the mean photon number is 0 at every mu
         with pytest.raises(ValidationError, match="Fano ratio undefined"):
             optimize_mu(0.5, 0.0, 1e-4)
-
-    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, 0.0])
-    def test_rejects_a_rel_tol_out_of_range(self, monkeypatch, rel_tol):
-        # rel_tol = inf stopped after 3 evaluations, far from the optimum
-        monkeypatch.setattr(optimize, "_fano", None)   # no evaluation may run
-        with pytest.raises(ValidationError, match="rel_tol"):
-            optimize_mu(0.5, 0.5, 1e-4, rel_tol=rel_tol)
 
 
 class TestSweep:
