@@ -536,6 +536,11 @@ class TestSimulateCommand:
         code, out, err = run(capsys, "simulate", *REF_FLAGS, "--trials", "0")
         assert code == 2 and out == "" and "trials must lie in [1, 2**63), got 0" in err
 
+    def test_negative_trials_domain_error(self, capsys):
+        # the CLI has no range check of its own: McConfig refuses every end
+        code, out, err = run(capsys, "simulate", *REF_FLAGS, "--trials", "-1")
+        assert code == 2 and out == "" and "trials must lie in [1, 2**63), got -1" in err
+
     def test_no_herald_domain_error(self, capsys):
         code, _, _ = run(capsys, "simulate", "--mu", "0", "--dark", "0",
                          "--trials", "1000")
@@ -663,6 +668,14 @@ class TestCommandTable:
         cfg.write_text(f"eta_h = 0.5\neta_s = 0.5\ndark = 1e-4\nmatrix = tiny\n{key} = 1e-4\n")
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 1 and out == "" and f"unknown config key {key!r}" in err
+
+    @pytest.mark.parametrize("argv,key", [
+        (["verify", "--matrix", "tiny"], "tolerance"),
+        (["optimize", "--eta-h", "0.5", "--eta-s", "0.5", "--dark", "1e-4"], "rel_tol")],
+        ids=["verify-tolerance", "optimize-rel_tol"])
+    def test_records_echo_no_retired_input(self, capsys, argv, key):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and key not in records.parse(out).inputs
 
     def test_readme_names_every_flag_and_no_retired_one(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
