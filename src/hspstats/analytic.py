@@ -75,9 +75,10 @@ def _check_tol(tol: float):
         raise ValidationError(f"tolerance must be finite and >= {MIN_TOL} and <= 1, got {tol!r}")
 
 
-def _oms(x: float, d_h: float) -> float:
-    """1 - (1-d_h)*exp(-x) for x >= 0, evaluated without cancellation."""
-    return d_h + (1.0 - d_h) * (-math.expm1(-x))
+def _oms(x, d_h: float, expm1=math.expm1):
+    """1 - (1-d_h)*exp(-x) for x >= 0, evaluated without cancellation; with
+    expm1=numpy.expm1, for every entry of an array x."""
+    return d_h + (1.0 - d_h) * (-expm1(-x))
 
 
 def _clicks(params: SourceParams):
@@ -94,16 +95,41 @@ def _pair_law(stat: PairStatistics, mu: float) -> tuple:
     """(N -> P_in(N), n -> bound on P(N > n)) of the Poisson or thermal pair
     law of mean mu >= 0.  The thermal tail is exact; the Poisson bound exceeds
     1 just above n = mu - 2, so it is capped at 1 to stay non-increasing for
-    the truncation searches."""
+    the truncation searches.  Above mu = 32 a Poisson term takes Loader's
+    saddle-point form (:func:`_loader_poisson`), since exp(N log mu - mu -
+    log N!) carries the rounding of its large summands into every term."""
     if mu == 0.0:
         return (lambda N: 1.0 if N == 0 else 0.0), lambda n: 0.0
     if stat is PairStatistics.POISSON:
-        e_mu, log_mu, small = math.exp(-mu), math.log(mu), mu <= 32.0
-        return ((lambda N: (e_mu * mu**N / math.factorial(N) if N <= 32 and small
-                            else math.exp(N * log_mu - mu - math.lgamma(N + 1)))),
-                lambda n: min(_poisson_tail_bound(mu, n), 1.0))
+        e_mu, log_mu = math.exp(-mu), math.log(mu)
+        law = ((lambda N: _loader_poisson(N, mu)) if mu > 32.0
+               else lambda N: (e_mu * mu**N / math.factorial(N) if N <= 32
+                               else math.exp(N * log_mu - mu - math.lgamma(N + 1))))
+        return law, lambda n: min(_poisson_tail_bound(mu, n), 1.0)
     q, den = mu / (1.0 + mu), 1.0 + mu
     return (lambda N: q**N / den), lambda n: q ** (n + 1)
+
+
+def _loader_poisson(N: int, mu: float) -> float:
+    """Po(mu, N) = exp(-stirlerr(N) - bd0(N, mu))/sqrt(2 pi N), with
+    stirlerr(N) = log N! - log(sqrt(2 pi N) (N/e)^N) and bd0(N, mu) = N log(N/mu)
+    + mu - N, the latter by its series in v = (N - mu)/(N + mu) near the mode
+    (C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
+    2000, as in R's dpois)."""
+    if N == 0:
+        return math.exp(-mu)
+    nn, d = N * N, N - mu
+    stirlerr = (math.lgamma(N + 1.0) - (N + 0.5) * math.log(N) + N - 0.5 * math.log(2 * math.pi)
+                if N <= 15 else (1/12 - (1/360 - (1/1260 - (1/1680 - 1/1188/nn)/nn)/nn)/nn)/N)
+    if abs(d) >= 0.1 * (N + mu):
+        bd0 = N * math.log(N / mu) - d
+    else:
+        v = d / (N + mu)
+        bd0, odd, v2, j = d * v, 2.0 * N * v, v * v, 3
+        while bd0 + odd * v2 / j != bd0:
+            odd *= v2
+            bd0, j = bd0 + odd / j, j + 2
+    return math.exp(-stirlerr - bd0) / math.sqrt(2.0 * math.pi * N)
 
 
 def effective_dark_count(params: SourceParams, f: float) -> float:
@@ -160,6 +186,9 @@ def _click_fraction(desc: tuple, eta_h: float) -> tuple:
 def _factor(desc: tuple, params: SourceParams) -> tuple:
     """1/P_click, terms() over p(0), p(1), ... and xis(start) over xi(start),
     xi(start + 1), ... of a described configuration (fresh iterators).
+    terms(count) names how many terms the caller takes: a thermal base
+    without extra photons then gives count >= _ARRAY_FROM terms as one numpy
+    array, whose power and expm1 may round a term a few ulp off the loop's.
 
     With oms(x) = 1 - (1-d)e^(-x) and lq = -log(1-eta_h), n kept-mode signal
     photons herald with probability oms(x_n), x_n = (n+1)L + n lq + x0, with
@@ -205,7 +234,16 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     factor = lambda n: sup * _oms((n + 1) * l_ratio + (n * lq if n else 0.0) + x0, dark)
     if lam == 0.0:
         law = _pair_law(base, a)[0]
-        terms = lambda: (law(n) * factor(n) for n in itertools.count())
+
+        def terms(count=None):
+            if count is None or count < _ARRAY_FROM or base is _POISSON:
+                return (law(n) * factor(n) for n in itertools.count())
+            import numpy as np
+            n = np.arange(count, dtype=float)
+            x = (n + 1.0) * l_ratio
+            x[1:] += n[1:] * lq     # not at n = 0, where lq = inf would give nan
+            return law(n) * (sup * _oms(x + x0, dark, np.expm1))
+
         return sup, terms, lambda start: map(factor, itertools.count(start))
 
     q = a / (1.0 + a)
@@ -214,7 +252,7 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     r, s = math.exp(-(l_ratio + lq)), -math.expm1(-(l_ratio + lq))
     qr, qs = q * r, q * (sup * s)
 
-    def terms():
+    def terms(count=None):
         po = math.exp(-lam)
         c, d = po * h0, po / (1.0 + a)
         for n in itertools.count(1):
@@ -293,8 +331,8 @@ def _binomial_rows(eta: float):
     return rows
 
 
-def _thin(weights, eta: float) -> list:
-    """sum_N w[N] Binomial(N, eta) as a list over survivors, in blocks of _BLOCK
+def _thin(weights, eta: float):
+    """sum_N w[N] Binomial(N, eta) as a numpy array over survivors, in blocks of _BLOCK
     pair numbers: with M from :func:`_binomial_rows`, one matrix product thins
     every block, and Horner over blocks combines them, since
     (1-eta + eta*z)^_BLOCK has the coefficients M[_BLOCK].  Only positive floats
@@ -310,7 +348,7 @@ def _thin(weights, eta: float) -> list:
     for block in blocks[-2::-1]:
         poly = np.convolve(poly, rows[_BLOCK])
         poly[:_BLOCK] += block
-    return poly[:len(weights)].tolist()
+    return poly[:len(weights)]
 
 
 def _herald_weights(stat: PairStatistics, mu: float, click, stop: float) -> tuple:
@@ -334,12 +372,12 @@ def _herald_weights(stat: PairStatistics, mu: float, click, stop: float) -> tupl
         f"pair sum failed to converge within {TERM_CAP} terms (mu={mu!r})")
 
 
-# Thermal pair sums predicted to hold at least this many terms are built in
-# one numpy pass, shorter ones by the loop.  Each numpy call costs about 1 us,
-# so the pass has a fixed cost of about 11 us that the loop's 0.4 to 0.5 us
-# per pair repays from about 25 terms (per-call times on a 2-CPU x86-64 VM,
-# numpy 2.4); from 64 on the pass builds the weights in under half the loop's
-# time, and every shorter sum keeps the loop's weights bit for bit.
+# Thermal pair sums predicted to hold, and thermal-base closed-form pmfs
+# without extra photons that hold, at least this many terms are built in one
+# numpy pass, shorter ones by the loop, bit for bit.  A pass costs about 11 us
+# of numpy calls, which the loop's 0.4 to 1 us per term repays from 25 to 30
+# terms; the pair sum's array steps after thinning break even near 90 pair
+# terms, below which its array weights gain more (2-CPU x86-64 VM, numpy 2.4).
 _ARRAY_FROM = 64
 
 
@@ -390,8 +428,10 @@ def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourcePa
     Two paths build the herald-weighted law.  A thermal one predicted
     (:func:`_predicted_length`) to hold _ARRAY_FROM terms or more is built by
     :func:`_array_weights`, which keeps the loop's stop rule and differs from
-    its weights in the last digits only; every other law, the extra Poisson
-    law included, by the loop of :func:`_herald_weights`.
+    its weights in the last digits only, and the steps after thinning stay
+    on its numpy array (:func:`_cut_array`); every other law, the extra
+    Poisson law included, is built by the loop of :func:`_herald_weights` and
+    finished by the list steps of :func:`_cut`.
 
     One truncation rule: each pair law stops once its remaining input mass is
     at most tol/10 of its sum, and tail_bound is the mass the stored terms
@@ -404,15 +444,24 @@ def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourcePa
     _check_tol(tol)
     _check_heraldable(params.d_h, mu * params.eta_h)
     stop = 0.1 * tol
-    if stat is not _POISSON and _predicted_length(mu, stop) >= _ARRAY_FROM:
+    long = stat is not _POISSON and _predicted_length(mu, stop) >= _ARRAY_FROM
+    if long:
         weights, herald_sum = _array_weights(mu, params, stop)
     else:
         weights, herald_sum = _herald_weights(stat, mu, _clicks(params), stop)
     probs, summed = _thin(weights, params.eta_s), len(weights)
     if extra_mu > 0.0:
         extra = _herald_weights(PairStatistics.POISSON, extra_mu, lambda N: 1.0, stop)[0]
-        probs = np.convolve(probs, _thin(extra, params.eta_s)).tolist()
+        probs = np.convolve(probs, _thin(extra, params.eta_s))
         summed += len(extra)
+    if long:
+        return _cut_array(probs, herald_sum, summed, stop, tol)
+    return _cut(probs.tolist(), herald_sum, summed, stop, tol)
+
+
+def _cut(probs: list, herald_sum: float, summed: int, stop: float, tol: float) -> Pmf:
+    """The pmf of :func:`_pair_sum` from its thinned terms: divided by the
+    herald sum, clamped, and cut to the fewest terms with tail_bound <= tol."""
     # sums of k positive terms round by under k/2 ulp each, so summed ulp
     # bound the rounding of each quotient
     probs = _clamped([x / herald_sum for x in probs], len(probs), summed)
@@ -422,6 +471,19 @@ def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourcePa
     beyond = [0.0, *itertools.accumulate(reversed(probs[1:]))]
     cut = max(bisect.bisect_right(beyond, tol, key=bound) - 1, 0)
     return Pmf(probs[:len(probs) - cut], bound(beyond[cut]))
+
+
+def _cut_array(probs, herald_sum: float, summed: int, stop: float, tol: float) -> Pmf:
+    """:func:`_cut` of a numpy array, which it overwrites, with the same bits:
+    each quotient rounds once, cumsum adds in the order of accumulate, and
+    searchsorted finds bisect's cut."""
+    import numpy as np
+    probs /= herald_sum
+    values = _clamped(probs, len(probs), summed)   # clamps probs in place too
+    missing = max(1.0 - math.fsum(values), 0.0)
+    bounds = missing + np.concatenate(([0.0], np.cumsum(probs[:0:-1]))) + stop
+    cut = max(int(np.searchsorted(bounds, tol, side="right")) - 1, 0)
+    return Pmf(values[:len(values) - cut], float(bounds[cut]))
 
 
 def conditional_pmf_series(
@@ -467,14 +529,20 @@ def signal_pmf(
     while tail(hi) > 0.9 * tol:
         hi = 2 * hi + 1
     order = bisect.bisect_left(range(hi + 1), True, hi // 2, key=lambda n: tail(n) <= 0.9 * tol)
-    return Pmf(_clamped(terms(), order + 1), tail(order) + 0.1 * tol)
+    return Pmf(_clamped(terms(order + 1), order + 1), tail(order) + 0.1 * tol)
 
 
-def _clamped(terms, count: int, ulps: int = 4) -> tuple:
-    """The first count pmf terms.  A term that rounds at most ulps ulp above 1
-    is exactly 1 (tiny a or eta_s); a larger excess is left for Pmf to reject."""
-    return tuple([1.0 if 1.0 < p <= 1.0 + ulps * sys.float_info.epsilon else p
-                  for p in itertools.islice(terms, count)])
+def _clamped(terms, count: int, ulps: int = 4):
+    """The first count pmf terms, as a tuple from an iterator, or as a list
+    from a numpy array, which is clamped in place.  A term that rounds at
+    most ulps ulp above 1 is exactly 1 (tiny a or eta_s); a larger excess is
+    left for Pmf to reject."""
+    top = 1.0 + ulps * sys.float_info.epsilon
+    if not hasattr(terms, "tolist"):
+        return tuple([1.0 if 1.0 < p <= top else p for p in itertools.islice(terms, count)])
+    terms = terms[:count]
+    terms[(terms > 1.0) & (terms <= top)] = 1.0
+    return terms.tolist()
 
 
 def heralded_terms(stat: PairStatistics, params: SourceParams, filt: FilterSpec,

@@ -12,9 +12,11 @@ import random
 import re
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -102,6 +104,45 @@ class TestInputPmf:
         for stat, ref in refs.items():
             rel = 4e-16 * (1.0 + N * abs(math.log(mu)) + mu + math.lgamma(N + 1))
             assert _pair_law(stat, mu)[0](N) == pytest.approx(float(ref), rel=rel, abs=0.0), stat
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.3, 5.0, 20.0, 31.9, 32.0])
+    def test_poisson_terms_up_to_mean_32_keep_their_form(self, mu):
+        # the benchmark's inputs stay below mean 32, so their terms keep these bits
+        law = _pair_law(POISSON, mu)[0]
+        for N in range(120):
+            want = (math.exp(-mu) * mu**N / math.factorial(N) if N <= 32
+                    else math.exp(N * math.log(mu) - mu - math.lgamma(N + 1)))
+            assert law(N) == want, N
+
+    @pytest.mark.parametrize("mu", [32.5, 100.0, 291.0, 300.0, 500.0, 1000.0])
+    def test_bright_poisson_terms_against_40_digit_reference(self, mu):
+        # Loader's form: exp(x) still carries the rounding of x, so the bound
+        # grows with |log p|.  Measured first over 150 log-uniform means in
+        # (32, 1000] and every term >= 1e-300: worst 21.2 eps (1 + |log p|);
+        # exp(N log mu - mu - log N!) reached 1365 and summed to 1 - 2.5e-13
+        mp = pytest.importorskip("mpmath")
+        law, eps = _pair_law(POISSON, mu)[0], sys.float_info.epsilon
+        top = int(mu + 40.0 * math.sqrt(mu) + 50.0)
+        assert math.fsum(law(N) for N in range(top)) == pytest.approx(1.0, rel=0.0, abs=eps)
+        with mp.workdps(40):
+            m = mp.mpf(mu)
+            for N in range(0, top, 7):
+                ref = mp.exp(N * mp.log(m) - m - mp.loggamma(N + 1))
+                if ref >= 1e-300:
+                    bound = 32 * eps * (1.0 + abs(float(mp.log(ref))))
+                    assert law(N) == pytest.approx(float(ref), rel=bound, abs=0.0), N
+
+    @pytest.mark.parametrize("mu", [32.01, 35.0, 50.0])
+    def test_poisson_terms_where_the_stirling_series_starts(self, mu):
+        # stirlerr(N) leaves lgamma for its series at N = 16, where the
+        # series needs its last term; measured worst 15.6 eps over N = 16..35
+        mp = pytest.importorskip("mpmath")
+        law = _pair_law(POISSON, mu)[0]
+        with mp.workdps(40):
+            m = mp.mpf(mu)
+            for N in range(16, 36):
+                ref = float(mp.exp(N * mp.log(m) - m - mp.loggamma(N + 1)))
+                assert law(N) == pytest.approx(ref, rel=32 * sys.float_info.epsilon, abs=0.0), N
 
 
 class TestXi:
@@ -388,6 +429,34 @@ class TestSignalPmf:
         assert time.perf_counter() - start < 0.05
         assert _needed_terms(info.value) > 100_001
 
+    @pytest.mark.parametrize("stat, mu, need", [
+        (POISSON, 1e7, 5_000_000),          # the kept mean a = mu eta_s
+        (POISSON, 198_000.0, 100_002),      # at least TERM_CAP + 2
+        (THERMAL, 1e7, 138_681_924),        # where the exact thermal tail meets tol
+        (THERMAL, 1e300, 2**63),            # capped
+    ])
+    def test_refusal_names_the_terms_it_needs(self, stat, mu, need):
+        with pytest.raises(SeriesOverflowError) as info:
+            signal_pmf(stat, SourceParams(mu, 0.5, 0.5, 1e-4))
+        assert _needed_terms(info.value) == need
+
+    @pytest.mark.parametrize("stat, mu, rate", [(POISSON, 1e-318, "6.99997e-319"),
+                                                (THERMAL, 3e-309, "2.1e-309")])
+    def test_refusal_names_the_herald_rate(self, stat, mu, rate):
+        with pytest.raises(SeriesOverflowError) as info:
+            signal_pmf(stat, SourceParams(mu, 0.7, 0.5, 0.0))
+        assert str(info.value) == f"herald rate {rate} is too small: 1/P_click leaves double range"
+
+    @pytest.mark.parametrize("mu", [291.0, 300.0, 500.0, 1000.0])
+    @pytest.mark.parametrize("eta_s", [0.5, 1.0])
+    def test_bright_poisson_source_is_accepted(self, mu, eta_s):
+        # Pmf refuses a law whose terms sum short of 1 by more than the tail
+        # bound, as exp(N log mu - mu - log N!) did from mean 291 on
+        p = SourceParams(mu, 0.5, eta_s, 1e-3)
+        pmf = signal_pmf(POISSON, p)
+        assert pmf.tail_bound <= analytic.DEFAULT_TOL
+        assert moments_from_pmf(pmf).mean == pytest.approx(moments_closed_form(p).mean, rel=1e-11)
+
     @pytest.mark.parametrize("stat, filt", [
         (THERMAL, NO_FILTER),
         (POISSON, FilterSpec(FilterBranch.SIGNAL, 0.3)),
@@ -429,7 +498,7 @@ class TestSignalPmf:
 
         def overshooting(desc, params):
             sup, _, xis = real(desc, params)
-            return sup, lambda: iter([1.0 + excess * sys.float_info.epsilon]), xis
+            return sup, lambda count=None: iter([1.0 + excess * sys.float_info.epsilon]), xis
 
         monkeypatch.setattr(analytic, "_factor", overshooting)
         params = SourceParams(0.5, 0.5, 0.0, 1e-4)     # eta_s = 0: one term
@@ -572,11 +641,12 @@ class TestThinning:
     def test_single_weight_is_returned_as_is(self):
         assert _thin([0.375], 0.3) == [0.375]
 
-    def test_returns_a_list_of_python_floats(self):
-        # the pair sum divides and slices the result and Pmf stores it
-        got = _thin([0.5, 0.25, 0.125], 0.3)
-        assert type(got) is list
-        assert all(type(x) is float for x in got)
+    @pytest.mark.parametrize("size", [1, 3, 32, 33, 100])
+    def test_returns_a_writable_float_array(self, size):
+        # the pair sum's array steps divide and clamp the result in place;
+        # a view of the cached, read-only binomial rows would refuse that
+        got = _thin([0.5 ** N for N in range(size)], 0.3)
+        assert got.dtype == float and got.shape == (size,) and got.flags.writeable
 
     def test_high_mu_oracles_stay_finite(self):
         # about 1200 pairs: C(N, n) no longer fits in a double
@@ -681,6 +751,110 @@ class TestArrayWeights:
             assert max_term_dev(conditional_pmf_series(stat, p), signal_pmf(stat, p)) < SERIES_TOL
         closed = signal_pmf(POISSON, p, FilterSpec(FilterBranch.HERALD, 0.5))
         assert max_term_dev(herald_filter_convolution_oracle(p, 0.5), closed) < SERIES_TOL
+
+
+class TestArrayTerms:
+    """The numpy pass that forms long thermal-base closed-form pmfs, against
+    the loop of _factor.  numpy's power and expm1 round differently from
+    math's: worst 2.5 epsilon relative over 1,500 random configurations
+    (mu 1e-3 to 300) before this test was written, the same bound as
+    TestArrayWeights."""
+
+    RTOL = TestArrayWeights.RTOL
+    CONFIGS = [(THERMAL, NO_FILTER), (POISSON, FilterSpec(FilterBranch.SIGNAL, 0.5)),
+               (POISSON, FilterSpec(FilterBranch.SIGNAL, 1.0)),
+               (POISSON, FilterSpec(FilterBranch.HERALD, 1.0))]
+
+    @staticmethod
+    def loop_terms(desc, params, count):
+        """Th(a, n) sup oms(x_n) one term at a time, written out from the
+        closed form of a thermal base without extra photons."""
+        _, m, dark, _ = desc
+        eta_h, eta_s = params.eta_h, params.eta_s
+        sup = (1.0 + m * eta_h) / (dark + m * eta_h)
+        lq = math.inf if eta_h == 1.0 else -math.log1p(-eta_h)
+        ratio = math.log1p(m * eta_h * (1.0 - eta_s) / (1.0 + m * eta_s))
+        a = m * eta_s
+        q = a / (1.0 + a)
+        x = [(n + 1) * ratio + (n * lq if n else 0.0) + 0.0 for n in range(count)]
+        return [q**n / (1.0 + a) * (sup * (dark + (1.0 - dark) * -math.expm1(-x[n])))
+                for n in range(count)]
+
+    @pytest.mark.parametrize("mu", TestArrayWeights.MEANS)
+    def test_equal_to_the_loop_within_rounding(self, mu, monkeypatch):
+        long = 0
+        for (stat, filt), eta_h, d_h in itertools.product(
+                self.CONFIGS, (0.05, 0.6, 1.0), (0.0, 1e-4, 0.3)):
+            params = SourceParams(mu, eta_h, 0.5, d_h)
+            got = signal_pmf(stat, params, filt)
+            with monkeypatch.context() as patch:
+                patch.setattr(analytic, "_ARRAY_FROM", math.inf)
+                want = signal_pmf(stat, params, filt)
+            assert len(got) == len(want) and got.tail_bound == want.tail_bound
+            assert got.probs == pytest.approx(
+                want.probs, rel=self.RTOL, abs=self.RTOL * sys.float_info.min), params
+            long += len(got) >= analytic._ARRAY_FROM
+        assert long > 0 or mu <= 3.0
+
+    @pytest.mark.parametrize("stat, filt", CONFIGS)
+    def test_perfect_heralds_raise_no_warning(self, stat, filt):
+        # eta_h = 1 makes lq infinite, and 0 * inf at n = 0 would be nan
+        for mu in (10.0, 30.0, 400.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pmf = signal_pmf(stat, SourceParams(mu, 1.0, 0.5, 0.0), filt)
+            assert len(pmf) >= analytic._ARRAY_FROM
+            assert all(math.isfinite(p) for p in pmf.probs)
+
+    @pytest.mark.parametrize("stat, filt", CONFIGS)
+    def test_only_signal_pmf_takes_the_pass(self, stat, filt, monkeypatch):
+        # heads, xi and moments keep their bits at any count: the loop's terms
+        params = SourceParams(20.0, 0.6, 0.5, 1e-4)
+        desc = analytic._describe(stat, params, filt)
+        head = analytic._head(desc, params, 300)
+        assert list(head) == self.loop_terms(desc, params, 300)
+        outputs = lambda: (analytic._head(desc, params, 300),
+                           xi_values(stat, params, filt, 300),
+                           moments_closed_form(params, stat, filt))
+        loop = outputs()
+        monkeypatch.setattr(analytic, "_ARRAY_FROM", 0)
+        assert outputs() == loop
+
+
+class TestPairSumSteps:
+    """The pair sum's steps after thinning, by lists (_cut) and by numpy
+    (_cut_array), on the same thinned input."""
+
+    @staticmethod
+    def thinned(mu, params, extra_mu, stop):
+        weights, herald_sum = analytic._array_weights(mu, params, stop)
+        probs = _thin(weights, params.eta_s)
+        if extra_mu > 0.0:
+            extra = analytic._herald_weights(POISSON, extra_mu, lambda N: 1.0, stop)[0]
+            probs = np.convolve(probs, _thin(extra, params.eta_s))
+        return probs, herald_sum, len(weights)
+
+    @pytest.mark.parametrize("mu", [0.5, 5.0, 20.0, 100.0])
+    @pytest.mark.parametrize("eta_s", [0.0, 1e-12, 0.5, 1.0])
+    def test_array_and_list_forms_give_equal_pmfs(self, mu, eta_s):
+        # eta_s = 0 and 1e-12 round p(0) above 1, where the clamp acts
+        for extra_mu, tol in itertools.product((0.0, 3.0), (1e-13, 1e-12, 1e-7)):
+            params = SourceParams(mu, 0.6, eta_s, 1e-4)
+            probs, herald_sum, summed = self.thinned(mu, params, extra_mu, 0.1 * tol)
+            listed = analytic._cut(probs.tolist(), herald_sum, summed, 0.1 * tol, tol)
+            arrayed = analytic._cut_array(probs, herald_sum, summed, 0.1 * tol, tol)
+            assert arrayed == listed, (extra_mu, tol)
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-12, 1e-7])
+    def test_keeps_the_fewest_terms_within_tol(self, tol):
+        # one term fewer would leave the bound above tol (the cut's sign)
+        for p in HIGH_MU_GRID[::4]:
+            pmfs = [conditional_pmf_series(stat, p, tol) for stat in (POISSON, THERMAL)]
+            pmfs += [herald_filter_convolution_oracle(p, f, tol) for f in (1.0, 0.5)]
+            for pmf in pmfs:
+                assert pmf.tail_bound <= tol
+                if len(pmf) > 1:
+                    assert pmf.tail_bound + pmf.probs[-1] * (1.0 + 1e-9) > tol, p
 
 
 class TestPairLawTails:

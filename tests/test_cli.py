@@ -184,6 +184,13 @@ class TestPmfCommand:
         rec = records.parse(out)
         assert rec.rows[0]["p_heralded"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_bright_poisson_source(self, capsys):
+        # a Poisson law that sums short of 1 by more than its tail bound is refused
+        code, out, err = run(capsys, "pmf", "--mu", "1000", "--eta-h", "0.5", "--eta-s", "0.5",
+                             "--dark", "1e-3")
+        assert code == 0 and err == ""
+        assert records.parse(out).rows
+
     def test_no_herald_is_domain_error(self, capsys):
         code, _, err = run(capsys, "pmf", "--mu", "0", "--dark", "0")
         assert code == 2
