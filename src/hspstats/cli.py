@@ -217,7 +217,7 @@ def _parse_grid(s: dict) -> tuple:
         start, stop, points = float(start), float(stop), int(points)
     except ValueError as exc:
         raise UsageError(f"bad --logspace: {exc}") from None
-    if start <= 0 or stop <= start or not 2 <= points <= TERM_CAP:
+    if not 0 < start < stop or not 2 <= points <= TERM_CAP:   # also true for nan
         raise UsageError(f"--logspace needs 0 < START < STOP and 2 <= POINTS <= {TERM_CAP}")
     ratio = (stop / start) ** (1.0 / (points - 1))
     return tuple(start * ratio**i for i in range(points))

@@ -57,7 +57,7 @@ def _check_unit(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SourceParams:
     """Physical parameters of one HSPS configuration.
 
@@ -72,17 +72,16 @@ class SourceParams:
     eta_s: float
     d_h: float
 
-    def __post_init__(self):
-        mu = float(self.mu)
+    def __init__(self, mu: float, eta_h: float, eta_s: float, d_h: float):
+        mu = float(mu)
         if not math.isfinite(mu) or mu < 0.0:
             raise ValidationError(f"mu must be finite and >= 0, got {mu!r}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "eta_h", _check_unit("eta_h", self.eta_h))
-        object.__setattr__(self, "eta_s", _check_unit("eta_s", self.eta_s))
-        object.__setattr__(self, "d_h", _check_unit("d_h", self.d_h))
+        fields = self.__dict__   # written once, as in MomentSummary
+        fields["mu"], fields["eta_h"], fields["eta_s"], fields["d_h"] = (
+            mu, _check_unit("eta_h", eta_h), _check_unit("eta_s", eta_s), _check_unit("d_h", d_h))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FilterSpec:
     """Mode filter placement and transmitted mode fraction f.
 
@@ -95,15 +94,15 @@ class FilterSpec:
     branch: FilterBranch = FilterBranch.NONE
     f: float = 1.0
 
-    def __post_init__(self):
-        if not isinstance(self.branch, FilterBranch):
-            raise ValidationError(f"branch must be a FilterBranch, got {self.branch!r}")
-        f = float(self.f)
+    def __init__(self, branch: FilterBranch = FilterBranch.NONE, f: float = 1.0):
+        if not isinstance(branch, FilterBranch):
+            raise ValidationError(f"branch must be a FilterBranch, got {branch!r}")
+        f = float(f)
         if not math.isfinite(f) or not MIN_MODE_FRACTION <= f <= 1.0:
             raise ValidationError(
                 f"mode fraction f must lie in [{MIN_MODE_FRACTION}, 1], got {f!r}"
             )
-        object.__setattr__(self, "f", f)
+        self.__dict__["branch"], self.__dict__["f"] = branch, f
 
 
 NO_FILTER = FilterSpec(FilterBranch.NONE, 1.0)

@@ -8,7 +8,7 @@ Brent's method on log(mu), parabolic steps with golden-section fallback;
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analytic import _POISSON, _describe, _head, _moments
 from .errors import BracketError, HspsError, ValidationError
@@ -42,7 +42,7 @@ class OptimizeResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepRow:
     """One grid point: the swept value, its moments, leading pmf terms, or
     the error message that prevented evaluation."""
@@ -51,6 +51,12 @@ class SweepRow:
     moments: MomentSummary | None
     pmf_head: tuple | None
     error: str | None = None
+
+    def __init__(self, value: float, moments: MomentSummary | None, pmf_head: tuple | None,
+                 error: str | None = None):
+        fields = self.__dict__
+        fields["value"], fields["moments"], fields["pmf_head"], fields["error"] = (
+            value, moments, pmf_head, error)
 
 
 @dataclass(frozen=True)
@@ -190,16 +196,21 @@ def sweep(
     grid = tuple(float(v) for v in grid)
     if not grid:
         raise ValidationError("sweep grid must not be empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if any(not a < b for a, b in zip(grid, grid[1:])):   # also true for nan
         raise ValidationError("sweep grid must be strictly increasing")
     _describe(stat, params, filt)   # raises for a configuration no point can take
 
+    args = [params.mu, params.eta_h, params.eta_s, params.d_h]   # SWEEP_AXES order
+    slot = SWEEP_AXES.index(axis)
     rows = []
     for value in grid:
         moments = head = error = None
         try:
-            point = params if axis == "f" else replace(params, **{axis: value})
-            point_filt = replace(filt, f=value) if axis == "f" else filt
+            if axis == "f":
+                point, point_filt = params, FilterSpec(filt.branch, value)
+            else:
+                args[slot] = value
+                point, point_filt = SourceParams(*args), filt
             desc = _describe(stat, point, point_filt)
             moments = _moments(desc, point)
             head = _head(desc, point, PMF_HEAD)

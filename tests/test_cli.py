@@ -459,10 +459,18 @@ class TestSweepCommand:
                              "--grid", "0.5,1")
         assert code == 1 and out == "" and "--filter" in err
 
-    def test_bad_logspace_usage_error(self, capsys):
-        code, _, err = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu",
-                           "--logspace", "a", "1", "5")
-        assert code == 1 and "logspace" in err
+    @pytest.mark.parametrize("grid", ["0.5,0.1", "0.1,nan,0.5"])
+    def test_grid_not_strictly_increasing_domain_error(self, capsys, grid):
+        code, out, err = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu", "--grid", grid)
+        assert code == 2 and out == "" and "strictly increasing" in err
+
+    @pytest.mark.parametrize("logspace", [("a", "1", "5"), ("nan", "1", "3"), ("1e-3", "nan", "3")],
+                             ids=["non-numeric", "nan-start", "nan-stop"])
+    def test_bad_logspace_usage_error(self, capsys, logspace):
+        # a nan START or STOP once passed the order check and printed nan rows
+        code, out, err = run(capsys, "sweep", *REF_FLAGS, "--axis", "mu",
+                             "--logspace", *logspace)
+        assert code == 1 and out == "" and "logspace" in err
 
     @pytest.mark.parametrize("points", [100_001, 10**20])
     def test_logspace_points_above_the_cap_usage_error(self, capsys, points):

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import pickle
 
+import numpy
 import pytest
 
 from hspstats import (
@@ -16,6 +19,7 @@ from hspstats import (
 )
 from hspstats import records
 from hspstats.model import to_record
+from hspstats.optimize import SweepRow
 
 
 class TestSourceParams:
@@ -159,3 +163,109 @@ class TestSerialization:
     def test_pair_statistics_values(self):
         assert PairStatistics("poisson") is PairStatistics.POISSON
         assert PairStatistics("thermal") is PairStatistics.THERMAL
+
+
+# (type, positional arguments, field names, default values) of each value type
+# whose __init__ writes its fields straight into the instance dict
+VALUE_TYPES = {
+    "SourceParams": (SourceParams, (0.01, 0.5, 0.25, 1e-4), ("mu", "eta_h", "eta_s", "d_h"),
+                     {}),
+    "FilterSpec": (FilterSpec, (FilterBranch.HERALD, 0.3), ("branch", "f"),
+                   {"branch": FilterBranch.NONE, "f": 1.0}),
+    "SweepRow": (SweepRow, (0.1, MomentSummary(0.5, 0.25, 0.5, 0.0), (0.5, 0.5, 0.0, 0.0),
+                            "refused"),
+                 ("value", "moments", "pmf_head", "error"), {"error": None}),
+}
+
+
+each_type = pytest.mark.parametrize("cls, args, names, defaults", list(VALUE_TYPES.values()),
+                                    ids=list(VALUE_TYPES))
+
+
+class TestValueTypes:
+    @each_type
+    def test_positional_and_keyword_construction_agree(self, cls, args, names, defaults):
+        a, b = cls(*args), cls(**dict(zip(names, args)))
+        assert a == b and hash(a) == hash(b)
+        assert tuple(getattr(a, name) for name in names) == args
+
+    @each_type
+    def test_fields_and_asdict_are_unchanged(self, cls, args, names, defaults):
+        fields = dataclasses.fields(cls)
+        assert tuple(f.name for f in fields) == names
+        assert {f.name: f.default for f in fields if f.default is not dataclasses.MISSING} \
+            == defaults
+        obj = cls(*args)
+        assert dataclasses.asdict(obj) == {
+            name: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v
+            for name, v in zip(names, args)}
+
+    def test_defaults(self):
+        assert FilterSpec() == NO_FILTER
+        assert SweepRow(0.1, None, None).error is None
+
+    def test_replace_substitutes_one_field(self):
+        row = SweepRow(0.1, None, None, "refused")
+        assert dataclasses.replace(row, error=None) == SweepRow(0.1, None, None, None)
+        params = SourceParams(0.01, 0.5, 0.5, 1e-4)
+        assert dataclasses.replace(params, eta_s=0.75) == SourceParams(0.01, 0.5, 0.75, 1e-4)
+        filt = FilterSpec(FilterBranch.HERALD, 0.3)
+        assert dataclasses.replace(filt, f=0.5) == FilterSpec(FilterBranch.HERALD, 0.5)
+
+    @pytest.mark.parametrize("obj, field, bad, message", [
+        (SourceParams(0.01, 0.5, 0.5, 1e-4), "mu", -1.0, "mu must be finite and >= 0, got -1.0"),
+        (SourceParams(0.01, 0.5, 0.5, 1e-4), "eta_s", 1.5, "eta_s must lie in [0, 1], got 1.5"),
+        (SourceParams(0.01, 0.5, 0.5, 1e-4), "d_h", math.nan, "d_h must lie in [0, 1], got nan"),
+        (FilterSpec(FilterBranch.SIGNAL, 0.5), "f", 0.0,
+         "mode fraction f must lie in [1e-06, 1], got 0.0"),
+        (FilterSpec(FilterBranch.SIGNAL, 0.5), "branch", "signal",
+         "branch must be a FilterBranch, got 'signal'"),
+    ])
+    def test_replace_still_validates_and_names_the_field(self, obj, field, bad, message):
+        with pytest.raises(ValidationError) as exc:
+            dataclasses.replace(obj, **{field: bad})
+        assert str(exc.value) == message
+
+    def test_checks_run_in_field_order(self):
+        with pytest.raises(ValidationError, match="^mu "):
+            SourceParams(-1.0, 2.0, 2.0, 2.0)
+        with pytest.raises(ValidationError, match="^eta_h "):
+            SourceParams(1.0, 2.0, 2.0, 2.0)
+        with pytest.raises(ValidationError, match="^eta_s "):
+            SourceParams(1.0, 0.5, 2.0, 2.0)
+        with pytest.raises(ValidationError, match="^branch "):
+            FilterSpec(None, 0.0)
+
+    @each_type
+    def test_assignment_raises(self, cls, args, names, defaults):
+        obj = cls(*args)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, args[0])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        assert tuple(getattr(obj, name) for name in names) == args
+
+    @each_type
+    def test_pickle_round_trip(self, cls, args, names, defaults):
+        obj = cls(*args)
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj) and type(back) is cls
+
+    @pytest.mark.parametrize("obj, text", [
+        (SourceParams(0.01, 0.5, 0.25, 1e-4),
+         "SourceParams(mu=0.01, eta_h=0.5, eta_s=0.25, d_h=0.0001)"),
+        (FilterSpec(FilterBranch.HERALD, 0.3),
+         "FilterSpec(branch=<FilterBranch.HERALD: 'herald'>, f=0.3)"),
+        (SweepRow(0.1, None, None, "refused"),
+         "SweepRow(value=0.1, moments=None, pmf_head=None, error='refused')"),
+    ], ids=list(VALUE_TYPES))
+    def test_repr(self, obj, text):
+        assert repr(obj) == text
+
+    @pytest.mark.parametrize("raw", [1, numpy.float64(0.5), "0.5"], ids=["int", "float64", "str"])
+    def test_numbers_are_stored_as_float(self, raw):
+        params = SourceParams(raw, raw, raw, raw)
+        filt = FilterSpec(FilterBranch.SIGNAL, raw)
+        for value in (params.mu, params.eta_h, params.eta_s, params.d_h, filt.f):
+            assert type(value) is float and value == float(raw)

@@ -19,6 +19,12 @@ from hspstats import (
 )
 from hspstats.optimize import PMF_HEAD, SWEEP_AXES
 
+CONFIGS = [(PairStatistics.POISSON, FilterSpec()),
+           (PairStatistics.THERMAL, FilterSpec()),
+           (PairStatistics.POISSON, FilterSpec(FilterBranch.SIGNAL, 0.3)),
+           (PairStatistics.POISSON, FilterSpec(FilterBranch.HERALD, 0.3))]
+CONFIG_IDS = ["poisson", "thermal", "signal", "herald"]
+
 
 def fano(mu, eta_h, eta_s, d_h):
     """Fano ratio of a Poisson source, from the closed moments."""
@@ -172,22 +178,35 @@ class TestSweep:
         assert result.rows[0].moments is None
         assert result.rows[1].error is None
 
+    @pytest.mark.parametrize("stat, filt", CONFIGS, ids=CONFIG_IDS)
     @pytest.mark.parametrize("axis", SWEEP_AXES)
-    def test_rows_are_the_substituted_configuration(self, axis):
+    def test_rows_are_the_substituted_configuration(self, axis, stat, filt):
         grid = {"mu": (0.001, 0.01, 0.1), "d_h": (0.0, 1e-4, 0.01)}.get(axis, (0.1, 0.5, 1.0))
-        base = {"mu": 0.01, "eta_h": 0.5, "eta_s": 0.5, "d_h": 1e-4, "f": 0.3}
+        base = {"mu": 0.01, "eta_h": 0.5, "eta_s": 0.5, "d_h": 1e-4, "f": filt.f}
         params = SourceParams(0.01, 0.5, 0.5, 1e-4)
-        result = sweep(params, filt=FilterSpec(FilterBranch.HERALD, 0.3), axis=axis, grid=grid)
+        result = sweep(params, stat, filt, axis=axis, grid=grid)
         for value, row in zip(grid, result.rows, strict=True):
             c = {**base, axis: value}
-            pmf = signal_pmf(PairStatistics.POISSON,
-                             SourceParams(c["mu"], c["eta_h"], c["eta_s"], c["d_h"]),
-                             FilterSpec(FilterBranch.HERALD, c["f"]))
+            point = SourceParams(c["mu"], c["eta_h"], c["eta_s"], c["d_h"])
+            point_filt = FilterSpec(filt.branch, c["f"])
             assert row.error is None
-            assert row.pmf_head == pmf.probs[:4]
-            assert row.moments == moments_closed_form(
-                SourceParams(c["mu"], c["eta_h"], c["eta_s"], c["d_h"]), PairStatistics.POISSON,
-                FilterSpec(FilterBranch.HERALD, c["f"]))
+            assert row.pmf_head == signal_pmf(stat, point, point_filt).probs[:PMF_HEAD]
+            assert row.moments == moments_closed_form(point, stat, point_filt)
+
+    @pytest.mark.parametrize("filt, axis, bad, build", [
+        (FilterSpec(), "eta_h", 1.5, lambda v: SourceParams(0.01, v, 0.5, 1e-4)),
+        (FilterSpec(FilterBranch.SIGNAL, 0.3), "f", 0.0,
+         lambda v: FilterSpec(FilterBranch.SIGNAL, v)),
+        (FilterSpec(FilterBranch.HERALD, 0.3), "f", 0.0,
+         lambda v: FilterSpec(FilterBranch.HERALD, v)),
+    ], ids=["eta_h", "signal-f", "herald-f"])
+    def test_error_row_is_the_construction_error(self, filt, axis, bad, build):
+        grid = tuple(sorted((bad, 0.5)))
+        result = sweep(SourceParams(0.01, 0.5, 0.5, 1e-4), filt=filt, axis=axis, grid=grid)
+        with pytest.raises(ValidationError) as exc:
+            build(bad)
+        assert [row.error for row in result.rows] == [
+            str(exc.value) if value == bad else None for value in grid]
 
     def test_out_of_range_value_marks_its_row_failed(self):
         result = sweep(SourceParams(0.01, 0.5, 0.5, 1e-4), axis="eta_h", grid=(0.5, 1.0, 1.5))
@@ -203,9 +222,18 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep(SourceParams(0.01, 0.5, 0.5, 1e-4), axis="mu", grid=())
 
-    def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValidationError):
-            sweep(SourceParams(0.01, 0.5, 0.5, 1e-4), axis="mu", grid=(0.1, 0.1))
+    @pytest.mark.parametrize("grid", [(0.1, 0.1), (0.5, math.nan, 0.1), (0.1, math.nan, 0.5)],
+                             ids=["repeated", "nan-between-decreasing", "nan-between-increasing"])
+    def test_rejects_unsorted_grid(self, grid):
+        # b <= a is false for nan, so a nan once slipped past the order check
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            sweep(SourceParams(0.01, 0.5, 0.5, 1e-4), axis="mu", grid=grid)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_one_point_non_finite_grid_is_a_failed_row(self, value):
+        (row,) = sweep(SourceParams(0.01, 0.5, 0.5, 1e-4), axis="mu", grid=(value,)).rows
+        assert row.error == f"mu must be finite and >= 0, got {value!r}"
+        assert row.moments is None and row.pmf_head is None
 
     def test_thermal_dimming_curve_same_shape(self):
         # the thermal closed moments must show the same dip below 1 with
