@@ -81,14 +81,18 @@ def _oms(x, d_h: float, expm1=math.expm1):
     return d_h + (1.0 - d_h) * (-expm1(-x))
 
 
-def _clicks(params: SourceParams):
+def _hazard(eta_h: float) -> float:
+    """-log(1 - eta_h), the exponent of the miss probability per pair, or 1e3
+    at eta_h = 1: e^-1000 is 0 in doubles, and 0 * 1e3 stays 0."""
+    return -math.log1p(-eta_h) if eta_h < 1.0 else 1e3
+
+
+def _clicks(params: SourceParams, expm1=math.expm1):
     """N -> H(N) = 1 - (1-d_h)(1-eta_h)^N, the probability that the detector
-    clicks given N pairs in the bin, with log(1 - eta_h) taken once."""
-    d_h = params.d_h
-    if params.eta_h == 1.0:
-        return lambda N: 1.0 if N else d_h
-    log_miss = math.log1p(-params.eta_h)
-    return lambda N: _oms(-N * log_miss, d_h) if N else d_h
+    clicks given N pairs in the bin, with the hazard taken once; with
+    expm1=numpy.expm1, for every entry of an array N."""
+    d_h, lq = params.d_h, _hazard(params.eta_h)
+    return lambda N: _oms(N * lq, d_h, expm1)
 
 
 def _pair_law(stat: PairStatistics, mu: float) -> tuple:
@@ -216,8 +220,8 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
         rho(n) = beta(n) oms(L) + alpha(n) (r rho(n-1) + 1 - r),
     from beta(0) = 1 and rho(0) = oms(L).  Each step is a convex combination,
     so rho stays within [oms(L), 1] where C(n) and D(n) underflow, and alpha
-    is its own quotient, since 1 - beta cancels.  eta_h = 1 (lq = inf, r = 0)
-    needs no special case.
+    is its own quotient, since 1 - beta cancels.  lq is :func:`_hazard`, 1e3
+    at eta_h = 1, where r = 0: a perfect herald needs no special case.
     """
     base, m, dark, lam = desc
     eta_h, eta_s = params.eta_h, params.eta_s
@@ -227,11 +231,11 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     if sup == math.inf:
         raise SeriesOverflowError(
             f"herald rate {num / den!r} is too small: 1/P_click leaves double range")
-    lq = math.inf if eta_h == 1.0 else -math.log1p(-eta_h)
+    lq = _hazard(eta_h)
     a = m * eta_s
     l_ratio, x0 = ((0.0, m * eta_h * (1.0 - eta_s)) if base is _POISSON
                    else (_log_ratio(m, eta_h, eta_s), 0.0))
-    factor = lambda n: sup * _oms((n + 1) * l_ratio + (n * lq if n else 0.0) + x0, dark)
+    factor = lambda n: sup * _oms((n + 1) * l_ratio + n * lq + x0, dark)
     if lam == 0.0:
         law = _pair_law(base, a)[0]
 
@@ -240,9 +244,7 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
                 return (law(n) * factor(n) for n in itertools.count())
             import numpy as np
             n = np.arange(count, dtype=float)
-            x = (n + 1.0) * l_ratio
-            x[1:] += n[1:] * lq     # not at n = 0, where lq = inf would give nan
-            return law(n) * (sup * _oms(x + x0, dark, np.expm1))
+            return law(n) * (sup * _oms((n + 1.0) * l_ratio + n * lq + x0, dark, np.expm1))
 
         return sup, terms, lambda start: map(factor, itertools.count(start))
 
@@ -253,13 +255,14 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
     qr, qs = q * r, q * (sup * s)
 
     def terms(count=None):
+        # Po(lam, n) by its term ratio, or afresh while e^(-lam) underflows,
+        # which only a law that starts below 1e-280 (lam > 644) needs
         po = math.exp(-lam)
+        extra = _pair_law(_POISSON, lam)[0] if po <= 1e-280 else None
         c, d = po * h0, po / (1.0 + a)
         for n in itertools.count(1):
             yield c
-            # Po(lam, n) by its term ratio, or afresh while e^(-lam) underflows
-            po = (po * lam / n if po > 1e-280 or n > lam
-                  else _pair_law(_POISSON, lam)[0](n))
+            po = po * lam / n if po > 1e-280 or n > lam else extra(n)
             c, d = po * h0 + qr * c + qs * d, po / (1.0 + a) + q * d
 
     def xis():
@@ -376,8 +379,7 @@ def _herald_weights(stat: PairStatistics, mu: float, click, stop: float) -> tupl
 # without extra photons that hold, at least this many terms are built in one
 # numpy pass, shorter ones by the loop, bit for bit.  A pass costs about 11 us
 # of numpy calls, which the loop's 0.4 to 1 us per term repays from 25 to 30
-# terms; the pair sum's array steps after thinning break even near 90 pair
-# terms, below which its array weights gain more (2-CPU x86-64 VM, numpy 2.4).
+# terms (2-CPU x86-64 VM, numpy 2.4).
 _ARRAY_FROM = 64
 
 
@@ -395,17 +397,13 @@ def _array_weights(mu: float, params: SourceParams, stop: float) -> tuple:
     arrays start at a power of two above the predicted length and double up
     to TERM_CAP + 1 terms."""
     import numpy as np
-    q, d = mu / (1.0 + mu), params.d_h
+    q, click = mu / (1.0 + mu), _clicks(params, np.expm1)
     size = max(1 << int(1.25 * _predicted_length(mu, stop)).bit_length(), 16)
     while True:
         size = min(size, TERM_CAP + 1)
         N = np.arange(size + 1.0)
         powers = q ** N
-        weights, tail = powers[:-1] / (1.0 + mu), powers[1:]
-        if params.eta_h == 1.0:   # :func:`_clicks`: 1 for N >= 1, d at N = 0
-            weights[0] *= d
-        else:
-            weights *= d + (1.0 - d) * -np.expm1(N[:-1] * math.log1p(-params.eta_h))
+        weights, tail = powers[:-1] / (1.0 + mu) * click(N[:-1]), powers[1:]
         sums = np.cumsum(weights)
         hit = (tail[8:] <= stop * sums[8:]) & (sums[8:] > 0.0)
         cut = 8 + int(hit.argmax())
@@ -428,10 +426,9 @@ def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourcePa
     Two paths build the herald-weighted law.  A thermal one predicted
     (:func:`_predicted_length`) to hold _ARRAY_FROM terms or more is built by
     :func:`_array_weights`, which keeps the loop's stop rule and differs from
-    its weights in the last digits only, and the steps after thinning stay
-    on its numpy array (:func:`_cut_array`); every other law, the extra
-    Poisson law included, is built by the loop of :func:`_herald_weights` and
-    finished by the list steps of :func:`_cut`.
+    its weights in the last digits only; every other law, the extra Poisson
+    law included, is built by the loop of :func:`_herald_weights`.  Both are
+    finished by :func:`_cut`.
 
     One truncation rule: each pair law stops once its remaining input mass is
     at most tol/10 of its sum, and tail_bound is the mass the stored terms
@@ -444,8 +441,7 @@ def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourcePa
     _check_tol(tol)
     _check_heraldable(params.d_h, mu * params.eta_h)
     stop = 0.1 * tol
-    long = stat is not _POISSON and _predicted_length(mu, stop) >= _ARRAY_FROM
-    if long:
+    if stat is not _POISSON and _predicted_length(mu, stop) >= _ARRAY_FROM:
         weights, herald_sum = _array_weights(mu, params, stop)
     else:
         weights, herald_sum = _herald_weights(stat, mu, _clicks(params), stop)
@@ -454,36 +450,23 @@ def _pair_sum(stat: PairStatistics, mu: float, extra_mu: float, params: SourcePa
         extra = _herald_weights(PairStatistics.POISSON, extra_mu, lambda N: 1.0, stop)[0]
         probs = np.convolve(probs, _thin(extra, params.eta_s))
         summed += len(extra)
-    if long:
-        return _cut_array(probs, herald_sum, summed, stop, tol)
-    return _cut(probs.tolist(), herald_sum, summed, stop, tol)
+    return _cut(probs, herald_sum, summed, stop, tol)
 
 
-def _cut(probs: list, herald_sum: float, summed: int, stop: float, tol: float) -> Pmf:
-    """The pmf of :func:`_pair_sum` from its thinned terms: divided by the
-    herald sum, clamped, and cut to the fewest terms with tail_bound <= tol."""
+def _cut(probs, herald_sum: float, summed: int, stop: float, tol: float) -> Pmf:
+    """The pmf of :func:`_pair_sum` from its thinned terms, a numpy array that
+    it overwrites: divided by the herald sum, clamped, and cut to the fewest
+    terms with tail_bound <= tol."""
+    probs /= herald_sum
     # sums of k positive terms round by under k/2 ulp each, so summed ulp
     # bound the rounding of each quotient
-    probs = _clamped([x / herald_sum for x in probs], len(probs), summed)
+    probs = _clamped(probs, len(probs), summed)
     missing = max(1.0 - math.fsum(probs), 0.0)
     bound = lambda dropped: missing + dropped + stop
     # beyond[k] is the mass of the last k terms, summed from the smallest up
     beyond = [0.0, *itertools.accumulate(reversed(probs[1:]))]
     cut = max(bisect.bisect_right(beyond, tol, key=bound) - 1, 0)
     return Pmf(probs[:len(probs) - cut], bound(beyond[cut]))
-
-
-def _cut_array(probs, herald_sum: float, summed: int, stop: float, tol: float) -> Pmf:
-    """:func:`_cut` of a numpy array, which it overwrites, with the same bits:
-    each quotient rounds once, cumsum adds in the order of accumulate, and
-    searchsorted finds bisect's cut."""
-    import numpy as np
-    probs /= herald_sum
-    values = _clamped(probs, len(probs), summed)   # clamps probs in place too
-    missing = max(1.0 - math.fsum(values), 0.0)
-    bounds = missing + np.concatenate(([0.0], np.cumsum(probs[:0:-1]))) + stop
-    cut = max(int(np.searchsorted(bounds, tol, side="right")) - 1, 0)
-    return Pmf(values[:len(values) - cut], float(bounds[cut]))
 
 
 def conditional_pmf_series(

@@ -25,5 +25,5 @@ class NoHeraldSamplesError(HspsError):
 
 class BracketError(HspsError):
     """The optimizer bracket holds no interior minimum: its unimodality probe
-    failed and the 16-point scan that follows is minimal at an end.  Supply
-    a bracket that encloses the minimum."""
+    failed and no point of the scan that follows beats both ends by more
+    than rounding.  Supply a bracket that encloses the minimum."""

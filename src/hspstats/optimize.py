@@ -8,6 +8,7 @@ Brent's method on log(mu), parabolic steps with golden-section fallback;
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .analytic import _POISSON, _describe, _head, _moments
@@ -87,8 +88,9 @@ def optimize_mu(
     information (eta_h = 0 or d_h = 1): such a herald is refused.
     """
     mu_lo, mu_hi = float(bounds[0]), float(bounds[1])
-    if not 0.0 < mu_lo < mu_hi:
-        raise ValidationError(f"need 0 < mu_lo < mu_hi, got {bounds!r}")
+    if not sys.float_info.min <= mu_lo < mu_hi:
+        raise ValidationError(f"need {sys.float_info.min!r} <= mu_lo < mu_hi (the moments "
+                              f"lose precision at subnormal mu), got {bounds!r}")
     if d_h <= 0.0:
         raise ValidationError(
             "optimal dimming needs d_h > 0: without dark counts the Fano "
@@ -110,11 +112,12 @@ def _minimize(objective, mu_lo: float, mu_hi: float):
     Brent's method on x = log(mu): parabolic steps through the three best
     points, golden-section steps when a parabola would leave the bracket or
     fail to halve the step before last.  The bracket is validated first: an
-    interior probe must beat both ends, otherwise the search would silently
-    slide to a boundary.  When the probe fails, a scan at least 16 points and
-    at most a decade apart picks the sub-bracket of its minimum; only a scan
-    minimal at an end raises BracketError.  The search stops once the bracket
-    is at most REL_TOL wide.
+    interior probe must beat both ends by more than 8 epsilon relative,
+    otherwise the search would slide to a boundary or chase rounding.  When
+    the probe fails, a scan at least 16 points and at most a decade apart
+    picks the sub-bracket of its minimum, which must beat both ends the same
+    way, or BracketError is raised.  The search stops once the bracket is at
+    most REL_TOL wide.
     """
     evaluations = 0
 
@@ -125,18 +128,22 @@ def _minimize(objective, mu_lo: float, mu_hi: float):
 
     a, b = math.log(mu_lo), math.log(mu_hi)
     f_a, f_b = f(a), f(b)
+    # a flat Fano ratio rounds to 2 epsilon either way: no dip that shallow counts
+    floor = min(f_a, f_b) * (1.0 - 8 * sys.float_info.epsilon)
     x = b - (b - a) * _INV_PHI
     f_x = f(x)
-    if not (f_x < f_a and f_x < f_b):
+    if not f_x < floor:
         # the probe cannot vouch for the bracket: scan it for the minimum
         n = max(16, math.ceil((b - a) / math.log(10.0)) + 1)
         grid = [a + (b - a) * i / (n - 1) for i in range(n)]
         values = [f_a] + [f(g) for g in grid[1:-1]] + [f_b]
         k = min(range(n), key=values.__getitem__)
-        if k in (0, n - 1):
+        if not values[k] < floor:
+            found = ("is minimal at an end" if k in (0, n - 1)
+                     else "dips below both ends by rounding at most")
             raise BracketError(
                 f"no interior minimum in [{mu_lo!r}, {mu_hi!r}]: the probe failed and "
-                f"a {n}-point scan is minimal at an end; widen the bracket"
+                f"a {n}-point scan {found}; widen the bracket"
             )
         a, b, x, f_x = grid[k - 1], grid[k + 1], grid[k], values[k]
 

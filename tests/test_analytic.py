@@ -73,6 +73,17 @@ class TestHeraldProb:
     def test_perfect_detector(self):
         assert _clicks(SourceParams(0.1, 1.0, 0.5, 0.0))(3) == 1.0
 
+    @pytest.mark.parametrize("d_h", [0.0, 5e-324, 1e-4, 0.3, 1.0 - 2.0**-53, 1.0])
+    def test_perfect_detector_exactly(self, d_h):
+        # the hazard 1e3 at eta_h = 1 misses with e^-1000 = 0: exactly d_h
+        # without pairs and exactly 1 with any, by math and by numpy
+        params = SourceParams(0.1, 1.0, 0.5, d_h)
+        N = np.arange(model.TERM_CAP + 1.0)
+        for click in (np.vectorize(_clicks(params)), _clicks(params, np.expm1)):
+            values = click(N)
+            assert values[0] == d_h
+            assert (values[1:] == 1.0).all()
+
 
 class TestInputPmf:
     def test_vacuum(self):
@@ -723,6 +734,18 @@ class TestArrayWeights:
                 want, rel=self.RTOL, abs=self.RTOL * sys.float_info.min), (params, stop)
             assert got_sum == pytest.approx(want_sum, rel=self.RTOL, abs=0.0)
 
+    def test_grows_the_array_past_its_first_size(self):
+        # a herald this weak weights the thermal law by about N eta_h, which
+        # needs 580 terms, past the first array of 512 terms sized for
+        # the 314 the unweighted law predicts
+        params, stop = SourceParams(10.0, 1e-12, 0.5, 0.0), 1e-13
+        first = 1 << int(1.25 * analytic._predicted_length(10.0, stop)).bit_length()
+        want, want_sum = analytic._herald_weights(THERMAL, 10.0, _clicks(params), stop)
+        got, got_sum = analytic._array_weights(10.0, params, stop)
+        assert len(got) == len(want) == 580 > first
+        assert got.tolist() == pytest.approx(want, rel=self.RTOL, abs=0.0)
+        assert got_sum == pytest.approx(want_sum, rel=self.RTOL, abs=0.0)
+
     def test_refuses_a_sum_past_the_term_cap(self):
         params = SourceParams(1e5, 0.5, 0.5, 1e-4)
         with pytest.raises(SeriesOverflowError, match="within 100000 terms") as loop:
@@ -798,7 +821,7 @@ class TestArrayTerms:
 
     @pytest.mark.parametrize("stat, filt", CONFIGS)
     def test_perfect_heralds_raise_no_warning(self, stat, filt):
-        # eta_h = 1 makes lq infinite, and 0 * inf at n = 0 would be nan
+        # an infinite hazard at eta_h = 1 would give 0 * inf = nan at n = 0
         for mu in (10.0, 30.0, 400.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -822,8 +845,8 @@ class TestArrayTerms:
 
 
 class TestPairSumSteps:
-    """The pair sum's steps after thinning, by lists (_cut) and by numpy
-    (_cut_array), on the same thinned input."""
+    """The pair sum's steps after thinning (_cut), against a reference that
+    drops trailing terms one at a time."""
 
     @staticmethod
     def thinned(mu, params, extra_mu, stop):
@@ -834,16 +857,28 @@ class TestPairSumSteps:
             probs = np.convolve(probs, _thin(extra, params.eta_s))
         return probs, herald_sum, len(weights)
 
+    @staticmethod
+    def reference_cut(probs, herald_sum, summed, stop, tol):
+        # divide, set to 1 what rounds at most summed ulp above it, and drop
+        # trailing terms from the smallest up while the bound stays within tol
+        top = 1.0 + summed * sys.float_info.epsilon
+        probs = [1.0 if 1.0 < p <= top else p for p in (x / herald_sum for x in probs)]
+        missing = max(1.0 - math.fsum(probs), 0.0)
+        kept, dropped = len(probs), 0.0
+        while kept > 1 and missing + (dropped + probs[kept - 1]) + stop <= tol:
+            kept, dropped = kept - 1, dropped + probs[kept - 1]
+        return Pmf(tuple(probs[:kept]), missing + dropped + stop)
+
     @pytest.mark.parametrize("mu", [0.5, 5.0, 20.0, 100.0])
     @pytest.mark.parametrize("eta_s", [0.0, 1e-12, 0.5, 1.0])
-    def test_array_and_list_forms_give_equal_pmfs(self, mu, eta_s):
+    def test_equal_to_the_reference(self, mu, eta_s):
         # eta_s = 0 and 1e-12 round p(0) above 1, where the clamp acts
         for extra_mu, tol in itertools.product((0.0, 3.0), (1e-13, 1e-12, 1e-7)):
             params = SourceParams(mu, 0.6, eta_s, 1e-4)
             probs, herald_sum, summed = self.thinned(mu, params, extra_mu, 0.1 * tol)
-            listed = analytic._cut(probs.tolist(), herald_sum, summed, 0.1 * tol, tol)
-            arrayed = analytic._cut_array(probs, herald_sum, summed, 0.1 * tol, tol)
-            assert arrayed == listed, (extra_mu, tol)
+            want = self.reference_cut(probs.tolist(), herald_sum, summed, 0.1 * tol, tol)
+            assert analytic._cut(probs, herald_sum, summed, 0.1 * tol, tol) == want, (
+                extra_mu, tol)
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-12, 1e-7])
     def test_keeps_the_fewest_terms_within_tol(self, tol):
@@ -1244,6 +1279,22 @@ class TestUnconditioned:
             assert u == pytest.approx(r, rel=1e-13, abs=0.0), n
         assert [unconditioned_terms(POISSON, params, filt, n + 1)[n] for n in (0, 1, 50)] == [
             law[0], law[1], law[50]]
+
+    @pytest.mark.parametrize("extra_mean", [660.0, 1000.0])
+    def test_herald_filtered_law_where_the_extraneous_law_underflows(self, extra_mean):
+        # e^(-lam) < 1e-280: the recurrence takes Po(lam, n) afresh up to
+        # n = lam, not by its term ratio.  Against U = Po(lam) * Th(a) from
+        # scipy; measured before this test was written: within 1.3e-12
+        f = 1e-3
+        params = SourceParams(extra_mean / (1.0 - f), 0.5, 1.0, 1e-4)
+        filt = FilterSpec(FilterBranch.HERALD, f)
+        _, m, _, lam = analytic._describe(POISSON, params, filt)
+        k = np.arange(int(1.5 * lam))
+        law = np.array(unconditioned_terms(POISSON, params, filt, len(k)))
+        ref = np.convolve(stats.poisson.pmf(k, lam), (m / (1.0 + m)) ** k / (1.0 + m))[:len(k)]
+        shown = ref > 1e-250
+        assert shown[:int(lam)].any() and shown[int(lam)]
+        assert law[shown] == pytest.approx(ref[shown], rel=1e-11, abs=0.0)
 
     def test_xi_times_base_recovers_pmf(self):
         filt = FilterSpec(FilterBranch.HERALD, 0.1)

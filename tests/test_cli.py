@@ -406,6 +406,13 @@ class TestOptimizeCommand:
         assert code == 0
         assert 0.014 <= records.parse(out).rows[0]["mu_opt"] <= 0.018
 
+    @pytest.mark.parametrize("mu_lo,mu_hi,message", [
+        ("1e-200", "1e-100", "by rounding at most"), ("1e-320", "1e-300", "subnormal")])
+    def test_no_optimum_below_rounding_is_a_domain_error(self, capsys, mu_lo, mu_hi, message):
+        code, out, err = run(capsys, "optimize", "--eta-h", "0.5", "--eta-s", "0.5",
+                             "--dark", "1e-4", "--mu-lo", mu_lo, "--mu-hi", mu_hi)
+        assert code == 2 and message in err and "mu_opt" not in out
+
     def test_pre_scan_flag_is_gone(self, capsys):
         code, _, err = run(capsys, "optimize", "--eta-h", "0.5", "--eta-s", "0.5",
                            "--dark", "1e-4", "--pre-scan")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -77,6 +78,42 @@ class TestOptimizeMu:
         with pytest.raises(BracketError, match="scan is minimal at an end") as info:
             optimize_mu(0.5, 0.5, 1e-4, bounds=(0.5, 10.0))
         assert "pre_scan" not in str(info.value)
+
+    @pytest.mark.parametrize("bounds", [(1e-200, 1e-100), (2.3e-308, 1e-300)])
+    def test_rounding_noise_is_no_minimum(self, monkeypatch, bounds):
+        # the Fano ratio is 1 within 2 epsilon across these brackets, so
+        # interior points that round below both ends vouch for nothing
+        calls, objective = [], optimize._fano
+
+        def counted(point, mu):
+            calls.append(mu)
+            return objective(point, mu)
+
+        monkeypatch.setattr(optimize, "_fano", counted)
+        with pytest.raises(BracketError, match="by rounding at most") as info:
+            optimize_mu(0.5, 0.5, 1e-4, bounds=bounds)
+        assert "minimal at an end" not in str(info.value)
+        values = [fano(mu, 0.5, 0.5, 1e-4) for mu in calls]
+        assert min(values) < min(values[:2])   # an interior point rounds below both ends
+        assert max(values) - min(values) <= 2 * sys.float_info.epsilon
+
+    def test_rejects_a_subnormal_lower_end(self, monkeypatch):
+        # at subnormal mu the moments lose up to 1e-4 relative
+        monkeypatch.setattr(optimize, "_fano", None)   # no evaluation may run
+        with pytest.raises(ValidationError, match="subnormal"):
+            optimize_mu(0.5, 0.5, 1e-4, bounds=(1e-320, 1e-300))
+        with pytest.raises(ValidationError, match="subnormal"):
+            optimize_mu(0.5, 0.5, 1e-4, bounds=(sys.float_info.min / 2, 1.0))
+        monkeypatch.undo()   # the smallest normal double is a valid lower end
+        result = optimize_mu(0.5, 0.5, 1e-4, bounds=(sys.float_info.min, 10.0))
+        assert 0.014 <= result.mu_opt <= 0.018
+
+    @pytest.mark.parametrize("bounds", [(1.0, 0.5), (0.5, 0.5), (0.0, 1.0), (-1.0, 1.0),
+                                        (math.nan, 1.0)])
+    def test_rejects_a_bracket_out_of_order(self, monkeypatch, bounds):
+        monkeypatch.setattr(optimize, "_fano", None)
+        with pytest.raises(ValidationError, match="<= mu_lo < mu_hi"):
+            optimize_mu(0.5, 0.5, 1e-4, bounds=bounds)
 
     def test_failed_probe_falls_back_to_the_scan(self):
         # the golden probe (mu about 2e-4) does not beat the upper end,
