@@ -188,8 +188,10 @@ def _click_fraction(desc: tuple, eta_h: float) -> tuple:
 
 
 def _factor(desc: tuple, params: SourceParams) -> tuple:
-    """1/P_click, terms() over p(0), p(1), ... and xis(start) over xi(start),
-    xi(start + 1), ... of a described configuration (fresh iterators).
+    """1/P_click, terms() over p(0), p(1), ..., xis(start) over xi(start),
+    xi(start + 1), ... (fresh iterators) and the kept-mode pair law that the
+    terms read (:func:`_pair_law`, None with extra photons, whose terms read
+    none) of a described configuration.
     terms(count) names how many terms the caller takes: a thermal base
     without extra photons then gives count >= _ARRAY_FROM terms as one numpy
     array, whose power and expm1 may round a term a few ulp off the loop's.
@@ -237,7 +239,8 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
                    else (_log_ratio(m, eta_h, eta_s), 0.0))
     factor = lambda n: sup * _oms((n + 1) * l_ratio + n * lq + x0, dark)
     if lam == 0.0:
-        law = _pair_law(base, a)[0]
+        kept = _pair_law(base, a)
+        law = kept[0]
 
         def terms(count=None):
             if count is None or count < _ARRAY_FROM or base is _POISSON:
@@ -246,7 +249,7 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
             n = np.arange(count, dtype=float)
             return law(n) * (sup * _oms((n + 1.0) * l_ratio + n * lq + x0, dark, np.expm1))
 
-        return sup, terms, lambda start: map(factor, itertools.count(start))
+        return sup, terms, lambda start: map(factor, itertools.count(start)), kept
 
     q = a / (1.0 + a)
     o0 = _oms(l_ratio, dark)
@@ -273,7 +276,7 @@ def _factor(desc: tuple, params: SourceParams) -> tuple:
             beta, alpha = new / (new + old), old / (new + old)
             rho = beta * o0 + alpha * (r * rho + s)
 
-    return sup, terms, lambda start: itertools.islice(xis(), start, None)
+    return sup, terms, lambda start: itertools.islice(xis(), start, None), None
 
 
 def xi_values(stat: PairStatistics, params: SourceParams, filt: FilterSpec = NO_FILTER,
@@ -493,12 +496,15 @@ def signal_pmf(
     _check_tol(tol)
     desc = _describe(stat, params, filt)
     base, m, _, lam = desc
-    sup, terms, _ = _factor(desc, params)
+    sup, terms, _, kept = _factor(desc, params)
     a = m * params.eta_s
-    base_tail, extra_tail = _pair_law(base, a)[1], _pair_law(_POISSON, lam)[1]
-    # count > n forces the kept-mode part > n//2 or the extraneous part > n - n//2
-    tail = ((lambda n: sup * base_tail(n)) if lam == 0.0
-            else lambda n: sup * (base_tail(n // 2) + extra_tail(n - n // 2)))
+    if lam == 0.0:  # the law of the terms, built once
+        kept_tail = kept[1]
+        tail = lambda n: sup * kept_tail(n)
+    else:
+        kept_tail, extra_tail = _pair_law(base, a)[1], _pair_law(_POISSON, lam)[1]
+        # count > n forces the kept-mode part > n//2 or the extraneous part > n - n//2
+        tail = lambda n: sup * (kept_tail(n // 2) + extra_tail(n - n // 2))
     if tail(TERM_CAP) > 0.9 * tol:
         # refused before any term is summed; the Poisson mean and the exact
         # thermal tail bound the length from below
@@ -657,7 +663,7 @@ def asymptotic_tail_check(params: SourceParams, f: float, n: int) -> tuple[float
         raise ValidationError(f"photon number must be >= 0, got {n}")
     desc = _describe(PairStatistics.POISSON, params, FilterSpec(FilterBranch.HERALD, f))
     _, m, _, lam = desc
-    sup, terms, _ = _factor(desc, params)
+    sup, terms = _factor(desc, params)[:2]
     exact = next(itertools.islice(terms(), n, None))
     asym = sup / (1.0 + m * params.eta_s) * _pair_law(_POISSON, lam)[0](n)
     return exact, asym

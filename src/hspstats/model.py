@@ -4,6 +4,13 @@ A source configuration is the quadruple (mu, eta_h, eta_s, d_h): mean pair
 number per time bin, heralding-branch transmission (detector efficiency
 included), signal-branch transmission, and dark-count probability per bin.
 All types are immutable value types and may be shared freely across threads.
+
+The dataclasses here, ``optimize.SweepRow`` and ``montecarlo``'s
+``McConfig`` and ``McEstimate`` are frozen and have their own ``__init__``:
+it validates its arguments and writes each field once into the instance
+dict, which costs less than the generated frozen ``__init__``'s setattr call
+per field.  ``==``, ``hash``, ``repr``, pickling and ``dataclasses.replace``,
+which validates too, are the dataclass's own.
 """
 
 import math
@@ -76,7 +83,7 @@ class SourceParams:
         mu = float(mu)
         if not math.isfinite(mu) or mu < 0.0:
             raise ValidationError(f"mu must be finite and >= 0, got {mu!r}")
-        fields = self.__dict__   # written once, as in MomentSummary
+        fields = self.__dict__
         fields["mu"], fields["eta_h"], fields["eta_s"], fields["d_h"] = (
             mu, _check_unit("eta_h", eta_h), _check_unit("eta_s", eta_s), _check_unit("d_h", d_h))
 
@@ -108,7 +115,7 @@ class FilterSpec:
 NO_FILTER = FilterSpec(FilterBranch.NONE, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pmf:
     """Truncated photon-number distribution with an explicit tail bound.
 
@@ -119,14 +126,14 @@ class Pmf:
     probs: tuple
     tail_bound: float
 
-    def __post_init__(self):
-        probs = tuple(map(float, self.probs))
+    def __init__(self, probs: tuple, tail_bound: float):
+        probs = tuple(map(float, probs))
         if not probs:
             raise ValidationError("a pmf needs at least one term")
         for n, p in enumerate(probs):
             if not 0.0 <= p <= 1.0:  # also false for nan
                 raise ValidationError(f"p({n}) = {p!r} is not a probability")
-        tail = float(self.tail_bound)
+        tail = float(tail_bound)
         if not math.isfinite(tail) or tail < 0.0:
             raise ValidationError(f"tail_bound must be finite and >= 0, got {tail!r}")
         total = math.fsum(probs)
@@ -134,8 +141,7 @@ class Pmf:
             raise ValidationError(
                 f"pmf mass {total!r} outside [1 - {tail!r}, 1 + {PMF_ROUND_EPS}]"
             )
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "tail_bound", tail)
+        self.__dict__["probs"], self.__dict__["tail_bound"] = probs, tail
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -164,8 +170,6 @@ class MomentSummary:
     def __init__(self, mean: float, variance: float, fano: float | None, g2: float | None):
         if not variance >= 0.0:
             raise ValidationError(f"variance must be >= 0, got {variance!r}")
-        # straight into the instance dict: the generated frozen __init__ costs
-        # one object.__setattr__ per field, more than the closed moments
         fields = self.__dict__
         fields["mean"], fields["variance"], fields["fano"], fields["g2"] = mean, variance, fano, g2
 

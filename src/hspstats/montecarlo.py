@@ -74,7 +74,7 @@ MAX_MU = 1e3
 BATCH = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class McConfig:
     """One simulation request: physics, trial count, seed, histogram cap."""
 
@@ -85,24 +85,30 @@ class McConfig:
     seed: int = 0
     n_cap: int = 64
 
-    def __post_init__(self):
-        for name in ("trials", "n_cap", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not 1 <= self.trials < 2**63:  # bin counts are int64
-            raise ValidationError(f"trials must lie in [1, 2**63), got {self.trials}")
-        if not 8 <= self.n_cap <= TERM_CAP:
-            raise ValidationError(f"n_cap must lie in [8, {TERM_CAP}], got {self.n_cap}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed!r}")
-        if self.params.mu > MAX_MU:
+    def __init__(self, params: SourceParams, stat: PairStatistics = PairStatistics.POISSON,
+                 filt: FilterSpec = NO_FILTER, trials: int = 1_000_000, seed: int = 0,
+                 n_cap: int = 64):
+        # the counts are checked before the physics, integrality before range
+        for name, value in (("trials", trials), ("n_cap", n_cap), ("seed", seed)):
+            if not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= trials < 2**63:  # bin counts are int64
+            raise ValidationError(f"trials must lie in [1, 2**63), got {trials}")
+        if not 8 <= n_cap <= TERM_CAP:
+            raise ValidationError(f"n_cap must lie in [8, {TERM_CAP}], got {n_cap}")
+        if not 0 <= seed < 2**64:
+            raise ValidationError(f"seed must lie in [0, 2**64), got {seed!r}")
+        if params.mu > MAX_MU:
             raise ValidationError(f"mu above {MAX_MU:g} would grow the thermal pair-count table "
                                   f"past {len(_count_table(MAX_MU, True)):,} entries")
-        if self.filt.branch is not FilterBranch.NONE and self.stat is not PairStatistics.POISSON:
+        if filt.branch is not FilterBranch.NONE and stat is not PairStatistics.POISSON:
             raise ValidationError("a mode filter requires Poisson pair statistics")
+        fields = self.__dict__
+        fields["params"], fields["stat"], fields["filt"] = params, stat, filt
+        fields["trials"], fields["seed"], fields["n_cap"] = trials, seed, n_cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class McEstimate:
     """Empirical conditional pmf with per-bin binomial standard errors.
 
@@ -116,6 +122,13 @@ class McEstimate:
     trials_used: int
     heralded: int
     cap_mass: float
+
+    def __init__(self, pmf_hat: tuple, stderr: tuple, herald_rate: float, trials_used: int,
+                 heralded: int, cap_mass: float):
+        fields = self.__dict__
+        fields["pmf_hat"], fields["stderr"], fields["herald_rate"] = pmf_hat, stderr, herald_rate
+        fields["trials_used"], fields["heralded"], fields["cap_mass"] = (
+            trials_used, heralded, cap_mass)
 
 
 def _describe(config: McConfig) -> tuple[float, float, bool, bool]:
@@ -169,10 +182,12 @@ def _thinning_law(s: np.ndarray, eta: float, cap: int) -> np.ndarray:
     draw leaves its remainder at j = 0, in every row's support.  Built in
     place, in logs, from p(0) = (1 - eta)^s by the ratios p(j + 1)/p(j) =
     (s - j) eta/((j + 1)(1 - eta)); each row sums to 1 after its clamped tail.
-    That tail P(B >= cap) is 1 minus the other entries where it holds the
-    mode, and otherwise the sum of its terms, which shrink from p(cap), so
-    that it keeps its relative accuracy however small it is."""
-    law = np.zeros((len(s), min(int(s.max()), cap) + 1))
+    That tail P(B >= cap) of a row with s > cap is 1 minus the other entries
+    where it holds the mode, and otherwise the sum of its terms, which shrink
+    from p(cap), so that it keeps its relative accuracy however small it is;
+    a batch without such a row skips that step."""
+    high = int(s.max())
+    law = np.zeros((len(s), min(high, cap) + 1))
     up = law[:, ::-1]  # j running up
     if eta in (0.0, 1.0):  # every photon lost, or every one kept
         up[np.arange(len(s)), np.minimum(s * int(eta), cap)] = 1.0
@@ -185,17 +200,17 @@ def _thinning_law(s: np.ndarray, eta: float, cap: int) -> np.ndarray:
         np.log(steps, out=steps)
     steps += math.log(eta) - math.log1p(-eta)
     np.exp(np.cumsum(up, axis=1, out=up), out=up)
-    top = law.shape[1] - 1
-    shrinks = (s + 1) * eta < top + 1  # p(j + 1) < p(j) for every j >= top
-    rest, summed = (s > top) & ~shrinks, (s > top) & shrinks
-    law[rest, 0] = 1.0 - up[rest, :-1].sum(axis=1)
-    term = tail = law[summed, 0]
-    j = top
-    while (term > 2.0**-60 * tail).any():
-        term = term * ((s[summed] - j) / (j + 1.0) * (eta / (1.0 - eta)))
-        tail = tail + term
-        j += 1
-    law[summed, 0] = tail
+    if high > cap:  # the clamped tails of the rows with s > cap
+        shrinks = (s + 1) * eta < cap + 1  # p(j + 1) < p(j) for every j >= cap
+        rest, summed = (s > cap) & ~shrinks, (s > cap) & shrinks
+        law[rest, 0] = 1.0 - up[rest, :-1].sum(axis=1)
+        term = tail = law[summed, 0]
+        j = cap
+        while (term > 2.0**-60 * tail).any():
+            term = term * ((s[summed] - j) / (j + 1.0) * (eta / (1.0 - eta)))
+            tail = tail + term
+            j += 1
+        law[summed, 0] = tail
     law /= law.sum(axis=1, keepdims=True)
     return law
 
@@ -208,6 +223,9 @@ def _batches(widths: np.ndarray, per_row: bool = False):
     start = 0
     while start < len(widths):
         rest = widths[start:]
+        if (rest.sum() if per_row else len(rest) * rest[-1]) <= BATCH:  # the rows left fit
+            yield slice(start, len(widths))
+            return
         cost = np.cumsum(rest) if per_row else np.arange(1, len(rest) + 1) * rest
         stop = start + max(1, int(np.searchsorted(cost, BATCH, side="right")))
         yield slice(start, stop)
@@ -250,8 +268,12 @@ def simulate(config: McConfig) -> McEstimate:
     heralded = np.zeros(len(kept_table) + len(extra_table), dtype=np.int64)
     p_herald = _herald_probability(np.arange(len(heralded)), p.d_h, p.eta_h)
     for k, e, bins in _cells(rng, config.trials, kept_table, extra_table):
-        h = rng.binomial(bins, p_herald[k + e if extra_herald else k])
-        np.add.at(heralded, np.broadcast_to(k + e if extra_signal else k, h.shape), h)
+        pairs = k + e
+        h = rng.binomial(bins, p_herald[pairs if extra_herald else k])
+        if extra_signal:
+            np.add.at(heralded, pairs, h)
+        else:  # a row of cells of one k gives its heralds summed over e
+            np.add.at(heralded, k, h.sum(axis=1, keepdims=True) if h.ndim == 2 else h)
 
     # step 4: thin the heralded bins of each signal count s
     hist = np.zeros(cap + 1, dtype=np.int64)

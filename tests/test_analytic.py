@@ -508,8 +508,8 @@ class TestSignalPmf:
         real = analytic._factor
 
         def overshooting(desc, params):
-            sup, _, xis = real(desc, params)
-            return sup, lambda count=None: iter([1.0 + excess * sys.float_info.epsilon]), xis
+            sup, _, *rest = real(desc, params)
+            return sup, lambda count=None: iter([1.0 + excess * sys.float_info.epsilon]), *rest
 
         monkeypatch.setattr(analytic, "_factor", overshooting)
         params = SourceParams(0.5, 0.5, 0.0, 1e-4)     # eta_s = 0: one term

@@ -9,6 +9,7 @@ from hspstats import (
     NO_FILTER,
     FilterBranch,
     FilterSpec,
+    McConfig,
     MomentSummary,
     PairStatistics,
     Pmf,
@@ -19,6 +20,7 @@ from hspstats import (
 )
 from hspstats import records
 from hspstats.model import to_record
+from hspstats.montecarlo import McEstimate
 from hspstats.optimize import SweepRow
 
 
@@ -175,6 +177,15 @@ VALUE_TYPES = {
     "SweepRow": (SweepRow, (0.1, MomentSummary(0.5, 0.25, 0.5, 0.0), (0.5, 0.5, 0.0, 0.0),
                             "refused"),
                  ("value", "moments", "pmf_head", "error"), {"error": None}),
+    "Pmf": (Pmf, ((0.5, 0.25, 0.25), 0.0), ("probs", "tail_bound"), {}),
+    "McConfig": (McConfig, (SourceParams(0.01, 0.5, 0.25, 1e-4), PairStatistics.POISSON,
+                            FilterSpec(FilterBranch.HERALD, 0.3), 1000, 7, 16),
+                 ("params", "stat", "filt", "trials", "seed", "n_cap"),
+                 {"stat": PairStatistics.POISSON, "filt": NO_FILTER, "trials": 1_000_000,
+                  "seed": 0, "n_cap": 64}),
+    "McEstimate": (McEstimate, ((0.75, 0.25), (0.01, 0.01), 0.5, 1000, 500, 0.25),
+                   ("pmf_hat", "stderr", "herald_rate", "trials_used", "heralded", "cap_mass"),
+                   {}),
 }
 
 
@@ -211,6 +222,9 @@ class TestValueTypes:
         assert dataclasses.replace(params, eta_s=0.75) == SourceParams(0.01, 0.5, 0.75, 1e-4)
         filt = FilterSpec(FilterBranch.HERALD, 0.3)
         assert dataclasses.replace(filt, f=0.5) == FilterSpec(FilterBranch.HERALD, 0.5)
+        assert dataclasses.replace(Pmf((1.0,), 0.0), tail_bound=0.5) == Pmf((1.0,), 0.5)
+        config = McConfig(params, seed=3)
+        assert dataclasses.replace(config, n_cap=8) == McConfig(params, seed=3, n_cap=8)
 
     @pytest.mark.parametrize("obj, field, bad, message", [
         (SourceParams(0.01, 0.5, 0.5, 1e-4), "mu", -1.0, "mu must be finite and >= 0, got -1.0"),
@@ -220,6 +234,11 @@ class TestValueTypes:
          "mode fraction f must lie in [1e-06, 1], got 0.0"),
         (FilterSpec(FilterBranch.SIGNAL, 0.5), "branch", "signal",
          "branch must be a FilterBranch, got 'signal'"),
+        (Pmf((1.0,), 0.0), "probs", (0.5,), "pmf mass 0.5 outside [1 - 0.0, 1 + 1e-12]"),
+        (McConfig(SourceParams(0.01, 0.5, 0.5, 1e-4)), "trials", 0,
+         "trials must lie in [1, 2**63), got 0"),
+        (McConfig(SourceParams(0.01, 0.5, 0.5, 1e-4), filt=FilterSpec(FilterBranch.HERALD, 0.5)),
+         "stat", PairStatistics.THERMAL, "a mode filter requires Poisson pair statistics"),
     ])
     def test_replace_still_validates_and_names_the_field(self, obj, field, bad, message):
         with pytest.raises(ValidationError) as exc:
@@ -235,6 +254,10 @@ class TestValueTypes:
             SourceParams(1.0, 0.5, 2.0, 2.0)
         with pytest.raises(ValidationError, match="^branch "):
             FilterSpec(None, 0.0)
+        with pytest.raises(ValidationError, match="^a pmf needs"):
+            Pmf((), -1.0)
+        with pytest.raises(ValidationError, match="^tail_bound "):
+            Pmf((0.5,), -1.0)
 
     @each_type
     def test_assignment_raises(self, cls, args, names, defaults):
@@ -259,6 +282,14 @@ class TestValueTypes:
          "FilterSpec(branch=<FilterBranch.HERALD: 'herald'>, f=0.3)"),
         (SweepRow(0.1, None, None, "refused"),
          "SweepRow(value=0.1, moments=None, pmf_head=None, error='refused')"),
+        (Pmf((0.5, 0.25, 0.25), 0.0), "Pmf(probs=(0.5, 0.25, 0.25), tail_bound=0.0)"),
+        (McConfig(SourceParams(0.01, 0.5, 0.25, 1e-4), seed=7),
+         "McConfig(params=SourceParams(mu=0.01, eta_h=0.5, eta_s=0.25, d_h=0.0001), "
+         "stat=<PairStatistics.POISSON: 'poisson'>, filt=FilterSpec(branch=<FilterBranch.NONE: "
+         "'none'>, f=1.0), trials=1000000, seed=7, n_cap=64)"),
+        (McEstimate((1.0,), (0.0,), 0.5, 2, 1, 1.0),
+         "McEstimate(pmf_hat=(1.0,), stderr=(0.0,), herald_rate=0.5, trials_used=2, heralded=1, "
+         "cap_mass=1.0)"),
     ], ids=list(VALUE_TYPES))
     def test_repr(self, obj, text):
         assert repr(obj) == text

@@ -565,3 +565,33 @@ class TestSparseSampler:
             counts = [round(p * est.heralded) for p in est.pmf_hat]
             assert est.heralded == heralded
             assert {n: c for n, c in enumerate(counts) if c} == hist
+
+    # The same record, seed and trial count where the run above takes neither
+    # the clamped tail of the thinning law nor more than one draw per step: a
+    # bright source with n_cap 8, whose rows s = 9..15 are clamped, and both
+    # filters at mu 5 with BATCH 64, which splits steps 2, 3 and 4 into
+    # batches of clamped and unclamped rows.
+    BRIGHT = SourceParams(5.0, 0.5, 0.9, 1e-4)
+    PINNED_PATHS = {
+        "clamped_rows": (NO_FILTER, 8, mc.BATCH, (60197, {
+            0: 172, 1: 2027, 2: 5955, 3: 9988, 4: 11820, 5: 10827, 6: 8324, 7: 5422, 8: 5662})),
+        "herald_filter_batches": (FilterSpec(FilterBranch.HERALD, 0.5), 16, 64, (36434, {
+            0: 75, 1: 1002, 2: 2751, 3: 4418, 4: 5531, 5: 5374, 6: 4687, 7: 3592, 8: 2610,
+            9: 1883, 10: 1394, 11: 997, 12: 636, 13: 478, 14: 305, 15: 224, 16: 477})),
+        "signal_filter_batches": (FilterSpec(FilterBranch.SIGNAL, 0.5), 16, 64, (57029, {
+            0: 14388, 1: 12024, 2: 9120, 3: 6619, 4: 4446, 5: 3160, 6: 2278, 7: 1552, 8: 1064,
+            9: 748, 10: 524, 11: 349, 12: 233, 13: 176, 14: 89, 15: 80, 16: 179})),
+    }
+
+    @pytest.mark.parametrize("filt, n_cap, batch, record", list(PINNED_PATHS.values()),
+                             ids=list(PINNED_PATHS))
+    def test_pinned_stream_through_clamped_rows_and_batches(self, monkeypatch, filt, n_cap,
+                                                            batch, record):
+        stream, numpy_version = self.PINNED_STREAM
+        if (mc.STREAM_VERSION, ".".join(np.__version__.split(".")[:2])) != self.PINNED_STREAM:
+            pytest.skip(f"stream {stream} pinned under numpy {numpy_version} only")
+        monkeypatch.setattr(mc, "BATCH", batch)
+        est = simulate(McConfig(params=self.BRIGHT, filt=filt, trials=1 << 16, seed=2026,
+                                n_cap=n_cap))
+        counts = [round(p * est.heralded) for p in est.pmf_hat]
+        assert (est.heralded, {n: c for n, c in enumerate(counts) if c}) == record
